@@ -22,10 +22,12 @@ from typing import List, Optional, Sequence, Tuple
 from . import evaluate as evaluate_mod
 from . import pointer
 from .errors import FlowgridError, ReplayMismatch, TraceFormatError
-from .generators import FLOW_FILTERS, gen_minecraft, gen_starcraft
+from .generators import FLOW_FILTERS
 from .harness import (
+    MAX_REGENERATIONS,
     EpisodeSpec,
     FailureBuffer,
+    generate_instructions,
     read_trace_records,
     replay_episode,
     run_episode,
@@ -110,32 +112,33 @@ def _require(condition: bool, message: str) -> None:
 def cmd_gen(args) -> int:
     _require(args.count >= 1, "--count must be at least 1")
     _require(1 <= args.min_len <= args.max_len, "need 1 <= --min-len <= --max-len")
+    spec = EpisodeSpec(
+        domain=args.domain,
+        min_len=args.min_len,
+        max_len=args.max_len,
+        flow=args.flow,
+        max_depth=args.max_depth,
+    )
     rng = substream(args.seed, "generation")
     rows = []
     for index in range(args.count):
-        if args.domain == MINECRAFT:
-            instruction = gen_minecraft(rng, (args.min_len, args.max_len), args.flow)
-            row = {
-                "domain": MINECRAFT,
-                "index": index,
-                "text": instruction.text(),
-                "encoded": instruction.encoded(),
-            }
-        else:
-            while True:
-                target = int(rng.integers(args.min_len, args.max_len + 1))
-                tree, instruction = gen_starcraft(rng, target, args.max_depth)
-                if len(instruction) >= args.min_len:
-                    break
-            row = {
-                "domain": STARCRAFT,
-                "index": index,
-                "text": instruction.text(),
-                "encoded": instruction.encoded(),
-                "tree": {
-                    "prerequisite": {str(k): v for k, v in sorted(tree.prerequisite.items())},
-                    "producer": {str(k): v for k, v in sorted(tree.producer.items())},
-                },
+        candidate = next(generate_instructions(spec, rng), None)
+        if candidate is None:
+            raise UsageError(
+                f"no {args.domain} instruction of {args.min_len}-{args.max_len} lines "
+                f"in {MAX_REGENERATIONS} draws; lower --min-len"
+            )
+        tree, instruction = candidate
+        row = {
+            "domain": args.domain,
+            "index": index,
+            "text": instruction.text(),
+            "encoded": instruction.encoded(),
+        }
+        if tree is not None:
+            row["tree"] = {
+                "prerequisite": {str(k): v for k, v in sorted(tree.prerequisite.items())},
+                "producer": {str(k): v for k, v in sorted(tree.producer.items())},
             }
         rows.append(row)
     with _open_out(args.out) as handle:

@@ -86,9 +86,12 @@ class Policy:
     ``reset`` receives the freshly spawned world.  ``act`` receives the
     current observation plus the world handle; ground-truth policies may
     read privileged world state, learned-agent stand-ins should not.
+    A policy whose ``reads_observation`` is False receives None instead of
+    the observation, which then is never built.
     """
 
     name = "policy"
+    reads_observation = True
 
     def reset(self, world) -> None:  # pragma: no cover - trivial default
         pass
@@ -101,6 +104,7 @@ class OracleMinecraftPolicy(Policy):
     """Issues exactly the subtask the instruction currently demands."""
 
     name = "oracle"
+    reads_observation = False
 
     def act(self, observation, world) -> Command:
         line = world.required_subtask()
@@ -116,6 +120,7 @@ class OracleStarcraftPolicy(Policy):
     """
 
     name = "oracle"
+    reads_observation = False
 
     def __init__(self):
         self.queue: List[ActionToken] = []
@@ -164,6 +169,7 @@ class OracleStarcraftPolicy(Policy):
 
 class RandomMinecraftPolicy(Policy):
     name = "random"
+    reads_observation = False
 
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
@@ -176,6 +182,7 @@ class RandomMinecraftPolicy(Policy):
 
 class RandomStarcraftPolicy(Policy):
     name = "random"
+    reads_observation = False
 
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
@@ -205,6 +212,7 @@ class ScriptedPointerPolicy(Policy):
     """
 
     name = "scripted"
+    reads_observation = False
 
     def __init__(self, max_jump: int = 1, walk: bool = False):
         if max_jump < 1:
@@ -257,28 +265,34 @@ def make_policy(name: str, domain: str, rng: np.random.Generator) -> Policy:
 # --- episode running -----------------------------------------------------------
 
 
-def _generate_minecraft_episode(spec: EpisodeSpec, seed: int):
-    gen_rng = substream(seed, "generation")
-    spawn_rng = substream(seed, "spawning")
+def generate_instructions(spec: EpisodeSpec, rng: np.random.Generator):
+    """Candidate instructions for ``spec``, as (tree, instruction) pairs.
+
+    Makes at most MAX_REGENERATIONS draws from ``rng`` and yields those
+    that fit the spec.  ``tree`` is the starcraft technology tree, None on
+    minecraft.  Starcraft build orders are drawn for a length budget and
+    may come out shorter than ``spec.min_len``; those are skipped.
+    """
     for _ in range(MAX_REGENERATIONS):
-        instruction = gen_minecraft(gen_rng, (spec.min_len, spec.max_len), spec.flow)
-        try:
-            return minecraft.spawn(spawn_rng, instruction, seed=seed)
-        except SpawnInfeasible:
+        if spec.domain == MINECRAFT:
+            yield None, gen_minecraft(rng, (spec.min_len, spec.max_len), spec.flow)
             continue
-    raise GenerationError("no feasible (instruction, world) pair for this seed")
+        target = int(rng.integers(spec.min_len, spec.max_len + 1))
+        tree, instruction = gen_starcraft(rng, target, spec.max_depth)
+        if len(instruction) >= spec.min_len:
+            yield tree, instruction
 
 
-def _generate_starcraft_episode(spec: EpisodeSpec, seed: int):
+def spawn_episode_world(spec: EpisodeSpec, seed: int):
+    """Instruction plus placed world for (spec, seed), after retries."""
     gen_rng = substream(seed, "generation")
     spawn_rng = substream(seed, "spawning")
-    disruption_rng = substream(seed, "disruptions")
-    for _ in range(MAX_REGENERATIONS):
-        target = int(gen_rng.integers(spec.min_len, spec.max_len + 1))
-        tree, instruction = gen_starcraft(gen_rng, target, spec.max_depth)
-        if len(instruction) < spec.min_len:
-            continue
+    if spec.domain == STARCRAFT:
+        disruption_rng = substream(seed, "disruptions")
+    for tree, instruction in generate_instructions(spec, gen_rng):
         try:
+            if spec.domain == MINECRAFT:
+                return minecraft.spawn(spawn_rng, instruction, seed=seed)
             return starcraft.spawn(
                 spawn_rng,
                 tree,
@@ -289,24 +303,18 @@ def _generate_starcraft_episode(spec: EpisodeSpec, seed: int):
             )
         except SpawnInfeasible:
             continue
-    raise GenerationError("no instruction of the requested length for this seed")
-
-
-def spawn_episode_world(spec: EpisodeSpec, seed: int):
-    """Instruction plus placed world for (spec, seed), after retries."""
-    if spec.domain == MINECRAFT:
-        return _generate_minecraft_episode(spec, seed)
-    return _generate_starcraft_episode(spec, seed)
+    raise GenerationError("no feasible (instruction, world) pair for this seed")
 
 
 def drive_world(world, policy: Policy, record_digests: bool = True) -> List[StepRecord]:
     """Run ``policy`` on ``world`` until the episode ends."""
     policy.reset(world)
+    reads_observation = policy.reads_observation
     steps: List[StepRecord] = []
     while not world.done:
-        action = policy.act(world.observe(), world)
+        action = policy.act(world.observe() if reads_observation else None, world)
         if isinstance(action, Command):
-            _, reward, done, cause = world.step(action)
+            reward, done, cause = world.apply(action)
             steps.append(
                 StepRecord(
                     t=world.step_count,
@@ -319,7 +327,7 @@ def drive_world(world, policy: Policy, record_digests: bool = True) -> List[Step
                 )
             )
         else:
-            outcome = world.step_token(action)
+            outcome = world.apply_token(action)
             resolved = outcome is not None
             steps.append(
                 StepRecord(
@@ -362,8 +370,7 @@ def run_episode(
 # --- trace files ------------------------------------------------------------------
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def write_traces(handle: IO, traces) -> None:
@@ -388,9 +395,9 @@ def write_traces(handle: IO, traces) -> None:
             + "\n"
         )
         for step in trace.steps:
-            record = {"kind": "step"}
-            record.update(asdict(step))
-            handle.write(_dumps(record) + "\n")
+            # the record is serialised at once, so it may share the step's
+            # field values; dataclasses.asdict would deep-copy them
+            handle.write(_dumps(dict(vars(step), kind="step")) + "\n")
         handle.write(
             _dumps(
                 {
@@ -451,15 +458,24 @@ def replay_episode(episode: dict, check_digests: bool = True):
     this build disagree about world evolution.
     """
     header = episode["header"]
-    spec = EpisodeSpec(**header["spec"])
-    world = spawn_episode_world(spec, header["seed"])
+    try:
+        spec = EpisodeSpec(**header["spec"])
+        seed = header["seed"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TraceFormatError(f"bad episode header: {exc}") from None
+    world = spawn_episode_world(spec, seed)
+    advance = world.apply if spec.domain == MINECRAFT else world.apply_token
     yield world.render()
     for position, record in enumerate(episode["steps"]):
-        command = record["command"]
-        if spec.domain == MINECRAFT:
-            world.step(Command(command["verb"], command["target"]))
-        else:
-            world.step_token(ActionToken(command["kind"], command["value"]))
+        try:
+            command = record["command"]
+            if spec.domain == MINECRAFT:
+                action = Command(command["verb"], command["target"])
+            else:
+                action = ActionToken(command["kind"], command["value"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TraceFormatError(f"step {position}: bad command: {exc}") from None
+        advance(action)
         recorded = record.get("digest")
         if check_digests and recorded is not None:
             actual = world.digest()

@@ -207,6 +207,11 @@ class MinecraftWorld:
         Returns (observation, reward, done, cause).  Raises EpisodeDone if
         the episode already ended.
         """
+        reward, done, cause = self.apply(command)
+        return self.observe(), reward, done, cause
+
+    def apply(self, command: Command):
+        """``step`` without building the observation: (reward, done, cause)."""
         if self.done:
             raise EpisodeDone("episode is over; build a new world")
         verb, target = command.verb, command.target
@@ -240,7 +245,7 @@ class MinecraftWorld:
         if not self.done and self.step_count >= self.time_limit:
             self.done = True
             self.cause = "timeout"
-        return self.observe(), reward, self.done, self.cause
+        return reward, self.done, self.cause
 
     def _mine_here(self, resource: str) -> None:
         assert self.entities.get(self.worker) == resource
@@ -413,7 +418,7 @@ def oracle_completes(world: MinecraftWorld) -> bool:
     sim = world.clone()
     while not sim.done:
         line = sim.required_subtask()
-        sim.step(Command(line.verb, line.target))
+        sim.apply(Command(line.verb, line.target))
     return sim.cause == "success"
 
 

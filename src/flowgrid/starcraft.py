@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -40,6 +41,8 @@ ATTACK_RATE = 0.1
 AMBUSH_RATE = 0.1
 TIME_LIMIT_FACTOR = 30
 MAX_ENDOWMENT = 36  # sampled upper bound; placement caps at the 35 free cells
+
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 TOKEN_KINDS = ("select_probe", "select_coord", "select_building", "select_unit", "commit")
 
@@ -114,12 +117,13 @@ class DisruptionReport:
 class StepOutcome:
     """Returned when a token resolves a command and time advances."""
 
-    observation: "ScObservation"
     reward: int
     done: bool
     cause: Optional[str]
     command: Optional[dict]  # resolved command, None for a no-op
     noop: bool
+    # set by step_token; apply_token leaves it None
+    observation: Optional["ScObservation"] = None
 
 
 @dataclass(eq=False)
@@ -174,37 +178,49 @@ class StarcraftWorld:
             instruction=tuple(self.instruction.encoded()),
         )
 
-    def snapshot(self) -> dict:
-        rows = []
-        for r in range(GRID):
-            chars = []
-            for c in range(GRID):
-                b = self.grid.get((r, c))
-                chars.append("." if b is None else format(b, "x"))
-            rows.append("".join(chars))
+    def _state(self) -> dict:
+        """The snapshot without its constant technology tree."""
+        chars = ["."] * len(CELLS)
+        for cell, b in self.grid.items():
+            chars[CELL_INDEX[cell]] = format(b, "x")
         return {
-            "grid": rows,
+            "grid": ["".join(chars[i:i + GRID]) for i in range(0, len(CELLS), GRID)],
             "probes": [list(p) for p in self.probes],
             "units": {
                 UNIT_NAMES[u]: count
                 for u, count in sorted(self.units.items())
                 if count > 0
             },
-            "tree": {
-                "prerequisite": {str(k): v for k, v in sorted(self.tree.prerequisite.items())},
-                "producer": {str(k): v for k, v in sorted(self.tree.producer.items())},
-                "hidden": True,
-            },
             "step": self.step_count,
             "seed": self.seed,
         }
 
+    def _tree_snapshot(self) -> dict:
+        return {
+            "prerequisite": {str(k): v for k, v in sorted(self.tree.prerequisite.items())},
+            "producer": {str(k): v for k, v in sorted(self.tree.producer.items())},
+            "hidden": True,
+        }
+
+    @cached_property
+    def _tree_json(self) -> str:
+        return _encode(self._tree_snapshot())
+
+    def snapshot(self) -> dict:
+        snap = self._state()
+        snap["tree"] = self._tree_snapshot()
+        return snap
+
     def digest(self) -> str:
-        blob = json.dumps(self.snapshot(), sort_keys=True, separators=(",", ":"))
+        # The blob is the sorted-key JSON of snapshot(), assembled from
+        # per-key parts so the tree, which never changes, is encoded once.
+        parts = {key: _encode(value) for key, value in self._state().items()}
+        parts["tree"] = self._tree_json
+        blob = "{" + ",".join(f'"{key}":{parts[key]}' for key in sorted(parts)) + "}"
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
     def render(self) -> str:
-        snap = self.snapshot()
+        snap = self._state()
         rows = [list(row) for row in snap["grid"]]
         for r, c in self.probes:
             if rows[r][c] == ".":
@@ -222,8 +238,13 @@ class StarcraftWorld:
 
         A resolving token (legal command completion, explicit pass, or any
         token illegal in its context) applies the command, advances time
-        one step, and returns the outcome.
+        one step, and returns the outcome with the new observation.
         """
+        outcome = self.apply_token(token)
+        return None if outcome is None else replace(outcome, observation=self.observe())
+
+    def apply_token(self, token: ActionToken) -> Optional[StepOutcome]:
+        """``step_token`` without building the observation."""
         if self.done:
             raise EpisodeDone("episode is over; build a new world")
         state = self.assembly
@@ -290,7 +311,6 @@ class StarcraftWorld:
             command = {"op": "train", "unit": resolved[1]}
         self._advance()
         return StepOutcome(
-            observation=self.observe(),
             reward=1 if (self.done and self.cause == "success") else 0,
             done=self.done,
             cause=self.cause,

@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 
+import pytest
+
 from flowgrid.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from flowgrid.instructions import decode, parse_text
 
@@ -93,6 +95,16 @@ def test_gen_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_gen_unreachable_min_len_is_usage_error():
+    # no sampled build order reaches 60 lines; generation must give up
+    code, _, err = run_cli(
+        "gen", "--domain", "starcraft", "--min-len", "60", "--max-len", "60",
+        "--count", "1",
+    )
+    assert code == EXIT_USAGE
+    assert "--min-len" in err
+
+
 # --- run / replay -------------------------------------------------------------------
 
 
@@ -127,6 +139,43 @@ def test_replay_malformed_trace_is_io_error(tmp_path):
     bad.write_text("this is not json\n")
     code, _, _ = run_cli("replay", "--trace", str(bad))
     assert code == EXIT_IO
+
+
+def _recorded_records(tmp_path, domain):
+    trace = tmp_path / "trace.jsonl"
+    code, _, _ = run_cli(
+        "run", "--domain", domain, "--episodes", "1", "--seed", "6",
+        "--min-len", "3", "--max-len", "6", "--out", str(trace),
+    )
+    assert code == EXIT_OK
+    return trace, [json.loads(line) for line in trace.read_text().splitlines()]
+
+
+def _rewrite(trace, records):
+    trace.write_text("\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n")
+
+
+def test_replay_header_without_domain_is_io_error(tmp_path):
+    trace, records = _recorded_records(tmp_path, "minecraft")
+    del records[0]["spec"]["domain"]
+    _rewrite(trace, records)
+    code, _, err = run_cli("replay", "--trace", str(trace), "--quiet")
+    assert code == EXIT_IO
+    assert "malformed trace" in err
+
+
+@pytest.mark.parametrize(
+    "domain, field, value",
+    [("minecraft", "verb", "dance"), ("starcraft", "kind", "select_dance")],
+)
+def test_replay_unknown_command_is_io_error(tmp_path, domain, field, value):
+    trace, records = _recorded_records(tmp_path, domain)
+    step = next(r for r in records if r["kind"] == "step")
+    step["command"][field] = value
+    _rewrite(trace, records)
+    code, _, err = run_cli("replay", "--trace", str(trace), "--quiet")
+    assert code == EXIT_IO
+    assert "malformed trace" in err
 
 
 def test_replay_tampered_trace_fails_verification(tmp_path):

@@ -1,14 +1,20 @@
 """Episode orchestration: determinism, traces, replay, the failure buffer."""
 
+import dataclasses
+import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowgrid.errors import ReplayMismatch, TraceFormatError
 from flowgrid.harness import (
     EpisodeSpec,
     FailureBuffer,
+    OracleMinecraftPolicy,
     OracleStarcraftPolicy,
     ScriptedPointerPolicy,
     drive_world,
@@ -16,6 +22,7 @@ from flowgrid.harness import (
     read_trace_records,
     replay_episode,
     run_episode,
+    spawn_episode_world,
     split_episodes,
     write_traces,
 )
@@ -182,6 +189,69 @@ def test_random_policies_emit_valid_actions():
     assert trace.outcome in ("success", "timeout")
     mc_trace = run_episode(MC_SPEC, "random", 51)
     assert mc_trace.outcome in ("success", "timeout", "out_of_order")
+
+
+def _assert_same_observation(got, expected):
+    for field in dataclasses.fields(expected):
+        a, b = getattr(got, field.name), getattr(expected, field.name)
+        if isinstance(b, np.ndarray):
+            assert np.array_equal(a, b)
+        else:
+            assert a == b
+
+
+@pytest.mark.parametrize("reads", [True, False])
+@pytest.mark.parametrize(
+    "spec, oracle", [(MC_SPEC, OracleMinecraftPolicy), (SC_SPEC, OracleStarcraftPolicy)]
+)
+def test_policy_observation_is_built_only_when_read(spec, oracle, reads):
+    class Observing(oracle):
+        reads_observation = reads
+
+        def act(self, observation, world):
+            if reads:
+                _assert_same_observation(observation, world.observe())
+            else:
+                assert observation is None
+            self.calls += 1
+            return super().act(observation, world)
+
+    for seed in (6, 8):
+        policy = Observing()
+        policy.calls = 0
+        steps = drive_world(spawn_episode_world(spec, seed), policy)
+        reference = run_episode(spec, "oracle", seed)
+        assert policy.calls >= len(steps)
+        observed = dataclasses.replace(reference, steps=steps)
+        assert trace_bytes([observed]) == trace_bytes([reference])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    domain=st.sampled_from(["minecraft", "starcraft"]),
+    policy_name=st.sampled_from(["oracle", "random"]),
+    seed=st.integers(0, 2**32),
+    steps=st.integers(0, 80),
+)
+def test_digest_is_hash_of_sorted_snapshot_json(domain, policy_name, seed, steps):
+    world = spawn_episode_world(EpisodeSpec(domain=domain, min_len=2, max_len=8), seed)
+    policy = make_policy(policy_name, domain, substream(seed, "policy"))
+    policy.reset(world)
+
+    def check():
+        blob = json.dumps(world.snapshot(), sort_keys=True, separators=(",", ":"))
+        assert world.digest() == hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+    check()
+    for _ in range(steps):
+        if world.done:
+            break
+        action = policy.act(None, world)
+        if domain == "minecraft":
+            world.apply(action)
+        else:
+            world.apply_token(action)
+        check()
 
 
 # --- failure buffer -----------------------------------------------------------------

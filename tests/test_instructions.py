@@ -159,6 +159,20 @@ def test_starcraft_encode_decode_round_trip():
     assert decode_starcraft(ins.encoded()).lines == ins.lines
 
 
+def test_encoded_returns_a_fresh_list_each_call():
+    for ins in (
+        mc(CfLine.if_("merchant", "wood"), S("sell", "gold"), CfLine.endif()),
+        Instruction((ScLine.building(4), ScLine.unit(15))),
+    ):
+        expected = ins.encoded()
+        mutated = ins.encoded()
+        mutated.append(mutated[0])
+        if isinstance(mutated[0], list):
+            mutated[0][0] = 99
+        mutated[1] = 7
+        assert ins.encoded() == expected
+
+
 @pytest.mark.parametrize(
     "payload",
     [
