@@ -90,15 +90,18 @@ def _parse_bins(text: str) -> List[Tuple[int, int]]:
     return bins
 
 
-def _episode_spec(args) -> EpisodeSpec:
-    return EpisodeSpec(
-        domain=args.domain,
-        min_len=args.min_len,
-        max_len=args.max_len,
-        flow=args.flow,
-        max_depth=args.max_depth,
-        disruptions=not args.no_disruptions,
-    )
+def _episode_spec(args, **extra) -> EpisodeSpec:
+    try:
+        return EpisodeSpec(
+            domain=args.domain,
+            min_len=args.min_len,
+            max_len=args.max_len,
+            flow=args.flow,
+            max_depth=args.max_depth,
+            **extra,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 # --- subcommands ------------------------------------------------------------------
@@ -112,13 +115,7 @@ def _require(condition: bool, message: str) -> None:
 def cmd_gen(args) -> int:
     _require(args.count >= 1, "--count must be at least 1")
     _require(1 <= args.min_len <= args.max_len, "need 1 <= --min-len <= --max-len")
-    spec = EpisodeSpec(
-        domain=args.domain,
-        min_len=args.min_len,
-        max_len=args.max_len,
-        flow=args.flow,
-        max_depth=args.max_depth,
-    )
+    spec = _episode_spec(args)
     rng = substream(args.seed, "generation")
     rows = []
     for index in range(args.count):
@@ -187,7 +184,7 @@ def cmd_run(args) -> int:
     _require(args.jobs >= 1, "--jobs must be at least 1")
     if args.failure_buffer and args.jobs > 1:
         raise UsageError("--failure-buffer requires sequential execution (--jobs 1)")
-    spec = _episode_spec(args)
+    spec = _episode_spec(args, disruptions=not args.no_disruptions)
     traces = _run_sequential(args, spec) if args.jobs == 1 else _run_parallel(args, spec)
     with _open_out(args.out) as handle:
         write_traces(handle, traces)
@@ -213,7 +210,7 @@ def cmd_eval(args) -> int:
         )
     else:
         bins = _parse_bins(args.bins) if args.bins else list(evaluate_mod.DEFAULT_BINS)
-        spec = _episode_spec(args)
+        spec = _episode_spec(args, disruptions=not args.no_disruptions)
         results = evaluate_mod.evaluate(
             spec, args.policy, bins, args.episodes_per_bin, args.seed, args.jobs
         )

@@ -22,7 +22,7 @@ from .errors import (
     TraceFormatError,
     ReplayMismatch,
 )
-from .generators import gen_minecraft, gen_starcraft
+from .generators import FLOW_FILTERS, gen_minecraft, gen_starcraft
 from .instructions import MINECRAFT, RESOURCES, STARCRAFT, VERBS
 from .interpreter import sc_plan
 from .minecraft import Command
@@ -49,6 +49,10 @@ class EpisodeSpec:
             raise ValueError(f"unknown domain {self.domain!r}")
         if not 1 <= self.min_len <= self.max_len:
             raise ValueError("need 1 <= min_len <= max_len")
+        if self.flow not in FLOW_FILTERS:
+            raise ValueError(f"unknown flow filter {self.flow!r}")
+        if self.max_depth is not None and self.max_depth < 1:
+            raise ValueError("need max_depth >= 1")
 
 
 @dataclass
@@ -463,6 +467,8 @@ def replay_episode(episode: dict, check_digests: bool = True):
         seed = header["seed"]
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceFormatError(f"bad episode header: {exc}") from None
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise TraceFormatError(f"bad episode header: seed {seed!r} is not an integer")
     world = spawn_episode_world(spec, seed)
     advance = world.apply if spec.domain == MINECRAFT else world.apply_token
     yield world.render()

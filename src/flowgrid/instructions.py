@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import DecodeError
@@ -242,20 +241,10 @@ class Instruction:
     def text(self) -> list:
         return [line.text() for line in self.lines]
 
-    @cached_property
-    def _encoding(self) -> tuple:
-        # computed on first use; cached_property writes the instance dict
-        # directly, so it works on this frozen dataclass and stays out of
-        # equality and hashing
-        if self.domain == MINECRAFT:
-            return tuple(line.triple() for line in self.lines)
-        return tuple(line.code() for line in self.lines)
-
     def encoded(self) -> list:
-        """Integer encoding, as a fresh list the caller may mutate."""
         if self.domain == MINECRAFT:
-            return [list(triple) for triple in self._encoding]
-        return list(self._encoding)
+            return [list(line.triple()) for line in self.lines]
+        return [line.code() for line in self.lines]
 
 
 @dataclass(frozen=True)

@@ -42,8 +42,6 @@ AMBUSH_RATE = 0.1
 TIME_LIMIT_FACTOR = 30
 MAX_ENDOWMENT = 36  # sampled upper bound; placement caps at the 35 free cells
 
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
 TOKEN_KINDS = ("select_probe", "select_coord", "select_building", "select_unit", "commit")
 
 
@@ -203,8 +201,9 @@ class StarcraftWorld:
         }
 
     @cached_property
-    def _tree_json(self) -> str:
-        return _encode(self._tree_snapshot())
+    def _tree(self) -> dict:
+        # the tree never changes, so digest() builds its snapshot once
+        return self._tree_snapshot()
 
     def snapshot(self) -> dict:
         snap = self._state()
@@ -212,11 +211,8 @@ class StarcraftWorld:
         return snap
 
     def digest(self) -> str:
-        # The blob is the sorted-key JSON of snapshot(), assembled from
-        # per-key parts so the tree, which never changes, is encoded once.
-        parts = {key: _encode(value) for key, value in self._state().items()}
-        parts["tree"] = self._tree_json
-        blob = "{" + ",".join(f'"{key}":{parts[key]}' for key in sorted(parts)) + "}"
+        snap = dict(self._state(), tree=self._tree)
+        blob = json.dumps(snap, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
     def render(self) -> str:

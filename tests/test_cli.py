@@ -37,6 +37,12 @@ def test_bad_lengths_are_usage_errors():
     assert code == EXIT_USAGE
 
 
+def test_bad_max_depth_is_usage_error():
+    code, _, err = run_cli("run", "--domain", "starcraft", "--episodes", "1", "--max-depth", "0")
+    assert code == EXIT_USAGE
+    assert "max_depth" in err
+
+
 def test_failure_buffer_conflicts_with_jobs():
     code, _, err = run_cli(
         "run", "--domain", "minecraft", "--failure-buffer", "--jobs", "2"
@@ -155,9 +161,27 @@ def _rewrite(trace, records):
     trace.write_text("\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n")
 
 
-def test_replay_header_without_domain_is_io_error(tmp_path):
-    trace, records = _recorded_records(tmp_path, "minecraft")
-    del records[0]["spec"]["domain"]
+_DELETE = object()
+
+
+@pytest.mark.parametrize(
+    "domain, key, value",
+    [
+        ("minecraft", "domain", _DELETE),
+        ("minecraft", "flow", "bogus"),
+        ("starcraft", "max_depth", 0),
+        ("minecraft", "seed", None),
+        ("starcraft", "seed", "0"),
+    ],
+    ids=["no-domain", "bad-flow", "zero-max-depth", "null-seed", "string-seed"],
+)
+def test_replay_bad_header_is_io_error(tmp_path, domain, key, value):
+    trace, records = _recorded_records(tmp_path, domain)
+    header = records[0] if key == "seed" else records[0]["spec"]
+    if value is _DELETE:
+        del header[key]
+    else:
+        header[key] = value
     _rewrite(trace, records)
     code, _, err = run_cli("replay", "--trace", str(trace), "--quiet")
     assert code == EXIT_IO
