@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import logging
 import os
@@ -21,13 +22,14 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import evaluate as evaluate_mod
 from . import pointer
-from .errors import FlowgridError, ReplayMismatch, TraceFormatError
+from .errors import FlowgridError, GenerationError, ReplayMismatch, TraceFormatError
 from .generators import FLOW_FILTERS
 from .harness import (
     MAX_REGENERATIONS,
     EpisodeSpec,
     FailureBuffer,
     generate_instructions,
+    map_episodes,
     read_trace_records,
     replay_episode,
     run_episode,
@@ -119,7 +121,10 @@ def cmd_gen(args) -> int:
     rng = substream(args.seed, "generation")
     rows = []
     for index in range(args.count):
-        candidate = next(generate_instructions(spec, rng), None)
+        try:
+            candidate = next(generate_instructions(spec, rng), None)
+        except GenerationError as exc:  # no draw can meet the flags
+            raise UsageError(str(exc)) from None
         if candidate is None:
             raise UsageError(
                 f"no {args.domain} instruction of {args.min_len}-{args.max_len} lines "
@@ -145,38 +150,26 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _run_sequential(args, spec: EpisodeSpec) -> list:
-    traces = []
-    buffer = None
-    buffer_rng = None
-    if args.failure_buffer:
-        buffer = FailureBuffer(beta=args.buffer_beta, scale=args.buffer_scale)
-        buffer_rng = substream(args.seed, "buffer")
+def _play(spec: EpisodeSpec, policy_name: str, base_seed: int, record_digests: bool,
+          index: int):
+    """Episode ``index`` of `run`; module-level, so a process pool can send it."""
+    seed = derived_seed(base_seed, f"ep{index}")
+    return run_episode(spec, policy_name, seed, record_digests=record_digests)
+
+
+def _buffered_traces(args, spec: EpisodeSpec):
+    """Episodes whose seeds the failure buffer picks, one after another."""
+    buffer = FailureBuffer(beta=args.buffer_beta, scale=args.buffer_scale)
+    buffer_rng = substream(args.seed, "buffer")
     for index in range(args.episodes):
-        seed = None
-        if buffer is not None:
-            seed = buffer.sample(buffer_rng)
-            if seed is not None:
-                log.debug("episode %d retries buffered seed %d", index, seed)
+        seed = buffer.sample(buffer_rng)
         if seed is None:
             seed = derived_seed(args.seed, f"ep{index}")
+        else:
+            log.debug("episode %d retries buffered seed %d", index, seed)
         trace = run_episode(spec, args.policy, seed, record_digests=not args.no_digests)
-        if buffer is not None:
-            buffer.update(seed, trace.outcome == "success")
-        traces.append(trace)
-    return traces
-
-
-def _run_parallel(args, spec: EpisodeSpec) -> list:
-    from concurrent.futures import ThreadPoolExecutor
-
-    seeds = [derived_seed(args.seed, f"ep{i}") for i in range(args.episodes)]
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        futures = [
-            pool.submit(run_episode, spec, args.policy, seed, not args.no_digests)
-            for seed in seeds
-        ]
-        return [f.result() for f in futures]  # submission order
+        buffer.update(seed, trace.outcome == "success")
+        yield trace
 
 
 def cmd_run(args) -> int:
@@ -185,11 +178,23 @@ def cmd_run(args) -> int:
     if args.failure_buffer and args.jobs > 1:
         raise UsageError("--failure-buffer requires sequential execution (--jobs 1)")
     spec = _episode_spec(args, disruptions=not args.no_disruptions)
-    traces = _run_sequential(args, spec) if args.jobs == 1 else _run_parallel(args, spec)
+    if args.failure_buffer:
+        traces = _buffered_traces(args, spec)
+    else:
+        play = functools.partial(_play, spec, args.policy, args.seed, not args.no_digests)
+        traces = map_episodes(play, range(args.episodes), args.jobs)
+    successes = []
+
+    def tallied():
+        for trace in traces:
+            successes.append(trace.outcome == "success")
+            yield trace
+
+    # each trace is written as it arrives; none is held until the end
     with _open_out(args.out) as handle:
-        write_traces(handle, traces)
-    wins = sum(1 for t in traces if t.outcome == "success")
-    print(f"episodes={len(traces)} successes={wins} rate={wins / len(traces):.4f}",
+        write_traces(handle, tallied())
+    wins = sum(successes)
+    print(f"episodes={len(successes)} successes={wins} rate={wins / len(successes):.4f}",
           file=sys.stderr)
     return EXIT_OK
 
@@ -206,7 +211,7 @@ def cmd_eval(args) -> int:
         )
         blocks = range(args.block_min, args.block_max + 1)
         results = evaluate_mod.longjump_sweep(
-            args.policy, blocks, args.episodes_per_bin, args.seed
+            args.policy, blocks, args.episodes_per_bin, args.seed, args.jobs
         )
     else:
         bins = _parse_bins(args.bins) if args.bins else list(evaluate_mod.DEFAULT_BINS)
@@ -221,21 +226,23 @@ def cmd_eval(args) -> int:
 
 def cmd_replay(args) -> int:
     try:
-        with open(args.trace, "r", encoding="utf-8") as handle:
-            episodes = split_episodes(read_trace_records(handle))
+        handle = open(args.trace, "r", encoding="utf-8")
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    if not episodes:
+    replayed = 0
+    with handle:
+        for episode in split_episodes(read_trace_records(handle)):
+            for frame in replay_episode(episode, check_digests=not args.no_check_digests):
+                if not args.quiet:
+                    print(frame)
+                    print()
+            log.info("episode %d replayed: %s", replayed, episode["header"]["seed"])
+            replayed += 1
+    if not replayed:
         print("error: trace holds no episodes", file=sys.stderr)
         return EXIT_IO
-    for number, episode in enumerate(episodes):
-        for frame in replay_episode(episode, check_digests=not args.no_check_digests):
-            if not args.quiet:
-                print(frame)
-                print()
-        log.info("episode %d replayed: %s", number, episode["header"]["seed"])
-    print(f"replay ok: {len(episodes)} episode(s) verified", file=sys.stderr)
+    print(f"replay ok: {replayed} episode(s) verified", file=sys.stderr)
     return EXIT_OK
 
 

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
+# unused since episodes run through harness.map_episodes, but bench/spans.py
+# still patches this name (see the benchmark follow-up in ROADMAP.md)
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, replace
 from typing import IO, List, Optional, Sequence, Tuple
 
-from .harness import EpisodeSpec, drive_world, make_policy, run_episode
+from .harness import EpisodeSpec, drive_world, make_policy, map_episodes, run_episode
 from .instructions import MINECRAFT
 from .generators import gen_longjump
 from .minecraft import spawn_longjump
@@ -70,6 +72,21 @@ def _summarize(lo: int, hi: int, outcomes: Sequence[Tuple[str, int]]) -> BinResu
     )
 
 
+def _binned(fn, tasks: list, bins: Sequence[Tuple[int, int]], per_bin: int, jobs: int):
+    """Run ``per_bin`` consecutive tasks per bin and summarise each bin."""
+    outcomes = list(map_episodes(fn, tasks, jobs))
+    return [
+        _summarize(lo, hi, outcomes[index * per_bin:(index + 1) * per_bin])
+        for index, (lo, hi) in enumerate(bins)
+    ]
+
+
+def _episode_outcome(task) -> Tuple[str, int]:
+    spec, policy_name, seed = task
+    trace = run_episode(spec, policy_name, seed, record_digests=False)
+    return trace.outcome, trace.reward
+
+
 def evaluate(
     spec: EpisodeSpec,
     policy_name: str,
@@ -81,30 +98,21 @@ def evaluate(
     """Success statistics per instruction-length bin.
 
     Episode seeds derive from (base_seed, bin index, episode index), so
-    results do not depend on scheduling; jobs > 1 only adds threads.
+    results do not depend on scheduling; jobs > 1 runs the episodes of
+    all bins on that many worker processes.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-
-    def one(bin_index: int, episode_index: int) -> Tuple[str, int]:
-        lo, hi = bins[bin_index]
-        episode_spec = replace(spec, min_len=lo, max_len=hi)
-        seed = derived_seed(base_seed, f"bin{bin_index}", f"ep{episode_index}")
-        trace = run_episode(episode_spec, policy_name, seed, record_digests=False)
-        return trace.outcome, trace.reward
-
-    results = []
-    if jobs == 1:
-        for b in range(len(bins)):
-            outcomes = [one(b, e) for e in range(episodes_per_bin)]
-            results.append(_summarize(*bins[b], outcomes))
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for b in range(len(bins)):
-                futures = [pool.submit(one, b, e) for e in range(episodes_per_bin)]
-                outcomes = [f.result() for f in futures]  # episode order, not finish order
-                results.append(_summarize(*bins[b], outcomes))
-    return results
+    tasks = [
+        (
+            replace(spec, min_len=lo, max_len=hi),
+            policy_name,
+            derived_seed(base_seed, f"bin{bin_index}", f"ep{episode_index}"),
+        )
+        for bin_index, (lo, hi) in enumerate(bins)
+        for episode_index in range(episodes_per_bin)
+    ]
+    return _binned(_episode_outcome, tasks, bins, episodes_per_bin, jobs)
 
 
 def write_csv(handle: IO, results: Sequence[BinResult]) -> None:
@@ -114,32 +122,37 @@ def write_csv(handle: IO, results: Sequence[BinResult]) -> None:
         writer.writerow(result.row())
 
 
+def _longjump_outcome(task) -> Tuple[str, int]:
+    policy_name, block_len, seed = task
+    gen_rng = substream(seed, "generation")
+    spawn_rng = substream(seed, "spawning")
+    instruction = gen_longjump(gen_rng, block_len)
+    world = spawn_longjump(spawn_rng, instruction, seed=seed)
+    policy = make_policy(policy_name, MINECRAFT, substream(seed, "policy"))
+    drive_world(world, policy, record_digests=False)
+    return world.cause, world.reward
+
+
 def longjump_sweep(
     policy_name: str,
     block_lens: Sequence[int] = tuple(range(1, 41)),
     episodes_each: int = 20,
     base_seed: int = 0,
+    jobs: int = 1,
 ) -> List[BinResult]:
     """Success rate on two-branch skip instructions versus block length.
 
     Each episode is a single conditional over a block of repeated
     subtasks whose guard is false, so the only correct behaviour is one
     long forward jump.  Policies with a bounded pointer range fall off
-    beyond their reach.
+    beyond their reach.  jobs > 1 runs the episodes on worker processes.
     """
-    results = []
-    for block_len in block_lens:
-        if not 1 <= block_len <= 40:
-            raise ValueError("block lengths must lie in 1..40")
-        outcomes = []
-        for episode_index in range(episodes_each):
-            seed = derived_seed(base_seed, f"jump{block_len}", f"ep{episode_index}")
-            gen_rng = substream(seed, "generation")
-            spawn_rng = substream(seed, "spawning")
-            instruction = gen_longjump(gen_rng, block_len)
-            world = spawn_longjump(spawn_rng, instruction, seed=seed)
-            policy = make_policy(policy_name, MINECRAFT, substream(seed, "policy"))
-            drive_world(world, policy, record_digests=False)
-            outcomes.append((world.cause, world.reward))
-        results.append(_summarize(block_len, block_len, outcomes))
-    return results
+    if any(not 1 <= block_len <= 40 for block_len in block_lens):
+        raise ValueError("block lengths must lie in 1..40")
+    tasks = [
+        (policy_name, block_len, derived_seed(base_seed, f"jump{block_len}", f"ep{episode_index}"))
+        for block_len in block_lens
+        for episode_index in range(episodes_each)
+    ]
+    bins = [(block_len, block_len) for block_len in block_lens]
+    return _binned(_longjump_outcome, tasks, bins, episodes_each, jobs)

@@ -9,7 +9,7 @@ byte-identically and parallel execution cannot reorder randomness.
 from __future__ import annotations
 
 import json
-import threading
+import os
 from dataclasses import asdict, dataclass, field
 from typing import IO, List, Optional
 
@@ -31,6 +31,7 @@ from .starcraft import ActionToken
 
 TRACE_VERSION = 1
 MAX_REGENERATIONS = 1000
+MAX_CHUNK = 16  # items per process-pool task in map_episodes
 
 
 @dataclass(frozen=True)
@@ -371,6 +372,62 @@ def run_episode(
     )
 
 
+def pool_workers(jobs: int, items: int) -> int:
+    """Worker processes to run ``items`` tasks when ``jobs`` are asked for.
+
+    Never more than there are tasks or CPUs: a forking pool starts every
+    worker up front, so an unbounded count would fork that many processes.
+    """
+    return max(1, min(jobs, items, os.cpu_count() or 1))
+
+
+def _run_chunk(fn, chunk) -> list:
+    return [fn(item) for item in chunk]
+
+
+def map_episodes(fn, items, jobs: int = 1):
+    """Yield ``fn(item)`` for every item of the sequence ``items``, in order.
+
+    With one worker (see ``pool_workers``) this runs in-process.  Otherwise
+    slices of ``items`` go to a process pool, at most two per worker at a
+    time, so the results held do not grow with the item count.  ``fn`` must
+    then pickle (a module-level function, or a functools.partial of one),
+    and so must the items and results.  A worker's exception is raised here
+    at its item's position, after the results before it; slices not yet
+    started are cancelled.
+    """
+    workers = pool_workers(jobs, len(items))
+    if workers == 1:
+        yield from map(fn, items)
+        return
+    # imported here: multiprocessing would add ~17 ms to every CLI start
+    import multiprocessing
+    import threading
+    from collections import deque
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork skips re-importing flowgrid in every worker, but is unsafe once
+    # the calling process runs other threads
+    forkable = "fork" in multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context(
+        "fork" if forkable and threading.active_count() == 1 else "spawn"
+    )
+    # about four slices per worker even out the load; the cap bounds each result
+    size = max(1, min(MAX_CHUNK, len(items) // (4 * workers)))
+    pending = deque()
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        try:
+            for start in range(0, len(items), size):
+                pending.append(pool.submit(_run_chunk, fn, items[start:start + size]))
+                if len(pending) > 2 * workers:
+                    yield from pending.popleft().result()
+            while pending:
+                yield from pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
+
+
 # --- trace files ------------------------------------------------------------------
 
 
@@ -416,60 +473,80 @@ def write_traces(handle: IO, traces) -> None:
         )
 
 
-def read_trace_records(handle: IO) -> list:
-    records = []
+def read_trace_records(handle: IO):
+    """Yield the JSON object on each non-blank line of a trace file."""
     for line_number, line in enumerate(handle, start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            records.append(json.loads(line))
+            record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TraceFormatError(
                 f"line {line_number}: invalid JSON ({exc.msg})", line_number
             ) from None
-    return records
+        if not isinstance(record, dict):
+            raise TraceFormatError(f"line {line_number}: not a JSON object", line_number)
+        yield record
 
 
-def split_episodes(records: list) -> list:
-    """Group raw trace records into (header, steps, end) bundles."""
-    episodes = []
+def split_episodes(records):
+    """Group trace records into {header, steps, end} episodes.
+
+    Yields each episode at its end record, so a trace is read one episode
+    at a time.  An episode without an end record is a format error.
+    """
     current = None
+    number = 0
     for record in records:
         kind = record.get("kind")
         if kind == "header":
+            if current is not None:
+                raise TraceFormatError(f"episode {number} has no end record")
             if record.get("v") != TRACE_VERSION:
                 raise TraceFormatError(f"unsupported trace version {record.get('v')!r}")
             current = {"header": record, "steps": [], "end": None}
-            episodes.append(current)
         elif kind == "step":
             if current is None:
-                raise TraceFormatError("step record before any header")
+                raise TraceFormatError("step record outside an episode")
             current["steps"].append(record)
         elif kind == "end":
             if current is None:
-                raise TraceFormatError("end record before any header")
+                raise TraceFormatError("end record outside an episode")
             current["end"] = record
+            yield current
+            current = None
+            number += 1
         else:
             raise TraceFormatError(f"unknown record kind {kind!r}")
-    return episodes
+    if current is not None:
+        raise TraceFormatError(f"episode {number} has no end record")
 
 
 def replay_episode(episode: dict, check_digests: bool = True):
     """Re-simulate a recorded episode, yielding an ASCII frame per record.
 
-    Digest mismatches raise ReplayMismatch; they mean the recorded run and
-    this build disagree about world evolution.
+    Raises ReplayMismatch when the recorded run and this build disagree:
+    the header instruction is not the one the seed regenerates, a step
+    digest differs, or the end record's outcome, reward or step count is
+    not what the replay reached (or the replayed world is not done).
     """
     header = episode["header"]
     try:
         spec = EpisodeSpec(**header["spec"])
         seed = header["seed"]
+        recorded_text = header["instruction"]["text"]
+        recorded_encoded = header["instruction"]["encoded"]
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceFormatError(f"bad episode header: {exc}") from None
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise TraceFormatError(f"bad episode header: seed {seed!r} is not an integer")
     world = spawn_episode_world(spec, seed)
+    if (recorded_text, recorded_encoded) != (
+        world.instruction.text(),
+        world.instruction.encoded(),
+    ):
+        raise ReplayMismatch("header instruction differs from the one its seed generates")
     advance = world.apply if spec.domain == MINECRAFT else world.apply_token
     yield world.render()
     for position, record in enumerate(episode["steps"]):
@@ -491,11 +568,15 @@ def replay_episode(episode: dict, check_digests: bool = True):
                 )
         if record.get("resolved", True):
             yield world.render()
-    end = episode.get("end")
-    if end is not None and end.get("outcome") != world.cause:
+    if not world.done:
         raise ReplayMismatch(
-            f"outcome {world.cause!r} != recorded {end.get('outcome')!r}"
+            f"world still running after {len(episode['steps'])} steps at the end record"
         )
+    end = episode["end"]
+    replayed = {"outcome": world.cause, "reward": world.reward, "steps": len(episode["steps"])}
+    for key, actual in replayed.items():
+        if end.get(key) != actual:
+            raise ReplayMismatch(f"{key} {actual!r} != recorded {end.get(key)!r}")
 
 
 # --- failure buffer ------------------------------------------------------------------
@@ -507,7 +588,8 @@ class FailureBuffer:
     ``update`` always folds the episode result into an exponential moving
     average of success and appends the seed on failure.  ``sample`` offers
     a buffered seed with probability scale * average (clipped to 1) when
-    the buffer is non-empty.  Thread-safe; operations appear atomic.
+    the buffer is non-empty.  Sequential by contract: each episode's seed
+    depends on every earlier result, so one caller drives it in order.
     """
 
     def __init__(self, beta: float = 0.01, scale: float = 1.0):
@@ -519,27 +601,21 @@ class FailureBuffer:
         self.scale = scale
         self.seeds: List[int] = []
         self.success_average = 0.0
-        self._lock = threading.Lock()
 
     def update(self, seed: int, success: bool) -> None:
-        with self._lock:
-            self.success_average = (
-                (1.0 - self.beta) * self.success_average + self.beta * (1.0 if success else 0.0)
-            )
-            if not success:
-                self.seeds.append(seed)
+        self.success_average = (
+            (1.0 - self.beta) * self.success_average + self.beta * (1.0 if success else 0.0)
+        )
+        if not success:
+            self.seeds.append(seed)
 
     def retry_probability(self) -> float:
-        with self._lock:
-            if not self.seeds:
-                return 0.0
-            return min(1.0, self.scale * self.success_average)
+        if not self.seeds:
+            return 0.0
+        return min(1.0, self.scale * self.success_average)
 
     def sample(self, rng: np.random.Generator) -> Optional[int]:
         """A buffered seed to retry, or None to draw a fresh episode."""
-        with self._lock:
-            if self.seeds and float(rng.random()) < min(
-                1.0, self.scale * self.success_average
-            ):
-                return self.seeds[int(rng.integers(len(self.seeds)))]
+        if self.seeds and float(rng.random()) < self.retry_probability():
+            return self.seeds[int(rng.integers(len(self.seeds)))]
         return None

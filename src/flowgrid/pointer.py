@@ -27,8 +27,6 @@ STOP_PROCESS = "stop-process"
 PRINTED_FORMULA = "printed-formula"
 MODES = (STOP_PROCESS, PRINTED_FORMULA)
 
-BASELINE_SUPPORTS = ("olsk", "olsk_extended", "ablation")
-
 # self-test acceptance thresholds
 ORACLE_TOL = 1e-12
 GRADIENT_TOL = 1e-4

@@ -111,6 +111,15 @@ def test_gen_unreachable_min_len_is_usage_error():
     assert "--min-len" in err
 
 
+def test_gen_exhausted_flow_filter_is_usage_error():
+    # no one-line instruction has the nested control flow "multi" asks for
+    code, _, err = run_cli(
+        "gen", "--domain", "minecraft", "--flow", "multi", "--max-len", "1", "--count", "1"
+    )
+    assert code == EXIT_USAGE
+    assert "no instruction matching flow='multi'" in err
+
+
 # --- run / replay -------------------------------------------------------------------
 
 
@@ -135,6 +144,31 @@ def test_run_jobs_byte_identical(tmp_path):
     assert solo.read_bytes() == multi.read_bytes()
 
 
+def test_run_stdout_and_file_bytes_agree(tmp_path):
+    trace = tmp_path / "trace.jsonl"
+    base = ["run", "--domain", "starcraft", "--episodes", "3", "--seed", "8",
+            "--max-len", "5"]
+    assert run_cli(*base, "--out", str(trace))[0] == EXIT_OK
+    code, out, _ = run_cli(*base, "--out", "-")
+    assert code == EXIT_OK
+    assert out.encode("utf-8") == trace.read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--max-len", "1", "--episodes", "4"),
+        ("eval", "--bins", "1-1", "--episodes-per-bin", "4"),
+    ],
+    ids=["run", "eval"],
+)
+def test_episode_error_exits_alike_in_process_and_in_workers(argv, jobs):
+    code, _, err = run_cli(*argv, "--domain", "minecraft", "--flow", "multi", "--jobs", jobs)
+    assert code == EXIT_VERIFY
+    assert err == "error: no instruction matching flow='multi' in 1000 attempts\n"
+
+
 def test_replay_missing_file_is_io_error(tmp_path):
     code, _, _ = run_cli("replay", "--trace", str(tmp_path / "absent.jsonl"))
     assert code == EXIT_IO
@@ -145,6 +179,20 @@ def test_replay_malformed_trace_is_io_error(tmp_path):
     bad.write_text("this is not json\n")
     code, _, _ = run_cli("replay", "--trace", str(bad))
     assert code == EXIT_IO
+
+
+@pytest.mark.parametrize(
+    "content",
+    ["[1, 2]\n", '{"kind": "step"}\n', '{"kind": "mystery"}\n',
+     '{"kind": "header", "v": 99}\n', ""],
+    ids=["not-object", "step-first", "unknown-kind", "bad-version", "empty"],
+)
+def test_replay_malformed_records_are_io_errors(tmp_path, content):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(content)
+    code, _, err = run_cli("replay", "--trace", str(bad))
+    assert code == EXIT_IO
+    assert err.startswith("error:")
 
 
 def _recorded_records(tmp_path, domain):
@@ -200,6 +248,44 @@ def test_replay_unknown_command_is_io_error(tmp_path, domain, field, value):
     code, _, err = run_cli("replay", "--trace", str(trace), "--quiet")
     assert code == EXIT_IO
     assert "malformed trace" in err
+
+
+def test_replay_trace_without_end_record_is_io_error(tmp_path):
+    trace, records = _recorded_records(tmp_path, "starcraft")
+    assert records[-1]["kind"] == "end"
+    _rewrite(trace, records[:-1])
+    code, _, err = run_cli("replay", "--trace", str(trace), "--quiet")
+    assert code == EXIT_IO
+    assert "no end record" in err
+
+
+def _cut_last_step(records):
+    """Drop the last step and make the end record agree with what is left."""
+    last = max(i for i, r in enumerate(records) if r["kind"] == "step")
+    del records[last]
+    records[-1].update(steps=records[-1]["steps"] - 1, outcome=None, reward=0)
+
+
+@pytest.mark.parametrize(
+    "domain, tamper, reason",
+    [
+        ("minecraft", lambda rs: rs[-1].update(steps=rs[-1]["steps"] + 1), "steps"),
+        ("starcraft", lambda rs: rs[-1].update(reward=1 - rs[-1]["reward"]), "reward"),
+        ("minecraft", lambda rs: rs[0]["instruction"]["text"].__setitem__(0, "tampered"),
+         "instruction"),
+        ("starcraft", lambda rs: rs[0]["instruction"]["text"].__setitem__(0, "tampered"),
+         "instruction"),
+        ("minecraft", _cut_last_step, "still running"),
+    ],
+    ids=["end-steps", "end-reward", "minecraft-text", "starcraft-text", "not-done"],
+)
+def test_replay_rejects_header_or_end_the_replay_disagrees_with(tmp_path, domain, tamper, reason):
+    trace, records = _recorded_records(tmp_path, domain)
+    tamper(records)
+    _rewrite(trace, records)
+    code, _, err = run_cli("replay", "--trace", str(trace), "--quiet", "--no-check-digests")
+    assert code == EXIT_VERIFY
+    assert "replay mismatch" in err and reason in err
 
 
 def test_replay_tampered_trace_fails_verification(tmp_path):
@@ -283,6 +369,15 @@ def test_eval_longjump_block_columns(tmp_path):
     assert code == EXIT_OK
     rows = out.read_text().splitlines()
     assert rows[1].startswith("2,2,") and rows[2].startswith("3,3,")
+
+
+def test_eval_longjump_jobs_byte_identical(tmp_path):
+    solo, multi = tmp_path / "solo.csv", tmp_path / "multi.csv"
+    base = ["eval", "--domain", "minecraft", "--longjump", "--policy", "random",
+            "--block-min", "1", "--block-max", "6", "--episodes-per-bin", "3", "--seed", "4"]
+    assert run_cli(*base, "--jobs", "1", "--out", str(solo))[0] == EXIT_OK
+    assert run_cli(*base, "--jobs", "2", "--out", str(multi))[0] == EXIT_OK
+    assert solo.read_bytes() == multi.read_bytes()
 
 
 # --- scan-check ---------------------------------------------------------------------

@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from flowgrid.harness import (
     ScriptedPointerPolicy,
     drive_world,
     make_policy,
+    map_episodes,
+    pool_workers,
     read_trace_records,
     replay_episode,
     run_episode,
@@ -73,13 +77,43 @@ def test_outcomes_and_rewards_recorded():
         assert sum(s.reward for s in trace.steps) == 1
 
 
+# --- episode runner ------------------------------------------------------------------
+
+
+def test_pool_workers_is_bounded_by_tasks_and_cpus(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert pool_workers(1, 100) == 1
+    assert pool_workers(3, 100) == 3
+    assert pool_workers(5000, 100) == 4
+    assert pool_workers(5000, 2) == 2
+    assert pool_workers(8, 0) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert pool_workers(8, 100) == 1
+
+
+@pytest.mark.parametrize("busy_thread", [False, True], ids=["fork", "spawn"])
+def test_map_episodes_yields_in_item_order(busy_thread):
+    items = list(range(-20, 20))
+    release = threading.Event()
+    helper = threading.Thread(target=release.wait, args=(30,))
+    if busy_thread:  # another thread alive rules out fork
+        helper.start()
+    try:
+        assert list(map_episodes(abs, items, jobs=2)) == [abs(i) for i in items]
+    finally:
+        release.set()
+        if busy_thread:
+            helper.join(timeout=30)
+    assert not helper.is_alive()
+
+
 # --- trace files --------------------------------------------------------------------
 
 
 def test_trace_round_trip():
     traces = [run_episode(MC_SPEC, "oracle", 21), run_episode(MC_SPEC, "oracle", 22)]
     blob = trace_bytes(traces).decode("utf-8")
-    episodes = split_episodes(read_trace_records(io.StringIO(blob)))
+    episodes = list(split_episodes(read_trace_records(io.StringIO(blob))))
     assert len(episodes) == 2
     for original, episode in zip(traces, episodes):
         assert episode["header"]["seed"] == original.seed
@@ -90,24 +124,24 @@ def test_trace_round_trip():
 
 def test_read_trace_reports_bad_line_number():
     with pytest.raises(TraceFormatError) as err:
-        read_trace_records(io.StringIO('{"kind":"header"}\nnot json\n'))
+        list(read_trace_records(io.StringIO('{"kind":"header"}\nnot json\n')))
     assert err.value.line_number == 2
 
 
 def test_split_rejects_orphan_records():
     with pytest.raises(TraceFormatError):
-        split_episodes([{"kind": "step"}])
+        list(split_episodes([{"kind": "step"}]))
     with pytest.raises(TraceFormatError):
-        split_episodes([{"kind": "mystery"}])
+        list(split_episodes([{"kind": "mystery"}]))
     with pytest.raises(TraceFormatError):
-        split_episodes([{"kind": "header", "v": 99}])
+        list(split_episodes([{"kind": "header", "v": 99}]))
 
 
 def test_replay_verifies_recorded_episodes():
     for spec, seed in ((MC_SPEC, 31), (SC_SPEC, 32)):
         trace = run_episode(spec, "oracle", seed)
         blob = trace_bytes([trace]).decode("utf-8")
-        episode = split_episodes(read_trace_records(io.StringIO(blob)))[0]
+        episode = next(split_episodes(read_trace_records(io.StringIO(blob))))
         frames = list(replay_episode(episode))
         assert len(frames) >= 1
 
@@ -127,7 +161,7 @@ def test_replay_detects_tampering():
             tampered.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
         else:
             tampered.append(line)
-    episode = split_episodes(read_trace_records(io.StringIO("\n".join(tampered))))[0]
+    episode = next(split_episodes(read_trace_records(io.StringIO("\n".join(tampered)))))
     with pytest.raises(ReplayMismatch):
         list(replay_episode(episode))
 
@@ -144,7 +178,7 @@ def test_replay_flags_outcome_divergence():
         if record.get("kind") == "step":
             record["digest"] = None
         swapped.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
-    episode = split_episodes(read_trace_records(io.StringIO("\n".join(swapped))))[0]
+    episode = next(split_episodes(read_trace_records(io.StringIO("\n".join(swapped)))))
     with pytest.raises(ReplayMismatch):
         list(replay_episode(episode))
 
