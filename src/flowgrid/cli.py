@@ -29,6 +29,7 @@ from .harness import (
     EpisodeSpec,
     FailureBuffer,
     generate_instructions,
+    make_policy,
     map_episodes,
     read_trace_records,
     replay_episode,
@@ -49,6 +50,15 @@ EXIT_IO = 3
 
 class UsageError(Exception):
     pass
+
+
+class _StoreGiven(argparse.Action):
+    """Store the value and add the option's dest to ``namespace.given``, so a
+    command can tell a flag given on the command line from a default."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = getattr(namespace, "given", frozenset()) | {self.dest}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,6 +122,20 @@ def _episode_spec(args, **extra) -> EpisodeSpec:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise UsageError(message)
+
+
+def _check_policy(name: str, domain: str) -> None:
+    """Build the policy once, so a bad --policy fails before any output.
+
+    An unknown name or a policy the domain cannot run is a usage error; a
+    ``scripted:`` params file that is missing or not JSON is an OSError.
+    """
+    try:
+        make_policy(name, domain, rng=None)  # checked, never acted on
+    except json.JSONDecodeError as exc:
+        raise OSError(f"cannot read policy params {name.split(':', 1)[1]}: {exc}") from None
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def cmd_gen(args) -> int:
@@ -178,6 +202,7 @@ def cmd_run(args) -> int:
     if args.failure_buffer and args.jobs > 1:
         raise UsageError("--failure-buffer requires sequential execution (--jobs 1)")
     spec = _episode_spec(args, disruptions=not args.no_disruptions)
+    _check_policy(args.policy, spec.domain)
     if args.failure_buffer:
         traces = _buffered_traces(args, spec)
     else:
@@ -209,13 +234,22 @@ def cmd_eval(args) -> int:
             1 <= args.block_min <= args.block_max <= 40,
             "need 1 <= --block-min <= --block-max <= 40",
         )
+        _check_policy(args.policy, MINECRAFT)
         blocks = range(args.block_min, args.block_max + 1)
         results = evaluate_mod.longjump_sweep(
             args.policy, blocks, args.episodes_per_bin, args.seed, args.jobs
         )
     else:
+        # bins set the lengths; only flags from the command line are in
+        # ``given``, so a config shared with run/gen may still set them
+        _require(
+            not getattr(args, "given", None),
+            "eval takes instruction lengths from --bins (e.g. --bins 1-10,11-20), "
+            "not --min-len/--max-len",
+        )
         bins = _parse_bins(args.bins) if args.bins else list(evaluate_mod.DEFAULT_BINS)
         spec = _episode_spec(args, disruptions=not args.no_disruptions)
+        _check_policy(args.policy, spec.domain)
         results = evaluate_mod.evaluate(
             spec, args.policy, bins, args.episodes_per_bin, args.seed, args.jobs
         )
@@ -309,8 +343,8 @@ def cmd_scan_check(args) -> int:
 def _add_instruction_opts(sub, domain_required=True):
     sub.add_argument("--domain", choices=(MINECRAFT, STARCRAFT),
                      required=domain_required, help="instruction domain")
-    sub.add_argument("--min-len", type=int, default=1)
-    sub.add_argument("--max-len", type=int, default=10)
+    sub.add_argument("--min-len", type=int, default=1, action=_StoreGiven)
+    sub.add_argument("--max-len", type=int, default=10, action=_StoreGiven)
     sub.add_argument("--flow", choices=FLOW_FILTERS, default="any",
                      help="minecraft control-flow filter")
     sub.add_argument("--max-depth", type=int, default=None,

@@ -319,10 +319,16 @@ class MinecraftWorld:
         dist = {start_state: 0}
         parent = {}
         queue = deque([start_state])
+        # goal states of the nearest goal distance; the FIFO pops states in
+        # nondecreasing distance and fixes each parent at first discovery,
+        # so the search may stop once that distance level is complete
+        found = [start_state] if start in goals else []
         while queue:
             state = queue.popleft()
-            (r, c), used = state
             d = dist[state]
+            if found and d >= dist[found[0]]:
+                break
+            (r, c), used = state
             for nb in ((r - 1, c), (r, c - 1), (r, c + 1), (r + 1, c)):
                 if not (0 <= nb[0] < GRID and 0 <= nb[1] < GRID):
                     continue
@@ -337,19 +343,14 @@ class MinecraftWorld:
                 dist[nstate] = d + 1
                 parent[nstate] = state
                 queue.append(nstate)
-        best = None  # (dist, cell, used); bridged entries can be shorter,
-        # so every used level competes
-        for cell in sorted(goals):
-            for used in range(budget + 1):
-                state = (cell, used)
-                if state in dist:
-                    cand = (dist[state], cell, used)
-                    if best is None or cand < best:
-                        best = cand
-        if best is None:
+                if nb in goals:
+                    found.append(nstate)
+        if not found:
             return None
+        # all found states lie at the nearest distance, where the full
+        # search's least (dist, cell, used) is the least (cell, used)
         path = []
-        state = (best[1], best[2])
+        state = min(found)
         while state != start_state:
             path.append(state[0])
             state = parent[state]
@@ -414,11 +415,20 @@ def required_stream_feasible(instruction: Instruction, type_counts) -> bool:
 
 
 def oracle_completes(world: MinecraftWorld) -> bool:
-    """Dry-run the ground-truth policy on a copy; True iff it succeeds."""
+    """Dry-run the ground-truth policy on a copy; True iff it succeeds.
+
+    The oracle's command depends only on ``pc``, so a step that leaves the
+    world unchanged (worker, ``pc``, entities and inventory; entities only
+    ever vanish) repeats until the episode times out: the run stops there.
+    """
     sim = world.clone()
     while not sim.done:
+        before = (sim.worker, sim.pc, len(sim.entities), tuple(sim.inventory.values()))
         line = sim.required_subtask()
         sim.apply(Command(line.verb, line.target))
+        after = (sim.worker, sim.pc, len(sim.entities), tuple(sim.inventory.values()))
+        if not sim.done and after == before:
+            return False
     return sim.cause == "success"
 
 

@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, files, determinism across jobs."""
 
 import contextlib
+import hashlib
 import io
 import json
 
@@ -59,6 +60,67 @@ def test_bad_bins_are_usage_errors():
 def test_longjump_requires_minecraft():
     code, _, _ = run_cli("eval", "--domain", "starcraft", "--longjump")
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("run", "--domain", "minecraft", "--policy", "bogus", "--episodes", "1"),
+         "unknown policy 'bogus'"),
+        (("run", "--domain", "starcraft", "--policy", "scripted:p.json"),
+         "scripted pointer policies drive the minecraft domain"),
+        (("eval", "--domain", "minecraft", "--policy", "bogus"),
+         "unknown policy 'bogus'"),
+        (("eval", "--domain", "minecraft", "--longjump", "--policy", "bogus"),
+         "unknown policy 'bogus'"),
+    ],
+    ids=["run-unknown", "run-scripted-starcraft", "eval-unknown", "longjump-unknown"],
+)
+def test_bad_policy_is_usage_error_before_any_output(tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.json").write_text('{"max_jump": 2}')
+    out = tmp_path / "out"
+    code, _, err = run_cli(*argv, "--out", str(out))
+    assert code == EXIT_USAGE
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "malformed"])
+@pytest.mark.parametrize("command", ["run", "eval"])
+def test_unreadable_scripted_params_is_io_error_before_any_output(tmp_path, command, content):
+    params = tmp_path / "params.json"
+    if content is not None:
+        params.write_text(content)
+    out = tmp_path / "out"
+    code, _, err = run_cli(
+        command, "--domain", "minecraft", "--policy", f"scripted:{params}", "--out", str(out),
+    )
+    assert code == EXIT_IO
+    assert err.startswith("error:") and "params.json" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--min-len", "--max-len"])
+def test_eval_length_flags_are_usage_errors(tmp_path, flag):
+    out = tmp_path / "out.csv"
+    code, _, err = run_cli(
+        "eval", "--domain", "minecraft", "--flow", "multi", flag, "1",
+        "--episodes-per-bin", "2", "--out", str(out),
+    )
+    assert code == EXIT_USAGE
+    assert "--bins" in err
+    assert not out.exists()
+
+
+def test_eval_lengths_from_config_are_not_refused(tmp_path):
+    # a config shared with run/gen may set lengths; only explicit flags are refused
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"max_len": 4}))
+    base = ["eval", "--domain", "minecraft", "--bins", "1-3", "--episodes-per-bin", "3"]
+    code, with_config, _ = run_cli("--config", str(config), *base)
+    assert code == EXIT_OK
+    assert (code, with_config) == run_cli(*base)[:2]
 
 
 # --- gen ----------------------------------------------------------------------------
@@ -152,6 +214,39 @@ def test_run_stdout_and_file_bytes_agree(tmp_path):
     code, out, _ = run_cli(*base, "--out", "-")
     assert code == EXIT_OK
     assert out.encode("utf-8") == trace.read_bytes()
+
+
+# sha256 of `run --seed 11` traces.  These bytes change only together with a
+# TRACE_VERSION bump; routing, spawning or the spawn gate may get faster, but
+# every episode they produce must stay the same.
+PINNED_TRACES = [
+    (("minecraft", "oracle", "1", "10", "any", "60"),
+     "8547c86ccfa23526fb0c575d9b375e8a5809d61b302ee2a1dac9ffda5eb788ea"),
+    (("minecraft", "oracle", "10", "20", "multi", "30"),
+     "409568073a416649940730d504e482cdd10f6184235d4e18028d780b94d0553f"),
+    (("minecraft", "random", "1", "10", "any", "60"),
+     "0aba9472c5578a3771ece4c0e66e51d503efaf860927d773124a540f5eb05d91"),
+    (("minecraft", "scripted:p.json", "5", "15", "any", "40"),
+     "ed45916af5dd25d80c4bbf71f0279428f1fa570e97bef83b49c6ac7f9fd186e2"),
+    (("starcraft", "oracle", "1", "10", "any", "40"),
+     "f7b352957fffb66248d2ba59a68ce58574a398f1022e757627adee149e5ae716"),
+]
+
+
+@pytest.mark.parametrize(
+    "config, sha256", PINNED_TRACES,
+    ids=["mc-oracle", "mc-oracle-multi", "mc-random", "mc-scripted", "sc-oracle"],
+)
+def test_run_trace_bytes_are_pinned(tmp_path, monkeypatch, config, sha256):
+    domain, policy, min_len, max_len, flow, episodes = config
+    monkeypatch.chdir(tmp_path)  # the header records the policy's relative path
+    (tmp_path / "p.json").write_text('{"max_jump": 2}')
+    code, out, _ = run_cli(
+        "run", "--domain", domain, "--policy", policy, "--min-len", min_len,
+        "--max-len", max_len, "--flow", flow, "--episodes", episodes, "--seed", "11",
+    )
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

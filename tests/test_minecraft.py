@@ -5,6 +5,8 @@ layered (cell, water-used) state graph, which shares no code with the
 library's hand-rolled search.
 """
 
+from collections import deque
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -312,6 +314,155 @@ def test_bfs_matches_networkx(seed):
         assert _path_is_valid(world, path)
         assert len(path) == oracle[0]
         assert path[-1] == oracle[1]
+
+
+def _full_bfs(world, goals):
+    """The router without its early exit: search every reachable state, then
+    pick the least (dist, cell, used) goal state."""
+    start = world.worker
+    budget = world.inventory["wood"]
+    start_state = (start, 0)
+    dist = {start_state: 0}
+    parent = {}
+    queue = deque([start_state])
+    while queue:
+        state = queue.popleft()
+        (r, c), used = state
+        d = dist[state]
+        for nb in ((r - 1, c), (r, c - 1), (r, c + 1), (r + 1, c)):
+            if not (0 <= nb[0] < GRID and 0 <= nb[1] < GRID):
+                continue
+            if nb in world.walls:
+                continue
+            nused = used + (1 if nb in world.water else 0)
+            if nused > budget:
+                continue
+            nstate = (nb, nused)
+            if nstate in dist:
+                continue
+            dist[nstate] = d + 1
+            parent[nstate] = state
+            queue.append(nstate)
+    best = None
+    for cell in sorted(goals):
+        for used in range(budget + 1):
+            state = (cell, used)
+            if state in dist:
+                cand = (dist[state], cell, used)
+                if best is None or cand < best:
+                    best = cand
+    if best is None:
+        return None
+    path = []
+    state = (best[1], best[2])
+    while state != start_state:
+        path.append(state[0])
+        state = parent[state]
+    path.reverse()
+    return path
+
+
+@given(seed=st.integers(0, 1_000_000))
+@settings(max_examples=400, deadline=None)
+def test_bfs_route_equals_full_search(seed):
+    rng = substream(seed, "route-reference")
+    cells = list(rng.choice(list("....igwm##~~~"), GRID * GRID))
+    cells[int(rng.integers(GRID * GRID))] = "@"
+    rows = ["".join(cells[r * GRID:(r + 1) * GRID]) for r in range(GRID)]
+    wood = int(rng.integers(0, 4))
+    world = world_from(rows, mc(S("mine", "iron")), inventory={"wood": wood})
+    goal_kind = ["iron", "gold", "wood", "merchant"][int(rng.integers(4))]
+    goals = {cell for cell, k in world.entities.items() if k == goal_kind}
+    assert world._bfs(goals) == _full_bfs(world, goals)
+
+
+def test_bfs_equidistant_goals_resolve_by_cell_before_water_used():
+    # (0, 0) lies two steps away across one water cell, (2, 2) two dry steps
+    world = world_from(["i~@...", "......", "..i...", "......", "......", "......"],
+                       mc(S("mine", "iron")), inventory={"wood": 1})
+    goals = {(0, 0), (2, 2)}
+    assert world._bfs(goals) == _full_bfs(world, goals) == [(0, 1), (0, 0)]
+
+
+@pytest.mark.parametrize(
+    "rows, wood",
+    [
+        (["i#....", "#.....", "..@...", "......", "......", "......"], 0),
+        (["i~....", "~~....", "..@...", "......", "......", "......"], 0),
+        (["i~~...", "~~~...", "~~@...", "......", "......", "......"], 1),
+    ],
+    ids=["walled-off", "across-water", "water-beyond-wood"],
+)
+def test_bfs_unreachable_goal_is_none(rows, wood):
+    world = world_from(rows, mc(S("mine", "iron")), inventory={"wood": wood})
+    assert world._bfs({(0, 0)}) is None
+    assert _full_bfs(world, {(0, 0)}) is None
+
+
+# --- spawn gate --------------------------------------------------------------------
+
+
+def _full_dry_run(world):
+    """The gate without its stall exit: play the oracle until the world ends."""
+    sim = world.clone()
+    while not sim.done:
+        line = sim.required_subtask()
+        sim.apply(Command(line.verb, line.target))
+    return sim.cause == "success"
+
+
+@pytest.fixture
+def apply_calls(monkeypatch):
+    """Commands passed to MinecraftWorld.apply while the test runs."""
+    calls = []
+    apply = MinecraftWorld.apply
+
+    def counted(self, command):
+        calls.append(command)
+        return apply(self, command)
+
+    monkeypatch.setattr(MinecraftWorld, "apply", counted)
+    return calls
+
+
+@given(seed=st.integers(0, 1_000_000), max_len=st.integers(1, 20))
+@settings(max_examples=200, deadline=None)
+def test_gate_matches_full_dry_run(seed, max_len):
+    rng = substream(seed, "gate-oracle")
+    ins = gen_minecraft(rng, (1, max_len))
+    try:
+        world = spawn(rng, ins, feasibility_gate=False, seed=seed)
+    except SpawnInfeasible:
+        return
+    assert minecraft.oracle_completes(world) == _full_dry_run(world)
+
+
+@pytest.mark.parametrize(
+    "rows, instruction",
+    [
+        (["i#....", "#.....", "..@...", "......", "......", "......"],
+         mc(S("mine", "iron"))),
+        (["i~....", "~~....", "..@...", "......", "......", "......"],
+         mc(S("mine", "iron"))),
+        (["@.....", "......", "......", "......", "......", "......"],
+         mc(S("inspect", "gold"))),
+    ],
+    ids=["walled-off", "across-water-no-wood", "absent"],
+)
+def test_gate_rejects_at_first_stall(apply_calls, rows, instruction):
+    world = world_from(rows, instruction)
+    assert not world.done and world.time_limit == 30
+    assert not minecraft.oracle_completes(world)
+    assert len(apply_calls) == 1
+    assert world.step_count == 0  # the dry run plays a copy
+
+
+def test_gate_does_not_stop_on_steps_that_keep_the_pc(apply_calls):
+    # a long walk: every step but the last leaves pc where it was
+    world = world_from(["@.....", "......", "......", "......", "......", ".....i"],
+                       mc(S("mine", "iron")))
+    assert minecraft.oracle_completes(world)
+    assert len(apply_calls) == 10
 
 
 # --- conservation and observation ---------------------------------------------
