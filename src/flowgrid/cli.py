@@ -22,15 +22,22 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import evaluate as evaluate_mod
 from . import pointer
-from .errors import FlowgridError, GenerationError, ReplayMismatch, TraceFormatError
+from .errors import (
+    FlowgridError,
+    GenerationError,
+    PolicyParamsError,
+    ReplayMismatch,
+    TraceFormatError,
+)
 from .generators import FLOW_FILTERS
 from .harness import (
     MAX_REGENERATIONS,
     EpisodeSpec,
     FailureBuffer,
+    PolicySpec,
     generate_instructions,
-    make_policy,
     map_episodes,
+    parse_policy,
     read_trace_records,
     replay_episode,
     run_episode,
@@ -124,16 +131,14 @@ def _require(condition: bool, message: str) -> None:
         raise UsageError(message)
 
 
-def _check_policy(name: str, domain: str) -> None:
-    """Build the policy once, so a bad --policy fails before any output.
+def _parse_policy(name: str, domain: str) -> PolicySpec:
+    """Check --policy and read its params once, before any output.
 
     An unknown name or a policy the domain cannot run is a usage error; a
-    ``scripted:`` params file that is missing or not JSON is an OSError.
+    bad ``scripted:`` params file raises PolicyParamsError (exit 3).
     """
     try:
-        make_policy(name, domain, rng=None)  # checked, never acted on
-    except json.JSONDecodeError as exc:
-        raise OSError(f"cannot read policy params {name.split(':', 1)[1]}: {exc}") from None
+        return parse_policy(name, domain)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -174,14 +179,14 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _play(spec: EpisodeSpec, policy_name: str, base_seed: int, record_digests: bool,
+def _play(spec: EpisodeSpec, policy: PolicySpec, base_seed: int, record_digests: bool,
           index: int):
     """Episode ``index`` of `run`; module-level, so a process pool can send it."""
     seed = derived_seed(base_seed, f"ep{index}")
-    return run_episode(spec, policy_name, seed, record_digests=record_digests)
+    return run_episode(spec, policy, seed, record_digests=record_digests)
 
 
-def _buffered_traces(args, spec: EpisodeSpec):
+def _buffered_traces(args, spec: EpisodeSpec, policy: PolicySpec):
     """Episodes whose seeds the failure buffer picks, one after another."""
     buffer = FailureBuffer(beta=args.buffer_beta, scale=args.buffer_scale)
     buffer_rng = substream(args.seed, "buffer")
@@ -191,7 +196,7 @@ def _buffered_traces(args, spec: EpisodeSpec):
             seed = derived_seed(args.seed, f"ep{index}")
         else:
             log.debug("episode %d retries buffered seed %d", index, seed)
-        trace = run_episode(spec, args.policy, seed, record_digests=not args.no_digests)
+        trace = run_episode(spec, policy, seed, record_digests=not args.no_digests)
         buffer.update(seed, trace.outcome == "success")
         yield trace
 
@@ -202,11 +207,11 @@ def cmd_run(args) -> int:
     if args.failure_buffer and args.jobs > 1:
         raise UsageError("--failure-buffer requires sequential execution (--jobs 1)")
     spec = _episode_spec(args, disruptions=not args.no_disruptions)
-    _check_policy(args.policy, spec.domain)
+    policy = _parse_policy(args.policy, spec.domain)
     if args.failure_buffer:
-        traces = _buffered_traces(args, spec)
+        traces = _buffered_traces(args, spec, policy)
     else:
-        play = functools.partial(_play, spec, args.policy, args.seed, not args.no_digests)
+        play = functools.partial(_play, spec, policy, args.seed, not args.no_digests)
         traces = map_episodes(play, range(args.episodes), args.jobs)
     successes = []
 
@@ -234,10 +239,10 @@ def cmd_eval(args) -> int:
             1 <= args.block_min <= args.block_max <= 40,
             "need 1 <= --block-min <= --block-max <= 40",
         )
-        _check_policy(args.policy, MINECRAFT)
+        policy = _parse_policy(args.policy, MINECRAFT)
         blocks = range(args.block_min, args.block_max + 1)
         results = evaluate_mod.longjump_sweep(
-            args.policy, blocks, args.episodes_per_bin, args.seed, args.jobs
+            policy, blocks, args.episodes_per_bin, args.seed, args.jobs
         )
     else:
         # bins set the lengths; only flags from the command line are in
@@ -249,9 +254,9 @@ def cmd_eval(args) -> int:
         )
         bins = _parse_bins(args.bins) if args.bins else list(evaluate_mod.DEFAULT_BINS)
         spec = _episode_spec(args, disruptions=not args.no_disruptions)
-        _check_policy(args.policy, spec.domain)
+        policy = _parse_policy(args.policy, spec.domain)
         results = evaluate_mod.evaluate(
-            spec, args.policy, bins, args.episodes_per_bin, args.seed, args.jobs
+            spec, policy, bins, args.episodes_per_bin, args.seed, args.jobs
         )
     with _open_out(args.out) as handle:
         evaluate_mod.write_csv(handle, results)
@@ -449,6 +454,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     except TraceFormatError as exc:
         print(f"error: malformed trace: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except PolicyParamsError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ReplayMismatch as exc:
         print(f"replay mismatch: {exc}", file=sys.stderr)

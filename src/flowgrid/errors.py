@@ -36,6 +36,10 @@ class EpisodeDone(FlowgridError):
     """step() was called on a world whose episode already terminated."""
 
 
+class PolicyParamsError(FlowgridError):
+    """A scripted policy's params file is unreadable or holds bad values."""
+
+
 class TraceFormatError(FlowgridError):
     """A recorded trace file is corrupt or unreadable."""
 

@@ -8,9 +8,16 @@ import math
 # still patches this name (see the benchmark follow-up in ROADMAP.md)
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, replace
-from typing import IO, List, Optional, Sequence, Tuple
+from typing import IO, List, Optional, Sequence, Tuple, Union
 
-from .harness import EpisodeSpec, drive_world, make_policy, map_episodes, run_episode
+from .harness import (
+    EpisodeSpec,
+    PolicySpec,
+    drive_world,
+    map_episodes,
+    parse_policy,
+    run_episode,
+)
 from .instructions import MINECRAFT
 from .generators import gen_longjump
 from .minecraft import spawn_longjump
@@ -82,14 +89,14 @@ def _binned(fn, tasks: list, bins: Sequence[Tuple[int, int]], per_bin: int, jobs
 
 
 def _episode_outcome(task) -> Tuple[str, int]:
-    spec, policy_name, seed = task
-    trace = run_episode(spec, policy_name, seed, record_digests=False)
+    spec, policy, seed = task
+    trace = run_episode(spec, policy, seed, record_digests=False)
     return trace.outcome, trace.reward
 
 
 def evaluate(
     spec: EpisodeSpec,
-    policy_name: str,
+    policy: Union[str, PolicySpec],
     bins: Sequence[Tuple[int, int]] = DEFAULT_BINS,
     episodes_per_bin: int = 100,
     base_seed: int = 0,
@@ -97,16 +104,18 @@ def evaluate(
 ) -> List[BinResult]:
     """Success statistics per instruction-length bin.
 
-    Episode seeds derive from (base_seed, bin index, episode index), so
-    results do not depend on scheduling; jobs > 1 runs the episodes of
-    all bins on that many worker processes.
+    ``policy`` is a PolicySpec or a policy name.  Episode seeds derive
+    from (base_seed, bin index, episode index), so results do not depend
+    on scheduling; jobs > 1 runs the episodes of all bins on that many
+    worker processes.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    policy = parse_policy(policy, spec.domain)
     tasks = [
         (
             replace(spec, min_len=lo, max_len=hi),
-            policy_name,
+            policy,
             derived_seed(base_seed, f"bin{bin_index}", f"ep{episode_index}"),
         )
         for bin_index, (lo, hi) in enumerate(bins)
@@ -123,18 +132,17 @@ def write_csv(handle: IO, results: Sequence[BinResult]) -> None:
 
 
 def _longjump_outcome(task) -> Tuple[str, int]:
-    policy_name, block_len, seed = task
+    policy, block_len, seed = task
     gen_rng = substream(seed, "generation")
     spawn_rng = substream(seed, "spawning")
     instruction = gen_longjump(gen_rng, block_len)
     world = spawn_longjump(spawn_rng, instruction, seed=seed)
-    policy = make_policy(policy_name, MINECRAFT, substream(seed, "policy"))
-    drive_world(world, policy, record_digests=False)
+    drive_world(world, policy.build(substream(seed, "policy")), record_digests=False)
     return world.cause, world.reward
 
 
 def longjump_sweep(
-    policy_name: str,
+    policy: Union[str, PolicySpec],
     block_lens: Sequence[int] = tuple(range(1, 41)),
     episodes_each: int = 20,
     base_seed: int = 0,
@@ -145,12 +153,14 @@ def longjump_sweep(
     Each episode is a single conditional over a block of repeated
     subtasks whose guard is false, so the only correct behaviour is one
     long forward jump.  Policies with a bounded pointer range fall off
-    beyond their reach.  jobs > 1 runs the episodes on worker processes.
+    beyond their reach.  ``policy`` is a PolicySpec or a policy name.
+    jobs > 1 runs the episodes on worker processes.
     """
     if any(not 1 <= block_len <= 40 for block_len in block_lens):
         raise ValueError("block lengths must lie in 1..40")
+    policy = parse_policy(policy, MINECRAFT)
     tasks = [
-        (policy_name, block_len, derived_seed(base_seed, f"jump{block_len}", f"ep{episode_index}"))
+        (policy, block_len, derived_seed(base_seed, f"jump{block_len}", f"ep{episode_index}"))
         for block_len in block_lens
         for episode_index in range(episodes_each)
     ]

@@ -11,13 +11,14 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass, field
-from typing import IO, List, Optional
+from typing import IO, List, Optional, Union
 
 import numpy as np
 
 from . import minecraft, starcraft
 from .errors import (
     GenerationError,
+    PolicyParamsError,
     SpawnInfeasible,
     TraceFormatError,
     ReplayMismatch,
@@ -247,24 +248,74 @@ class ScriptedPointerPolicy(Policy):
         raise AssertionError("unreachable: three resources, one exclusion")
 
 
-def make_policy(name: str, domain: str, rng: np.random.Generator) -> Policy:
-    """Build a fresh policy instance from its CLI name."""
-    if name == "oracle":
-        return OracleMinecraftPolicy() if domain == MINECRAFT else OracleStarcraftPolicy()
-    if name == "random":
-        return (
-            RandomMinecraftPolicy(rng) if domain == MINECRAFT else RandomStarcraftPolicy(rng)
-        )
-    if name.startswith("scripted:"):
-        if domain != MINECRAFT:
-            raise ValueError("scripted pointer policies drive the minecraft domain")
-        path = name.split(":", 1)[1]
+@dataclass(frozen=True)
+class PolicySpec:
+    """A policy checked once by its CLI name; ``build`` makes a fresh instance.
+
+    Holds the parsed params of a ``scripted:`` policy, so a command reads
+    its file once, not once per episode, and pool workers get it pickled.
+    """
+
+    name: str
+    domain: str
+    max_jump: int = 1
+    walk: bool = False
+
+    def build(self, rng: np.random.Generator) -> Policy:
+        if self.name == "oracle":
+            return OracleMinecraftPolicy() if self.domain == MINECRAFT else OracleStarcraftPolicy()
+        if self.name == "random":
+            return (
+                RandomMinecraftPolicy(rng)
+                if self.domain == MINECRAFT
+                else RandomStarcraftPolicy(rng)
+            )
+        return ScriptedPointerPolicy(max_jump=self.max_jump, walk=self.walk)
+
+
+def _read_scripted_params(path: str) -> dict:
+    """``max_jump`` and ``walk`` from a scripted policy's params file."""
+    try:
         with open(path, "r", encoding="utf-8") as handle:
             params = json.load(handle)
-        return ScriptedPointerPolicy(
-            max_jump=int(params.get("max_jump", 1)), walk=bool(params.get("walk", False))
-        )
-    raise ValueError(f"unknown policy {name!r}")
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, not UTF-8
+        raise PolicyParamsError(f"cannot read policy params {path}: {exc}") from None
+    if not isinstance(params, dict):
+        raise PolicyParamsError(f"policy params {path} must hold a JSON object")
+    try:
+        max_jump = int(params.get("max_jump", 1))
+    except (TypeError, ValueError, OverflowError):
+        raise PolicyParamsError(
+            f"policy params {path}: max_jump must be an integer, not {params['max_jump']!r}"
+        ) from None
+    if max_jump < 1:
+        raise PolicyParamsError(f"policy params {path}: max_jump must be positive")
+    return {"max_jump": max_jump, "walk": bool(params.get("walk", False))}
+
+
+def parse_policy(policy: Union[str, PolicySpec], domain: str) -> PolicySpec:
+    """The PolicySpec for ``policy`` on ``domain``; a PolicySpec passes through.
+
+    An unknown name, or a policy the domain cannot run, is a ValueError; a
+    ``scripted:`` params file that cannot be read or holds bad values is a
+    PolicyParamsError.
+    """
+    if isinstance(policy, PolicySpec):
+        if policy.domain != domain:
+            raise ValueError(f"policy {policy.name!r} was parsed for {policy.domain}")
+        return policy
+    if policy in ("oracle", "random"):
+        return PolicySpec(policy, domain)
+    if policy.startswith("scripted:"):
+        if domain != MINECRAFT:
+            raise ValueError("scripted pointer policies drive the minecraft domain")
+        return PolicySpec(policy, domain, **_read_scripted_params(policy.split(":", 1)[1]))
+    raise ValueError(f"unknown policy {policy!r}")
+
+
+def make_policy(name: str, domain: str, rng: np.random.Generator) -> Policy:
+    """Build a fresh policy instance from its CLI name."""
+    return parse_policy(name, domain).build(rng)
 
 
 # --- episode running -----------------------------------------------------------
@@ -351,18 +402,21 @@ def drive_world(world, policy: Policy, record_digests: bool = True) -> List[Step
 
 def run_episode(
     spec: EpisodeSpec,
-    policy_name: str,
+    policy: Union[str, PolicySpec],
     seed: int,
     record_digests: bool = True,
 ) -> EpisodeTrace:
-    """Deterministically generate, spawn and play one episode."""
+    """Deterministically generate, spawn and play one episode.
+
+    ``policy`` is a PolicySpec or a policy name (parsed on every call).
+    """
+    policy = parse_policy(policy, spec.domain)
     world = spawn_episode_world(spec, seed)
-    policy = make_policy(policy_name, spec.domain, substream(seed, "policy"))
-    steps = drive_world(world, policy, record_digests)
+    steps = drive_world(world, policy.build(substream(seed, "policy")), record_digests)
     return EpisodeTrace(
         seed=seed,
         domain=spec.domain,
-        policy=policy_name,
+        policy=policy.name,
         spec=asdict(spec),
         instruction_text=world.instruction.text(),
         instruction_encoded=world.instruction.encoded(),

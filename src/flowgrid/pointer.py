@@ -18,6 +18,7 @@ rule; it exists for comparison.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -45,12 +46,17 @@ def row_of_delta(length: int, delta: int) -> int:
     return delta + length if delta < 0 else length + delta - 1
 
 
+@functools.lru_cache(maxsize=None)
 def scan_order(length: int) -> np.ndarray:
-    """Row indices in scan order: +1, -1, +2, -2, ..., +L, -L."""
+    """Row indices in scan order: +1, -1, +2, -2, ..., +L, -L.
+
+    Cached per length and read-only: every caller shares one array.
+    """
     order = np.empty(2 * length, dtype=np.intp)
     for k in range(1, length + 1):
         order[2 * (k - 1)] = row_of_delta(length, k)
         order[2 * (k - 1) + 1] = row_of_delta(length, -k)
+    order.flags.writeable = False
     return order
 
 
@@ -73,21 +79,31 @@ def _check_sigmas(sigmas) -> np.ndarray:
     return s
 
 
+def _stop_process(s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Stop-process probabilities and residuals along the last axis of ``s``.
+
+    ``s`` holds heads-probabilities in row order; every leading index is an
+    independent column.  The products run left to right in scan order, the
+    same multiplications as the one-coin-at-a-time oracle.
+    """
+    order = scan_order(s.shape[-1] // 2)
+    so = s[..., order]
+    before = np.ones_like(so)
+    np.cumprod(1.0 - so[..., :-1], axis=-1, out=before[..., 1:])
+    probs = np.empty_like(s)
+    probs[..., order] = so * before
+    return probs, before[..., -1] * (1.0 - so[..., -1])
+
+
 def scan_column(sigmas, mode: str = STOP_PROCESS) -> Tuple[np.ndarray, float]:
     """Delta distribution for one column of heads-probabilities.
 
     Returns (probabilities indexed by row, residual no-move mass).
     """
     s = _check_sigmas(sigmas)
-    length = s.size // 2
-    order = scan_order(length)
     if mode == STOP_PROCESS:
-        so = s[order]
-        tails = np.cumprod(1.0 - so)
-        before = np.concatenate(([1.0], tails[:-1]))
-        probs = np.empty_like(s)
-        probs[order] = so * before
-        return probs, float(tails[-1])
+        probs, residual = _stop_process(s)
+        return probs, float(residual)
     if mode == PRINTED_FORMULA:
         comp = 1.0 - s
         # exclusion products without division: forward/backward prefixes
@@ -175,15 +191,9 @@ def scan_matrix(logits: ScanLogits, mode: str = STOP_PROCESS) -> MovementDistrib
     if not isinstance(logits, ScanLogits):
         logits = ScanLogits(np.asarray(logits))
     s = sigmoid(logits.values)
-    length = logits.length
     if mode == STOP_PROCESS:
-        order = scan_order(length)
-        so = s[order, :]
-        tails = np.cumprod(1.0 - so, axis=0)
-        before = np.vstack([np.ones((1, s.shape[1])), tails[:-1, :]])
-        probs = np.empty_like(s)
-        probs[order, :] = so * before
-        residual = tails[-1, :]
+        probs, residual = _stop_process(s.T)
+        probs = np.ascontiguousarray(probs.T)
     elif mode == PRINTED_FORMULA:
         comp = 1.0 - s
         forward = np.vstack([np.ones((1, s.shape[1])), np.cumprod(comp, axis=0)[:-1, :]])
@@ -253,6 +263,15 @@ def update_pointer(position: int, gate: int, delta: int, length: int) -> int:
     return max(0, min(length - 1, moved))
 
 
+def _check_logits(logits) -> np.ndarray:
+    h = np.asarray(logits, dtype=np.float64)
+    if h.ndim != 1 or h.size == 0 or h.size % 2:
+        raise ValueError("logit vector must have even positive length")
+    if np.isnan(h).any():
+        raise ValueError("logits must not be NaN")
+    return h
+
+
 def scan_jacobian(logits) -> np.ndarray:
     """d probs / d logits for one column under the stop process.
 
@@ -261,11 +280,8 @@ def scan_jacobian(logits) -> np.ndarray:
     scan, zero for k later.  Both forms are products of existing factors,
     so saturated sigmas stay exact.  Rows and columns use row indexing.
     """
-    h = np.asarray(logits, dtype=np.float64)
-    if h.ndim != 1 or h.size == 0 or h.size % 2:
-        raise ValueError("logit vector must have even positive length")
-    length = h.size // 2
-    order = scan_order(length)
+    h = _check_logits(logits)
+    order = scan_order(h.size // 2)
     so = sigmoid(h)[order]
     tails = np.cumprod(1.0 - so)
     before = np.concatenate(([1.0], tails[:-1]))
@@ -278,16 +294,17 @@ def scan_jacobian(logits) -> np.ndarray:
 
 
 def finite_difference_jacobian(logits, step: float = 1e-6) -> np.ndarray:
-    """Central finite differences of scan_column wrt each logit."""
-    h = np.asarray(logits, dtype=np.float64)
-    jac = np.empty((h.size, h.size))
-    for k in range(h.size):
-        bump = np.zeros_like(h)
-        bump[k] = step
-        high, _ = scan_column(sigmoid(h + bump))
-        low, _ = scan_column(sigmoid(h - bump))
-        jac[:, k] = (high - low) / (2.0 * step)
-    return jac
+    """Central finite differences of the stop process wrt each logit.
+
+    Row k of each batch bumps logit k alone, so column k of the result is
+    the difference quotient for logit k.  Takes O(L^2) memory, as the
+    jacobian itself does.
+    """
+    h = _check_logits(logits)
+    bump = np.eye(h.size) * step
+    high, _ = _stop_process(sigmoid(h + bump))
+    low, _ = _stop_process(sigmoid(h - bump))
+    return (high.T - low.T) / (2.0 * step)
 
 
 def baseline_support(kind: str, length: int) -> tuple:

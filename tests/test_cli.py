@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, files, determinism across jobs."""
 
+import builtins
 import contextlib
 import hashlib
 import io
@@ -86,7 +87,11 @@ def test_bad_policy_is_usage_error_before_any_output(tmp_path, monkeypatch, argv
     assert not out.exists()
 
 
-@pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "malformed"])
+@pytest.mark.parametrize(
+    "content",
+    [None, "{not json", "[1]", '{"max_jump": "x"}', '{"max_jump": 0}'],
+    ids=["missing", "malformed", "not-object", "max-jump-not-int", "max-jump-zero"],
+)
 @pytest.mark.parametrize("command", ["run", "eval"])
 def test_unreadable_scripted_params_is_io_error_before_any_output(tmp_path, command, content):
     params = tmp_path / "params.json"
@@ -98,7 +103,48 @@ def test_unreadable_scripted_params_is_io_error_before_any_output(tmp_path, comm
     )
     assert code == EXIT_IO
     assert err.startswith("error:") and "params.json" in err
+    assert len(err.splitlines()) == 1  # a message, not a traceback
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--max-len", "5", "--episodes", "40", "--seed", "2"),
+        ("eval", "--longjump", "--block-min", "1", "--block-max", "4",
+         "--episodes-per-bin", "5"),
+    ],
+    ids=["run", "longjump"],
+)
+def test_scripted_params_are_read_once(tmp_path, monkeypatch, argv):
+    params = tmp_path / "params.json"
+    params.write_text('{"max_jump": 2, "walk": true}')
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == str(params):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    code, _, _ = run_cli(
+        *argv, "--domain", "minecraft", "--policy", f"scripted:{params}",
+        "--out", str(tmp_path / "out"),
+    )
+    assert code == EXIT_OK
+    assert len(opened) == 1
+
+
+def test_scripted_run_is_the_same_in_workers(tmp_path, monkeypatch):
+    # the parsed params travel to the pool workers with each task
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.json").write_text('{"max_jump": 3}')
+    base = ["run", "--domain", "minecraft", "--policy", "scripted:p.json",
+            "--max-len", "12", "--episodes", "12", "--seed", "5"]
+    solo = run_cli(*base, "--jobs", "1")
+    assert solo[0] == EXIT_OK
+    assert run_cli(*base, "--jobs", "2") == solo
 
 
 @pytest.mark.parametrize("flag", ["--min-len", "--max-len"])
@@ -500,6 +546,36 @@ def test_scan_check_printed_formula_mode():
     )
     assert code == EXIT_OK
     assert "skipped" in out
+
+
+# sha256 of `scan-check --trials 200 --grad-trials 40 --seed 11 --out-dir out`
+# output (stdout, then each table), recorded before the kernel was batched:
+# faster kernels must give the same bytes.
+PINNED_SCAN_CHECKS = [
+    ("stop-process", {
+        "stdout": "64334b29c743d57a2f02780d4a8d7bc94fda15d54c2acb6b2a917050e3d4f6ce",
+        "columns.csv": "007ed4e6598375e2d293687728252ad3c5d5397bd2904d840130b530ba7db483",
+        "gradients.csv": "7a2dabb7bd88c4df664a0b082256908d550ac6dbc7566c41a55a54f7b2c0f1b9",
+    }),
+    ("printed-formula", {
+        "stdout": "6596e3ecf1f27253e96dd8fb2bafc28091b4b6a49aa49db10b16ad1c5f8bd23f",
+        "columns.csv": "aa431c326915b939bad343d1447a058c3a80cf162fd390cbf842775a5e8f4f5b",
+    }),
+]
+
+
+@pytest.mark.parametrize("mode, sha256", PINNED_SCAN_CHECKS, ids=[m for m, _ in PINNED_SCAN_CHECKS])
+def test_scan_check_bytes_are_pinned(tmp_path, monkeypatch, mode, sha256):
+    monkeypatch.chdir(tmp_path)  # stdout names the relative --out-dir
+    code, out, _ = run_cli(
+        "scan-check", "--trials", "200", "--grad-trials", "40", "--seed", "11",
+        "--mode", mode, "--out-dir", "out",
+    )
+    assert code == EXIT_OK
+    digests = {"stdout": hashlib.sha256(out.encode("utf-8")).hexdigest()}
+    for table in sorted(p.name for p in (tmp_path / "out").iterdir()):
+        digests[table] = hashlib.sha256((tmp_path / "out" / table).read_bytes()).hexdigest()
+    assert digests == sha256
 
 
 # --- config file --------------------------------------------------------------------

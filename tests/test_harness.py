@@ -12,16 +12,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowgrid.errors import ReplayMismatch, TraceFormatError
+from flowgrid.errors import PolicyParamsError, ReplayMismatch, TraceFormatError
 from flowgrid.harness import (
     EpisodeSpec,
     FailureBuffer,
     OracleMinecraftPolicy,
     OracleStarcraftPolicy,
+    PolicySpec,
     ScriptedPointerPolicy,
     drive_world,
     make_policy,
     map_episodes,
+    parse_policy,
     pool_workers,
     read_trace_records,
     replay_episode,
@@ -193,6 +195,22 @@ def test_make_policy_names():
     )
     with pytest.raises(ValueError):
         make_policy("clairvoyant", "minecraft", substream(0, "p"))
+
+
+def test_parsed_policy_builds_fresh_instances(tmp_path):
+    params = tmp_path / "p.json"
+    params.write_text('{"max_jump": 4, "walk": true}')
+    spec = parse_policy(f"scripted:{params}", "minecraft")
+    assert spec == PolicySpec(f"scripted:{params}", "minecraft", max_jump=4, walk=True)
+    params.unlink()  # parsed once: building needs the file no more
+    first, second = spec.build(None), spec.build(None)
+    assert first is not second
+    assert (first.max_jump, first.walk) == (4, True)
+    assert parse_policy(spec, "minecraft") is spec
+    with pytest.raises(ValueError):
+        parse_policy(spec, "starcraft")
+    with pytest.raises(PolicyParamsError):
+        parse_policy(f"scripted:{params}", "minecraft")
 
 
 def test_scripted_policy_stuck_beyond_reach():

@@ -62,6 +62,14 @@ def test_scan_order_is_near_to_far_positive_first():
     assert list(scan_order(3)) == [3, 2, 4, 1, 5, 0]
 
 
+def test_scan_order_is_cached_read_only():
+    order = scan_order(3)
+    with pytest.raises(ValueError):
+        order[0] = 0
+    assert scan_order(3) is order
+    assert list(scan_order(3)) == [3, 2, 4, 1, 5, 0]
+
+
 # --- frozen stop-process values ----------------------------------------------------
 
 
@@ -232,6 +240,13 @@ def test_jacobian_matches_finite_differences(seed, length):
         assert np.max(np.abs(analytic - numeric)[mask] / scale[mask]) < 1e-4
 
 
+@pytest.mark.parametrize("logits", [[0.5], [], [0.0, np.nan]], ids=["odd", "empty", "nan"])
+@pytest.mark.parametrize("jacobian", [scan_jacobian, finite_difference_jacobian])
+def test_jacobian_logit_validation(jacobian, logits):
+    with pytest.raises(ValueError):
+        jacobian(logits)
+
+
 def test_jacobian_exact_at_saturation():
     # certain heads early in the scan zero everything later; the closed
     # form must return hard zeros there, not NaNs
@@ -240,6 +255,77 @@ def test_jacobian_exact_at_saturation():
     assert np.isfinite(jac).all()
     row_minus2 = row_of_delta(2, -2)
     assert jac[row_minus2, row_minus2] == 0.0
+
+
+# --- batched stop process against the per-column forms ---------------------------
+#
+# The kernel runs the stop process on whole batches of columns.  These are the
+# per-column bodies it replaced, kept as references: the batched forms must give
+# the same bits, not merely close values.
+
+
+def _column_reference(s):
+    order = scan_order(s.size // 2)
+    so = s[order]
+    tails = np.cumprod(1.0 - so)
+    before = np.concatenate(([1.0], tails[:-1]))
+    probs = np.empty_like(s)
+    probs[order] = so * before
+    return probs, float(tails[-1])
+
+
+def _matrix_reference(logits):
+    s = sigmoid(logits)
+    order = scan_order(s.shape[0] // 2)
+    so = s[order, :]
+    tails = np.cumprod(1.0 - so, axis=0)
+    before = np.vstack([np.ones((1, s.shape[1])), tails[:-1, :]])
+    probs = np.empty_like(s)
+    probs[order, :] = so * before
+    return probs, tails[-1, :]
+
+
+def _finite_difference_reference(h, step=1e-6):
+    jac = np.empty((h.size, h.size))
+    for k in range(h.size):
+        bump = np.zeros_like(h)
+        bump[k] = step
+        high, _ = _column_reference(sigmoid(h + bump))
+        low, _ = _column_reference(sigmoid(h - bump))
+        jac[:, k] = (high - low) / (2.0 * step)
+    return jac
+
+
+@st.composite
+def logit_matrices(draw):
+    """(2L, width) logits, L in 1..40, within +-4 or +-40, with a few entries
+    set to +-40: sigmoid(40) is exactly 1.0, sigmoid(-40) about 4e-18."""
+    length = draw(st.integers(1, 40))
+    width = draw(st.integers(1, 4))
+    bound = draw(st.sampled_from([4.0, 40.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logits = rng.uniform(-bound, bound, size=(2 * length, width))
+    for _ in range(draw(st.integers(0, 3))):
+        logits[rng.integers(2 * length), rng.integers(width)] = draw(st.sampled_from([-40.0, 40.0]))
+    return logits
+
+
+@given(logits=logit_matrices(), pin=st.sampled_from([None, 0.0, 1.0]))
+@settings(max_examples=150, deadline=None)
+def test_batched_stop_process_is_bitwise_per_column(logits, pin):
+    s = sigmoid(logits[:, 0])
+    if pin is not None:
+        s[len(s) // 2] = pin
+    probs, residual = scan_column(s)
+    ref_probs, ref_residual = _column_reference(s)
+    assert probs.tobytes() == ref_probs.tobytes()
+    assert residual == ref_residual
+    dist = scan_matrix(ScanLogits(logits))
+    ref_probs, ref_residual = _matrix_reference(logits)
+    assert dist.probs.tobytes() == ref_probs.tobytes()
+    assert dist.residual.tobytes() == ref_residual.tobytes()
+    h = logits[:, -1]
+    assert finite_difference_jacobian(h).tobytes() == _finite_difference_reference(h).tobytes()
 
 
 # --- mixing and sampling ------------------------------------------------------------
