@@ -110,15 +110,10 @@ def _parse_bins(text: str) -> List[Tuple[int, int]]:
 
 
 def _episode_spec(args, **extra) -> EpisodeSpec:
+    fields = dict(domain=args.domain, min_len=args.min_len, max_len=args.max_len,
+                  flow=args.flow, max_depth=args.max_depth)
     try:
-        return EpisodeSpec(
-            domain=args.domain,
-            min_len=args.min_len,
-            max_len=args.max_len,
-            flow=args.flow,
-            max_depth=args.max_depth,
-            **extra,
-        )
+        return EpisodeSpec(**{**fields, **extra})
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -253,10 +248,14 @@ def cmd_eval(args) -> int:
             "not --min-len/--max-len",
         )
         bins = _parse_bins(args.bins) if args.bins else list(evaluate_mod.DEFAULT_BINS)
-        spec = _episode_spec(args, disruptions=not args.no_disruptions)
-        policy = _parse_policy(args.policy, spec.domain)
+        # each bin's spec is checked here, before any episode runs
+        specs = [
+            _episode_spec(args, min_len=lo, max_len=hi, disruptions=not args.no_disruptions)
+            for lo, hi in bins
+        ]
+        policy = _parse_policy(args.policy, args.domain)
         results = evaluate_mod.evaluate(
-            spec, policy, bins, args.episodes_per_bin, args.seed, args.jobs
+            specs[0], policy, bins, args.episodes_per_bin, args.seed, args.jobs
         )
     with _open_out(args.out) as handle:
         evaluate_mod.write_csv(handle, results)

@@ -33,6 +33,7 @@ from .starcraft import ActionToken
 TRACE_VERSION = 1
 MAX_REGENERATIONS = 1000
 MAX_CHUNK = 16  # items per process-pool task in map_episodes
+MULTI_MIN_LINES = 6  # if, subtask, endif, while, subtask, endwhile
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,11 @@ class EpisodeSpec:
             raise ValueError("need 1 <= min_len <= max_len")
         if self.flow not in FLOW_FILTERS:
             raise ValueError(f"unknown flow filter {self.flow!r}")
+        if self.domain == MINECRAFT and self.flow == "multi" and self.max_len < MULTI_MIN_LINES:
+            raise ValueError(
+                f"no instruction matching flow='multi' fits in {self.max_len} lines; "
+                f"it needs at least {MULTI_MIN_LINES}"
+            )
         if self.max_depth is not None and self.max_depth < 1:
             raise ValueError("need max_depth >= 1")
 
@@ -282,15 +288,16 @@ def _read_scripted_params(path: str) -> dict:
         raise PolicyParamsError(f"cannot read policy params {path}: {exc}") from None
     if not isinstance(params, dict):
         raise PolicyParamsError(f"policy params {path} must hold a JSON object")
-    try:
-        max_jump = int(params.get("max_jump", 1))
-    except (TypeError, ValueError, OverflowError):
+    max_jump = params.get("max_jump", 1)
+    # type(), not isinstance: a JSON true is a bool, which is an int subclass
+    if type(max_jump) is not int or max_jump < 1:
         raise PolicyParamsError(
-            f"policy params {path}: max_jump must be an integer, not {params['max_jump']!r}"
-        ) from None
-    if max_jump < 1:
-        raise PolicyParamsError(f"policy params {path}: max_jump must be positive")
-    return {"max_jump": max_jump, "walk": bool(params.get("walk", False))}
+            f"policy params {path}: max_jump must be a positive integer, not {max_jump!r}"
+        )
+    walk = params.get("walk", False)
+    if not isinstance(walk, bool):
+        raise PolicyParamsError(f"policy params {path}: walk must be true or false, not {walk!r}")
+    return {"max_jump": max_jump, "walk": walk}
 
 
 def parse_policy(policy: Union[str, PolicySpec], domain: str) -> PolicySpec:

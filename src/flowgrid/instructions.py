@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import DecodeError
@@ -38,6 +39,7 @@ ENDWHILE = "endwhile"
 
 KIND_CODES = {SUBTASK: 0, IF: 1, ELSE: 2, ENDIF: 3, WHILE: 4, ENDWHILE: 5}
 CODE_KINDS = {v: k for k, v in KIND_CODES.items()}
+SUBTASK_CODE = KIND_CODES[SUBTASK]
 
 # --- starcraft vocabulary ---------------------------------------------------
 
@@ -147,10 +149,6 @@ class CfLine:
     def endwhile(cls) -> "CfLine":
         return cls(ENDWHILE)
 
-    @property
-    def is_subtask(self) -> bool:
-        return self.kind == SUBTASK
-
     def triple(self) -> tuple:
         code = KIND_CODES[self.kind]
         if self.kind == SUBTASK:
@@ -246,6 +244,11 @@ class Instruction:
             return [list(line.triple()) for line in self.lines]
         return [line.code() for line in self.lines]
 
+    @cached_property
+    def flow(self) -> "Flow":
+        """The compiled block structure, built once; pickling keeps it."""
+        return compile_flow(self)
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -259,39 +262,87 @@ class Verdict:
         return self.ok
 
 
-def validate(instruction: Instruction) -> Verdict:
-    """Check block structure (minecraft) or line sanity (starcraft).
+@dataclass(frozen=True)
+class Flow:
+    """A control-flow instruction's block structure as per-line tables.
 
-    Minecraft rules: every if/while closes with its matching endif/endwhile,
-    at most one else per if and only inside an if-clause, and no closer or
-    else appears outside an open block.  An unclosed block reports the index
-    of its opener.
+    Resolution leaves a structural line ``pc`` for ``on_true[pc]`` when its
+    condition holds or it has none, else for ``on_false[pc]``.  The tables
+    are meaningful only when ``verdict`` is ok, and are read-only.  They are
+    lists: CPython keeps up to 2000 freed tuples of each short length for
+    reuse, and five per instruction held megabytes over a long run.
     """
-    if instruction.domain == STARCRAFT:
-        return Verdict(True)
-    stack = []  # entries: [kind, opener_index, has_else]
-    for i, line in enumerate(instruction.lines):
+
+    verdict: Verdict
+    kinds: list  # KIND_CODES value of each line
+    conditions: list  # (a, b) COMPARANDS indexes on if/while lines, else None
+    tasks: list  # (verb, RESOURCES index) on subtask lines, else None
+    on_true: list
+    on_false: list
+
+
+def compile_flow(instruction: Instruction) -> Flow:
+    """Check a control-flow instruction's blocks and compile their jumps.
+
+    Every if/while closes with its matching endif/endwhile, with at most one
+    else per if, and no closer or else appears outside an open block; an
+    unclosed block reports its opener.  A false if resumes past its else or
+    endif, a false while past its endwhile; an else (reached as the if-branch
+    ends) resumes past the endif, and an endwhile returns to its while.
+    """
+    if instruction.domain != MINECRAFT:
+        raise ValueError("compile_flow takes a control-flow instruction")
+    lines = instruction.lines
+    on_true = list(range(1, len(lines) + 1))
+    on_false = on_true[:]
+    verdict = Verdict(True)
+    stack = []  # entries: [kind, opener_index, else_index]
+    for i, line in enumerate(lines):
         kind = line.kind
-        if kind == SUBTASK:
-            continue
         if kind in (IF, WHILE):
-            stack.append([kind, i, False])
+            stack.append([kind, i, None])
         elif kind == ELSE:
-            if not stack or stack[-1][0] != IF or stack[-1][2]:
-                return Verdict(False, i, "else outside an open if-clause")
-            stack[-1][2] = True
+            if not stack or stack[-1][0] != IF or stack[-1][2] is not None:
+                verdict = Verdict(False, i, "else outside an open if-clause")
+                break
+            stack[-1][2] = i
         elif kind == ENDIF:
             if not stack or stack[-1][0] != IF:
-                return Verdict(False, i, "endif without an open if")
-            stack.pop()
+                verdict = Verdict(False, i, "endif without an open if")
+                break
+            _, opener, else_i = stack.pop()
+            if else_i is None:
+                on_false[opener] = i + 1
+            else:
+                on_false[opener] = else_i + 1
+                on_true[else_i] = on_false[else_i] = i + 1
         elif kind == ENDWHILE:
             if not stack or stack[-1][0] != WHILE:
-                return Verdict(False, i, "endwhile without an open while")
-            stack.pop()
-    if stack:
-        kind, i, _ = stack[-1]
-        return Verdict(False, i, f"{kind} never closed")
-    return Verdict(True)
+                verdict = Verdict(False, i, "endwhile without an open while")
+                break
+            _, opener, _ = stack.pop()
+            on_false[opener] = i + 1
+            on_true[i] = on_false[i] = opener
+    else:
+        if stack:
+            kind, i, _ = stack[-1]
+            verdict = Verdict(False, i, f"{kind} never closed")
+    return Flow(
+        verdict,
+        [KIND_CODES[line.kind] for line in lines],
+        [line.triple()[1:] if line.condition else None for line in lines],
+        [(line.verb, RESOURCES.index(line.target)) if line.verb else None for line in lines],
+        on_true,
+        on_false,
+    )
+
+
+def validate(instruction: Instruction) -> Verdict:
+    """Check block structure (minecraft, see compile_flow) or line sanity
+    (starcraft)."""
+    if instruction.domain == STARCRAFT:
+        return Verdict(True)
+    return instruction.flow.verdict
 
 
 def flow_kinds(instruction: Instruction) -> set:

@@ -11,19 +11,17 @@ units from a world snapshot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 from .errors import DecodeError, StructuralError, TraceExhausted
 from .instructions import (
-    ELSE,
-    ENDIF,
-    ENDWHILE,
     IF,
     NEXUS,
-    SUBTASK,
+    SUBTASK_CODE,
     WHILE,
     BuildTree,
     CfLine,
+    Flow,
     Instruction,
 )
 
@@ -34,46 +32,21 @@ def eval_condition(condition: Tuple[str, str], counts) -> bool:
     return counts[a] > counts[b]
 
 
-def _block_map(instruction: Instruction) -> dict:
-    """Map each structural line index to its peers.
-
-    Openers map to (else_index or None, closer_index); else and closers map
-    back to their opener.  Raises StructuralError on malformed structure.
-    """
-    peers = {}
-    stack = []
-    for i, line in enumerate(instruction.lines):
-        kind = line.kind
-        if kind in (IF, WHILE):
-            stack.append([kind, i, None])
-        elif kind == ELSE:
-            if not stack or stack[-1][0] != IF or stack[-1][2] is not None:
-                raise StructuralError(f"line {i}: stray else")
-            stack[-1][2] = i
-        elif kind == ENDIF:
-            if not stack or stack[-1][0] != IF:
-                raise StructuralError(f"line {i}: stray endif")
-            _, opener, else_i = stack.pop()
-            peers[opener] = (else_i, i)
-            peers[i] = opener
-            if else_i is not None:
-                peers[else_i] = opener
-        elif kind == ENDWHILE:
-            if not stack or stack[-1][0] != WHILE:
-                raise StructuralError(f"line {i}: stray endwhile")
-            _, opener, _ = stack.pop()
-            peers[opener] = (None, i)
-            peers[i] = opener
-    if stack:
-        raise StructuralError(f"line {stack[-1][1]}: block never closed")
-    return peers
+def checked_flow(instruction: Instruction) -> Flow:
+    """The instruction's compiled flow; StructuralError if it is malformed."""
+    flow = instruction.flow
+    verdict = flow.verdict
+    if not verdict:
+        kind = instruction.lines[verdict.index].kind
+        problem = "block never closed" if kind in (IF, WHILE) else f"stray {kind}"
+        raise StructuralError(f"line {verdict.index}: {problem}")
+    return flow
 
 
 def cf_step(
     instruction: Instruction,
     pc: int,
     cond_eval: Callable[[Tuple[str, str]], bool],
-    peers: Optional[dict] = None,
 ) -> int:
     """Advance ``pc`` through structural lines until a subtask or the end.
 
@@ -86,35 +59,16 @@ def cf_step(
     length = len(instruction)
     if not 0 <= pc <= length:
         raise ValueError(f"pc {pc} out of range 0..{length}")
-    if peers is None:
-        peers = _block_map(instruction)
-    budget = 4 * length + 8
-    for _ in range(budget):
-        if pc == length:
+    flow = checked_flow(instruction)
+    kinds, conditions = flow.kinds, flow.conditions
+    on_true, on_false = flow.on_true, flow.on_false
+    for _ in range(4 * length + 8):
+        if pc == length or kinds[pc] == SUBTASK_CODE:
             return pc
-        line = instruction.lines[pc]
-        kind = line.kind
-        if kind == SUBTASK:
-            return pc
-        if kind == IF:
-            else_i, close_i = peers[pc]
-            if cond_eval(line.condition):
-                pc += 1
-            else:
-                pc = (else_i + 1) if else_i is not None else (close_i + 1)
-        elif kind == ELSE:
-            # reached linearly: the if-branch just finished
-            _, close_i = peers[peers[pc]]
-            pc = close_i + 1
-        elif kind == ENDIF:
-            pc += 1
-        elif kind == WHILE:
-            _, close_i = peers[pc]
-            pc = pc + 1 if cond_eval(line.condition) else close_i + 1
-        elif kind == ENDWHILE:
-            pc = peers[pc]
-        else:  # pragma: no cover - line kinds are closed
-            raise StructuralError(f"line {pc}: unknown kind {kind}")
+        if conditions[pc] is None or cond_eval(instruction.lines[pc].condition):
+            pc = on_true[pc]
+        else:
+            pc = on_false[pc]
     raise StructuralError("resolution budget exceeded (vacuous loop?)")
 
 
@@ -133,11 +87,10 @@ def required_sequence(instruction: Instruction, trace: Iterable[bool]) -> List[C
         except StopIteration:
             raise TraceExhausted("condition trace ran out") from None
 
-    peers = _block_map(instruction)
     out = []
     pc = 0
     while True:
-        pc = cf_step(instruction, pc, consume, peers)
+        pc = cf_step(instruction, pc, consume)
         if pc == len(instruction):
             return out
         out.append(instruction.lines[pc])

@@ -19,9 +19,9 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .errors import EpisodeDone, SpawnInfeasible, StructuralError
-from .instructions import COMPARANDS, RESOURCES, VERBS, CfLine, Instruction
-from .interpreter import _block_map, cf_step, eval_condition
+from .errors import EpisodeDone, SpawnInfeasible
+from .instructions import COMPARANDS, RESOURCES, SUBTASK_CODE, VERBS, CfLine, Instruction
+from .interpreter import cf_step, checked_flow, eval_condition
 
 GRID = 6
 CELLS = tuple((r, c) for r in range(GRID) for c in range(GRID))
@@ -33,6 +33,8 @@ _CHANNEL_INDEX = {name: i for i, name in enumerate(CHANNELS)}
 # entity count leaves room for one
 WATER_MAX_ENTITIES = 30
 TIME_LIMIT_FACTOR = 30
+# a resource's RESOURCES index is also its COMPARANDS index
+_MERCHANT = COMPARANDS.index("merchant")
 
 
 @dataclass(frozen=True)
@@ -100,7 +102,7 @@ class MinecraftWorld:
 
     def __post_init__(self):
         self.time_limit = TIME_LIMIT_FACTOR * len(self.instruction)
-        self._peers = _block_map(self.instruction)
+        checked_flow(self.instruction)
 
     # -- queries ---------------------------------------------------------
 
@@ -188,12 +190,17 @@ class MinecraftWorld:
 
     # -- control flow ------------------------------------------------------
 
-    def _cond_eval(self, condition) -> bool:
-        return eval_condition(condition, self.counts())
-
     def normalize(self) -> None:
         """Rest the program counter on a subtask, finishing if none remain."""
-        self.pc = cf_step(self.instruction, self.pc, self._cond_eval, self._peers)
+        counts = None
+
+        def cond_eval(condition) -> bool:
+            nonlocal counts
+            if counts is None:  # no entity changes while the pc resolves
+                counts = self.counts()
+            return eval_condition(condition, counts)
+
+        self.pc = cf_step(self.instruction, self.pc, cond_eval)
         if self.pc == len(self.instruction) and not self.done:
             self.done = True
             self.cause = "success"
@@ -369,38 +376,47 @@ def required_stream_feasible(instruction: Instruction, type_counts) -> bool:
     empty inventory), inspecting needs a live target.  The stream must also
     finish within the episode step budget, which bounds degenerate loops.
     """
-    counts = {kind: 0 for kind in COMPARANDS}
-    for kind, value in dict(type_counts).items():
-        counts[kind] = value
-    inventory = {r: 0 for r in RESOURCES}
-    try:
-        peers = _block_map(instruction)
-    except StructuralError:
+    flow = instruction.flow
+    if not flow.verdict:
         return False
-    limit = TIME_LIMIT_FACTOR * len(instruction)
+    given = dict(type_counts)
+    counts = [given.get(kind, 0) for kind in COMPARANDS]
+    inventory = [0] * len(RESOURCES)
+    kinds, conditions, tasks = flow.kinds, flow.conditions, flow.tasks
+    on_true, on_false = flow.on_true, flow.on_false
+    length = len(instruction)
+    limit = TIME_LIMIT_FACTOR * length
+    # inspects met since the last mine or sell; these change no count, so
+    # meeting one again repeats the same lines until the step budget runs out
+    inspected = set()
     pc = 0
     emitted = 0
     while True:
-        try:
-            pc = cf_step(
-                instruction, pc, lambda cond: eval_condition(cond, counts), peers
-            )
-        except StructuralError:
+        # cf_step on the tables, with its resolution budget
+        for _ in range(4 * length + 8):
+            if pc == length:
+                return True
+            if kinds[pc] == SUBTASK_CODE:
+                break
+            condition = conditions[pc]
+            if condition is None or counts[condition[0]] > counts[condition[1]]:
+                pc = on_true[pc]
+            else:
+                pc = on_false[pc]
+        else:
             return False
-        if pc == len(instruction):
-            return True
         emitted += 1
         if emitted > limit:
             return False
-        line = instruction.lines[pc]
-        verb, resource = line.verb, line.target
+        verb, resource = tasks[pc]
         if verb == "mine":
             if counts[resource] < 1:
                 return False
             counts[resource] -= 1
             inventory[resource] += 1
+            inspected.clear()
         elif verb == "sell":
-            if counts["merchant"] < 1:
+            if counts[_MERCHANT] < 1:
                 return False
             if inventory[resource] == 0:
                 if counts[resource] < 1:
@@ -408,9 +424,11 @@ def required_stream_feasible(instruction: Instruction, type_counts) -> bool:
                 counts[resource] -= 1
             else:
                 inventory[resource] -= 1
-        else:  # inspect
-            if counts[resource] < 1:
-                return False
+            inspected.clear()
+        elif counts[resource] < 1 or pc in inspected:  # inspect
+            return False
+        else:
+            inspected.add(pc)
         pc += 1
 
 
@@ -485,10 +503,14 @@ def spawn(
     """
     n = int(rng.integers(0, 37))
     attempts: List[SpawnAttempt] = []
+    verdicts: Dict[tuple, bool] = {}  # static check per entity-type draw
     for resample in range(max_resamples + 1):
         kinds = [ENTITY_TYPES[i] for i in rng.integers(0, len(ENTITY_TYPES), size=n)]
         type_counts = {kind: kinds.count(kind) for kind in ENTITY_TYPES}
-        if not required_stream_feasible(instruction, type_counts):
+        key = tuple(type_counts.values())
+        if key not in verdicts:
+            verdicts[key] = required_stream_feasible(instruction, type_counts)
+        if not verdicts[key]:
             attempts.append(SpawnAttempt(n, "static_reject"))
             continue
         water_placed = n <= WATER_MAX_ENTITIES

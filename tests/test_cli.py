@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from flowgrid import harness
 from flowgrid.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from flowgrid.instructions import decode, parse_text
 
@@ -89,8 +90,10 @@ def test_bad_policy_is_usage_error_before_any_output(tmp_path, monkeypatch, argv
 
 @pytest.mark.parametrize(
     "content",
-    [None, "{not json", "[1]", '{"max_jump": "x"}', '{"max_jump": 0}'],
-    ids=["missing", "malformed", "not-object", "max-jump-not-int", "max-jump-zero"],
+    [None, "{not json", "[1]", '{"max_jump": "x"}', '{"max_jump": 0}',
+     '{"max_jump": 2.5}', '{"max_jump": true}', '{"walk": "no"}'],
+    ids=["missing", "malformed", "not-object", "max-jump-not-int", "max-jump-zero",
+         "max-jump-float", "max-jump-bool", "walk-string"],
 )
 @pytest.mark.parametrize("command", ["run", "eval"])
 def test_unreadable_scripted_params_is_io_error_before_any_output(tmp_path, command, content):
@@ -299,15 +302,45 @@ def test_run_trace_bytes_are_pinned(tmp_path, monkeypatch, config, sha256):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("run", "--max-len", "1", "--episodes", "4"),
-        ("eval", "--bins", "1-1", "--episodes-per-bin", "4"),
+        ("run", "--min-len", "60", "--max-len", "60", "--episodes", "4"),
+        ("eval", "--bins", "60-60", "--episodes-per-bin", "4"),
     ],
     ids=["run", "eval"],
 )
 def test_episode_error_exits_alike_in_process_and_in_workers(argv, jobs):
-    code, _, err = run_cli(*argv, "--domain", "minecraft", "--flow", "multi", "--jobs", jobs)
+    # no starcraft build order of 60 lines fits the tree: every episode fails
+    code, _, err = run_cli(*argv, "--domain", "starcraft", "--jobs", jobs)
     assert code == EXIT_VERIFY
-    assert err == "error: no instruction matching flow='multi' in 1000 attempts\n"
+    assert err == "error: no feasible (instruction, world) pair for this seed\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--max-len", "1", "--episodes", "4"),
+        ("eval", "--bins", "1-1", "--episodes-per-bin", "4"),
+        ("eval", "--bins", "1-5", "--episodes-per-bin", "4"),
+        ("eval", "--bins", "6-10,1-5", "--episodes-per-bin", "4"),
+    ],
+    ids=["run", "eval", "eval-1-5", "eval-late-bin"],
+)
+def test_unmeetable_flow_filter_is_usage_error_before_any_episode(
+    tmp_path, monkeypatch, argv, jobs
+):
+    # a "multi" instruction needs if, subtask, endif, while, subtask, endwhile
+    def no_episode(*args, **kwargs):
+        raise AssertionError("an episode ran")
+
+    monkeypatch.setattr(harness, "spawn_episode_world", no_episode)
+    out = tmp_path / "out"
+    code, _, err = run_cli(
+        *argv, "--domain", "minecraft", "--flow", "multi", "--jobs", jobs, "--out", str(out)
+    )
+    assert code == EXIT_USAGE
+    assert err.startswith("error: no instruction matching flow='multi' fits in ")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_replay_missing_file_is_io_error(tmp_path):
