@@ -32,6 +32,7 @@ from .instructions import (
 )
 
 FLOW_FILTERS = ("any", "single", "multi")
+MULTI_MIN_LINES = 6  # if, subtask, endif, while, subtask, endwhile
 
 
 def _pick(rng: np.random.Generator, options):

@@ -23,7 +23,7 @@ from .errors import (
     TraceFormatError,
     ReplayMismatch,
 )
-from .generators import FLOW_FILTERS, gen_minecraft, gen_starcraft
+from .generators import FLOW_FILTERS, MULTI_MIN_LINES, gen_minecraft, gen_starcraft
 from .instructions import MINECRAFT, RESOURCES, STARCRAFT, VERBS
 from .interpreter import sc_plan
 from .minecraft import Command
@@ -33,7 +33,6 @@ from .starcraft import ActionToken
 TRACE_VERSION = 1
 MAX_REGENERATIONS = 1000
 MAX_CHUNK = 16  # items per process-pool task in map_episodes
-MULTI_MIN_LINES = 6  # if, subtask, endif, while, subtask, endwhile
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ ENDWHILE = "endwhile"
 
 KIND_CODES = {SUBTASK: 0, IF: 1, ELSE: 2, ENDIF: 3, WHILE: 4, ENDWHILE: 5}
 CODE_KINDS = {v: k for k, v in KIND_CODES.items()}
-SUBTASK_CODE = KIND_CODES[SUBTASK]
 
 # --- starcraft vocabulary ---------------------------------------------------
 
@@ -274,7 +273,6 @@ class Flow:
     """
 
     verdict: Verdict
-    kinds: list  # KIND_CODES value of each line
     conditions: list  # (a, b) COMPARANDS indexes on if/while lines, else None
     tasks: list  # (verb, RESOURCES index) on subtask lines, else None
     on_true: list
@@ -323,13 +321,11 @@ def compile_flow(instruction: Instruction) -> Flow:
             _, opener, _ = stack.pop()
             on_false[opener] = i + 1
             on_true[i] = on_false[i] = opener
-    else:
-        if stack:
-            kind, i, _ = stack[-1]
-            verdict = Verdict(False, i, f"{kind} never closed")
+    if verdict and stack:
+        kind, i, _ = stack[-1]
+        verdict = Verdict(False, i, f"{kind} never closed")
     return Flow(
         verdict,
-        [KIND_CODES[line.kind] for line in lines],
         [line.triple()[1:] if line.condition else None for line in lines],
         [(line.verb, RESOURCES.index(line.target)) if line.verb else None for line in lines],
         on_true,

@@ -17,7 +17,6 @@ from .errors import DecodeError, StructuralError, TraceExhausted
 from .instructions import (
     IF,
     NEXUS,
-    SUBTASK_CODE,
     WHILE,
     BuildTree,
     CfLine,
@@ -60,10 +59,10 @@ def cf_step(
     if not 0 <= pc <= length:
         raise ValueError(f"pc {pc} out of range 0..{length}")
     flow = checked_flow(instruction)
-    kinds, conditions = flow.kinds, flow.conditions
+    conditions, tasks = flow.conditions, flow.tasks
     on_true, on_false = flow.on_true, flow.on_false
     for _ in range(4 * length + 8):
-        if pc == length or kinds[pc] == SUBTASK_CODE:
+        if pc == length or tasks[pc] is not None:
             return pc
         if conditions[pc] is None or cond_eval(instruction.lines[pc].condition):
             pc = on_true[pc]

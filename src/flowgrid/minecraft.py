@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from .errors import EpisodeDone, SpawnInfeasible
-from .instructions import COMPARANDS, RESOURCES, SUBTASK_CODE, VERBS, CfLine, Instruction
+from .instructions import COMPARANDS, RESOURCES, VERBS, CfLine, Instruction
 from .interpreter import cf_step, checked_flow, eval_condition
 
 GRID = 6
@@ -382,13 +382,10 @@ def required_stream_feasible(instruction: Instruction, type_counts) -> bool:
     given = dict(type_counts)
     counts = [given.get(kind, 0) for kind in COMPARANDS]
     inventory = [0] * len(RESOURCES)
-    kinds, conditions, tasks = flow.kinds, flow.conditions, flow.tasks
+    conditions, tasks = flow.conditions, flow.tasks
     on_true, on_false = flow.on_true, flow.on_false
     length = len(instruction)
     limit = TIME_LIMIT_FACTOR * length
-    # inspects met since the last mine or sell; these change no count, so
-    # meeting one again repeats the same lines until the step budget runs out
-    inspected = set()
     pc = 0
     emitted = 0
     while True:
@@ -396,7 +393,7 @@ def required_stream_feasible(instruction: Instruction, type_counts) -> bool:
         for _ in range(4 * length + 8):
             if pc == length:
                 return True
-            if kinds[pc] == SUBTASK_CODE:
+            if tasks[pc] is not None:
                 break
             condition = conditions[pc]
             if condition is None or counts[condition[0]] > counts[condition[1]]:
@@ -414,7 +411,6 @@ def required_stream_feasible(instruction: Instruction, type_counts) -> bool:
                 return False
             counts[resource] -= 1
             inventory[resource] += 1
-            inspected.clear()
         elif verb == "sell":
             if counts[_MERCHANT] < 1:
                 return False
@@ -424,11 +420,8 @@ def required_stream_feasible(instruction: Instruction, type_counts) -> bool:
                 counts[resource] -= 1
             else:
                 inventory[resource] -= 1
-            inspected.clear()
-        elif counts[resource] < 1 or pc in inspected:  # inspect
+        elif counts[resource] < 1:  # inspect
             return False
-        else:
-            inspected.add(pc)
         pc += 1
 
 

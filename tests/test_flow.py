@@ -396,7 +396,7 @@ def test_compiled_jumps_of_a_nested_program():
     ))
     flow = compile_flow(ins)
     assert flow.verdict == Verdict(True)
-    assert flow.kinds == [1, 0, 2, 4, 0, 5, 3]
+    assert [t is not None for t in flow.tasks] == [False, True, False, False, True, False, False]
     assert flow.conditions[0] == (0, 1) and flow.conditions[3] == (2, 1)
     assert flow.tasks[1] == ("mine", 0) and flow.tasks[4] == ("sell", 2)
     assert (flow.on_true[0], flow.on_false[0]) == (1, 3)
