@@ -386,6 +386,9 @@ def required_stream_feasible(instruction: Instruction, type_counts) -> bool:
     on_true, on_false = flow.on_true, flow.on_false
     length = len(instruction)
     limit = TIME_LIMIT_FACTOR * length
+    # inspects met since the last mine or sell; these change no count, so
+    # meeting one again repeats the same lines until the step budget runs out
+    inspected = set()
     pc = 0
     emitted = 0
     while True:
@@ -411,6 +414,7 @@ def required_stream_feasible(instruction: Instruction, type_counts) -> bool:
                 return False
             counts[resource] -= 1
             inventory[resource] += 1
+            inspected.clear()
         elif verb == "sell":
             if counts[_MERCHANT] < 1:
                 return False
@@ -420,8 +424,11 @@ def required_stream_feasible(instruction: Instruction, type_counts) -> bool:
                 counts[resource] -= 1
             else:
                 inventory[resource] -= 1
-        elif counts[resource] < 1:  # inspect
+            inspected.clear()
+        elif counts[resource] < 1 or pc in inspected:  # inspect
             return False
+        else:
+            inspected.add(pc)
         pc += 1
 
 

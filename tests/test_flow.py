@@ -384,6 +384,24 @@ def test_static_check_matches_the_earlier_walk_on_generated(seed, max_len, count
     assert required_stream_feasible(ins, counts) == _old_required_stream_feasible(ins, counts)
 
 
+@pytest.mark.parametrize("verb, counts, expected", [
+    ("mine", {"iron": 3, "gold": 0, "wood": 1, "merchant": 0}, True),
+    ("sell", {"iron": 3, "gold": 0, "wood": 1, "merchant": 1}, True),
+    ("inspect", {"iron": 3, "gold": 0, "wood": 1, "merchant": 0}, False),
+])
+def test_static_check_of_an_inspect_met_again_in_a_loop(verb, counts, expected):
+    # the inspect repeats each pass; only a mine or sell in between changes
+    # the counts, so only then may the loop end
+    ins = Instruction((
+        CfLine.while_("iron", "gold"),
+        CfLine.subtask("inspect", "wood"),
+        CfLine.subtask(verb, "iron"),
+        CfLine.endwhile(),
+    ))
+    assert required_stream_feasible(ins, counts) is expected
+    assert _old_required_stream_feasible(ins, counts) is expected
+
+
 def test_compiled_jumps_of_a_nested_program():
     ins = Instruction((
         CfLine.if_("iron", "gold"),      # 0
