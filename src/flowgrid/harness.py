@@ -202,13 +202,7 @@ class RandomStarcraftPolicy(Policy):
         kind = starcraft.TOKEN_KINDS[int(self.rng.integers(len(starcraft.TOKEN_KINDS)))]
         if kind == "commit":
             return ActionToken.commit()
-        limits = {
-            "select_probe": starcraft.N_PROBES,
-            "select_coord": len(starcraft.CELLS),
-            "select_building": 14,
-            "select_unit": 16,
-        }
-        return ActionToken(kind, int(self.rng.integers(limits[kind])))
+        return ActionToken(kind, int(self.rng.integers(starcraft.TOKEN_LIMITS[kind])))
 
 
 class ScriptedPointerPolicy(Policy):
@@ -587,9 +581,11 @@ def replay_episode(episode: dict, check_digests: bool = True):
     """Re-simulate a recorded episode, yielding an ASCII frame per record.
 
     Raises ReplayMismatch when the recorded run and this build disagree:
-    the header instruction is not the one the seed regenerates, a step
-    digest differs, or the end record's outcome, reward or step count is
-    not what the replay reached (or the replayed world is not done).
+    the header instruction is not the one the seed regenerates, a step's
+    ``resolved`` flag or digest differs, a resolved step lacks the digest
+    that other steps of its episode carry, or the end record's outcome,
+    reward or step count is not what the replay reached (or the replayed
+    world is not done).
     """
     header = episode["header"]
     try:
@@ -608,8 +604,10 @@ def replay_episode(episode: dict, check_digests: bool = True):
     ):
         raise ReplayMismatch("header instruction differs from the one its seed generates")
     advance = world.apply if spec.domain == MINECRAFT else world.apply_token
+    steps = episode["steps"]
+    digested = check_digests and any(r.get("digest") is not None for r in steps)
     yield world.render()
-    for position, record in enumerate(episode["steps"]):
+    for position, record in enumerate(steps):
         try:
             command = record["command"]
             if spec.domain == MINECRAFT:
@@ -618,22 +616,25 @@ def replay_episode(episode: dict, check_digests: bool = True):
                 action = ActionToken(command["kind"], command["value"])
         except (KeyError, TypeError, ValueError) as exc:
             raise TraceFormatError(f"step {position}: bad command: {exc}") from None
-        advance(action)
+        resolved = advance(action) is not None  # only starcraft leaves steps open
+        claimed = record.get("resolved", True)
+        if claimed != resolved:
+            raise ReplayMismatch(f"step {position}: resolved {resolved} != recorded {claimed!r}")
         recorded = record.get("digest")
+        if digested and resolved and recorded is None:
+            raise ReplayMismatch(f"step {position}: resolved step has no digest")
         if check_digests and recorded is not None:
             actual = world.digest()
             if actual != recorded:
                 raise ReplayMismatch(
                     f"step {position}: digest {actual} != recorded {recorded}"
                 )
-        if record.get("resolved", True):
+        if resolved:
             yield world.render()
     if not world.done:
-        raise ReplayMismatch(
-            f"world still running after {len(episode['steps'])} steps at the end record"
-        )
+        raise ReplayMismatch(f"world still running after {len(steps)} steps at the end record")
     end = episode["end"]
-    replayed = {"outcome": world.cause, "reward": world.reward, "steps": len(episode["steps"])}
+    replayed = {"outcome": world.cause, "reward": world.reward, "steps": len(steps)}
     for key, actual in replayed.items():
         if end.get(key) != actual:
             raise ReplayMismatch(f"{key} {actual!r} != recorded {end.get(key)!r}")

@@ -11,6 +11,7 @@ units from a world snapshot.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, List, Sequence, Tuple
 
 from .errors import DecodeError, StructuralError, TraceExhausted
@@ -157,6 +158,10 @@ class ScCommand:
             raise ValueError(f"unknown op {self.op!r}")
 
 
+# commands are immutable, so plans share one instance per (op, ident)
+_command = lru_cache(maxsize=None)(ScCommand)
+
+
 def sc_plan(
     tree: BuildTree,
     required: Sequence[int],
@@ -180,7 +185,7 @@ def sc_plan(
             raise DecodeError(f"no producer known for unit {unit}")
         for building in tree.chain(producer):
             if building not in have:
-                plan.append(ScCommand("build", building))
+                plan.append(_command("build", building))
                 have.add(building)
-        plan.append(ScCommand("train", unit))
+        plan.append(_command("train", unit))
     return plan

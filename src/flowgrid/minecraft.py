@@ -505,7 +505,7 @@ def spawn(
     attempts: List[SpawnAttempt] = []
     verdicts: Dict[tuple, bool] = {}  # static check per entity-type draw
     for resample in range(max_resamples + 1):
-        kinds = [ENTITY_TYPES[i] for i in rng.integers(0, len(ENTITY_TYPES), size=n)]
+        kinds = [ENTITY_TYPES[i] for i in rng.integers(0, len(ENTITY_TYPES), size=n).tolist()]
         type_counts = {kind: kinds.count(kind) for kind in ENTITY_TYPES}
         key = tuple(type_counts.values())
         if key not in verdicts:

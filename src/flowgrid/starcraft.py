@@ -18,6 +18,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from string import hexdigits
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -43,6 +44,12 @@ TIME_LIMIT_FACTOR = 30
 MAX_ENDOWMENT = 36  # sampled upper bound; placement caps at the 35 free cells
 
 TOKEN_KINDS = ("select_probe", "select_coord", "select_building", "select_unit", "commit")
+TOKEN_LIMITS = {
+    "select_probe": N_PROBES,
+    "select_coord": GRID * GRID,
+    "select_building": N_BUILDINGS,
+    "select_unit": N_UNITS,
+}
 
 
 @dataclass(frozen=True)
@@ -55,17 +62,11 @@ class ActionToken:
     def __post_init__(self):
         if self.kind not in TOKEN_KINDS:
             raise ValueError(f"unknown token kind {self.kind!r}")
-        limits = {
-            "select_probe": N_PROBES,
-            "select_coord": GRID * GRID,
-            "select_building": N_BUILDINGS,
-            "select_unit": N_UNITS,
-        }
         if self.kind == "commit":
             if self.value is not None:
                 raise ValueError("commit carries no value")
         else:
-            if self.value is None or not 0 <= self.value < limits[self.kind]:
+            if self.value is None or not 0 <= self.value < TOKEN_LIMITS[self.kind]:
                 raise ValueError(f"bad value {self.value!r} for {self.kind}")
 
     @classmethod
@@ -176,13 +177,16 @@ class StarcraftWorld:
             instruction=tuple(self.instruction.encoded()),
         )
 
-    def _state(self) -> dict:
-        """The snapshot without its constant technology tree."""
+    def _grid_rows(self) -> list:
         chars = ["."] * len(CELLS)
         for cell, b in self.grid.items():
-            chars[CELL_INDEX[cell]] = format(b, "x")
+            chars[CELL_INDEX[cell]] = hexdigits[b]  # format(b, "x") for b < 16
+        return ["".join(chars[i:i + GRID]) for i in range(0, len(CELLS), GRID)]
+
+    def _state(self) -> dict:
+        """The snapshot without its constant technology tree."""
         return {
-            "grid": ["".join(chars[i:i + GRID]) for i in range(0, len(CELLS), GRID)],
+            "grid": self._grid_rows(),
             "probes": [list(p) for p in self.probes],
             "units": {
                 UNIT_NAMES[u]: count
@@ -201,9 +205,9 @@ class StarcraftWorld:
         }
 
     @cached_property
-    def _tree(self) -> dict:
-        # the tree never changes, so digest() builds its snapshot once
-        return self._tree_snapshot()
+    def _tree_json(self) -> str:
+        # the tree never changes, so digest() encodes it once
+        return json.dumps(self._tree_snapshot(), sort_keys=True, separators=(",", ":"))
 
     def snapshot(self) -> dict:
         snap = self._state()
@@ -211,8 +215,12 @@ class StarcraftWorld:
         return snap
 
     def digest(self) -> str:
-        snap = dict(self._state(), tree=self._tree)
-        blob = json.dumps(snap, sort_keys=True, separators=(",", ":"))
+        """sha256 of snapshot() as sort_keys JSON, laid out here key by key."""
+        units = ",".join('"%s":%d' % pair for pair in sorted(
+            (UNIT_NAMES[u], n) for u, n in self.units.items() if n > 0))
+        blob = '{"grid":["%s"],"probes":[%s],"seed":%s,"step":%d,"tree":%s,"units":{%s}}' % (
+            '","'.join(self._grid_rows()), ",".join("[%d,%d]" % p for p in self.probes),
+            "null" if self.seed is None else self.seed, self.step_count, self._tree_json, units)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
     def render(self) -> str:

@@ -490,6 +490,57 @@ def test_replay_tampered_trace_fails_verification(tmp_path):
     assert code == EXIT_VERIFY
 
 
+def _null_every_other_digest(records):
+    resolved = [r for r in records if r["kind"] == "step" and r["digest"] is not None]
+    assert len(resolved) >= 2
+    for record in resolved[1::2]:
+        record["digest"] = None
+
+
+def _unresolve_a_resolved_step(records):
+    step = next(r for r in records if r["kind"] == "step" and r["digest"] is not None)
+    step.update(resolved=False, digest=None)
+
+
+@pytest.mark.parametrize(
+    "domain, tamper, reason",
+    [
+        ("starcraft", _null_every_other_digest, "has no digest"),
+        ("minecraft", _null_every_other_digest, "has no digest"),
+        ("starcraft", _unresolve_a_resolved_step, "resolved True != recorded False"),
+    ],
+    ids=["starcraft-nulled", "minecraft-nulled", "starcraft-unresolved"],
+)
+def test_replay_rejects_nulled_digests_in_a_digest_mode_episode(tmp_path, domain, tamper, reason):
+    trace = tmp_path / "trace.jsonl"
+    code, _, _ = run_cli(
+        "run", "--domain", domain, "--policy", "oracle", "--episodes", "2", "--seed", "6",
+        "--min-len", "3", "--max-len", "6", "--out", str(trace),
+    )
+    assert code == EXIT_OK
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    tamper(records)
+    _rewrite(trace, records)
+    code, _, err = run_cli("replay", "--trace", str(trace), "--quiet")
+    assert code == EXIT_VERIFY
+    assert "replay mismatch" in err and reason in err
+
+
+@pytest.mark.parametrize("domain", ["minecraft", "starcraft"])
+def test_replay_accepts_a_no_digests_trace(tmp_path, domain):
+    trace = tmp_path / "trace.jsonl"
+    code, _, _ = run_cli(
+        "run", "--domain", domain, "--episodes", "2", "--seed", "6",
+        "--min-len", "3", "--max-len", "6", "--no-digests", "--out", str(trace),
+    )
+    assert code == EXIT_OK
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert all(r["digest"] is None for r in records if r["kind"] == "step")
+    code, _, err = run_cli("replay", "--trace", str(trace), "--quiet")
+    assert code == EXIT_OK
+    assert "2 episode(s) verified" in err
+
+
 def test_run_with_failure_buffer(tmp_path):
     trace = tmp_path / "trace.jsonl"
     code, _, _ = run_cli(

@@ -1,13 +1,19 @@
 """Build-order world: token automaton, dynamics, disruptions, audits."""
 
+import hashlib
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowgrid.errors import EpisodeDone, SpawnInfeasible
-from flowgrid.generators import gen_starcraft
-from flowgrid.instructions import BuildTree, Instruction, ScLine
+from flowgrid.generators import gen_build_tree, gen_starcraft
+from flowgrid.instructions import N_BUILDINGS, N_UNITS, BuildTree, Instruction, ScLine
 from flowgrid.rngtools import substream
 from flowgrid.starcraft import (
     CELL_INDEX,
+    CELLS,
     GRID,
     N_PROBES,
     ActionToken,
@@ -374,3 +380,31 @@ def test_token_value_validation():
         ActionToken("commit", 1)
     with pytest.raises(ValueError):
         ActionToken("select_unit", None)
+
+
+# --- digest -------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tree_seed=st.integers(0, 2**32),
+    grid=st.dictionaries(st.sampled_from(CELLS), st.integers(0, N_BUILDINGS - 1)),
+    probes=st.lists(st.sampled_from(CELLS), min_size=N_PROBES, max_size=N_PROBES),
+    units=st.dictionaries(st.integers(0, N_UNITS - 1), st.integers(0, 5)),
+    step=st.integers(0, 10**6),
+    seed=st.none() | st.integers(0, 2**63),
+)
+def test_digest_is_hash_of_sorted_snapshot_json_on_any_state(
+    tree_seed, grid, probes, units, step, seed
+):
+    world = StarcraftWorld(
+        tree=gen_build_tree(substream(tree_seed, "tree")),
+        instruction=Instruction((ScLine.unit(0),)),
+        grid=grid,
+        probes=probes,
+        units=units,
+        step_count=step,
+        seed=seed,
+    )
+    blob = json.dumps(world.snapshot(), sort_keys=True, separators=(",", ":"))
+    assert world.digest() == hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
