@@ -271,9 +271,9 @@ def cmd_replay(args) -> int:
     replayed = 0
     with handle:
         for episode in split_episodes(read_trace_records(handle)):
-            for frame in replay_episode(episode, check_digests=not args.no_check_digests):
+            for world in replay_episode(episode, check_digests=not args.no_check_digests):
                 if not args.quiet:
-                    print(frame)
+                    print(world.render())
                     print()
             log.info("episode %d replayed: %s", replayed, episode["header"]["seed"])
             replayed += 1

@@ -578,7 +578,10 @@ def split_episodes(records):
 
 
 def replay_episode(episode: dict, check_digests: bool = True):
-    """Re-simulate a recorded episode, yielding an ASCII frame per record.
+    """Re-simulate a recorded episode, yielding the live world as it goes.
+
+    Yields the world once after spawn and again after each resolved step,
+    so a caller can ``render()`` the frames it shows and skip the rest.
 
     Raises ReplayMismatch when the recorded run and this build disagree:
     the header instruction is not the one the seed regenerates, a step's
@@ -606,7 +609,7 @@ def replay_episode(episode: dict, check_digests: bool = True):
     advance = world.apply if spec.domain == MINECRAFT else world.apply_token
     steps = episode["steps"]
     digested = check_digests and any(r.get("digest") is not None for r in steps)
-    yield world.render()
+    yield world
     for position, record in enumerate(steps):
         try:
             command = record["command"]
@@ -630,7 +633,7 @@ def replay_episode(episode: dict, check_digests: bool = True):
                     f"step {position}: digest {actual} != recorded {recorded}"
                 )
         if resolved:
-            yield world.render()
+            yield world
     if not world.done:
         raise ReplayMismatch(f"world still running after {len(steps)} steps at the end record")
     end = episode["end"]

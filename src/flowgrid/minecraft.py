@@ -12,7 +12,6 @@ ends it with reward 0, and episodes time out at 30 steps per line.
 from __future__ import annotations
 
 import hashlib
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
@@ -25,6 +24,7 @@ from .interpreter import cf_step, checked_flow, eval_condition
 
 GRID = 6
 CELLS = tuple((r, c) for r in range(GRID) for c in range(GRID))
+CELL_INDEX = {cell: i for i, cell in enumerate(CELLS)}
 ENTITY_TYPES = ("iron", "gold", "wood", "merchant")
 ENTITY_CHARS = {"iron": "i", "gold": "g", "wood": "w", "merchant": "m"}
 CHANNELS = ("iron", "gold", "wood", "merchant", "wall", "water", "worker")
@@ -134,23 +134,20 @@ class MinecraftWorld:
             instruction=tuple(tuple(t) for t in self.instruction.encoded()),
         )
 
+    def _grid_rows(self) -> list:
+        chars = ["."] * len(CELLS)
+        # later layers win: wall over water over entity
+        for cell, kind in self.entities.items():
+            chars[CELL_INDEX[cell]] = ENTITY_CHARS[kind]
+        for cell in self.water:
+            chars[CELL_INDEX[cell]] = "~"
+        for cell in self.walls:
+            chars[CELL_INDEX[cell]] = "#"
+        return ["".join(chars[i:i + GRID]) for i in range(0, len(CELLS), GRID)]
+
     def snapshot(self) -> dict:
-        rows = []
-        for r in range(GRID):
-            chars = []
-            for c in range(GRID):
-                cell = (r, c)
-                if cell in self.walls:
-                    chars.append("#")
-                elif cell in self.water:
-                    chars.append("~")
-                elif cell in self.entities:
-                    chars.append(ENTITY_CHARS[self.entities[cell]])
-                else:
-                    chars.append(".")
-            rows.append("".join(chars))
         return {
-            "grid": rows,
+            "grid": self._grid_rows(),
             "worker": list(self.worker),
             "inventory": {r: self.inventory[r] for r in RESOURCES},
             "step": self.step_count,
@@ -158,16 +155,23 @@ class MinecraftWorld:
         }
 
     def digest(self) -> str:
-        blob = json.dumps(self.snapshot(), sort_keys=True, separators=(",", ":"))
+        """sha256 of snapshot() as sort_keys JSON, laid out here key by key."""
+        inventory = self.inventory
+        blob = (
+            '{"grid":["%s"],"inventory":{"gold":%d,"iron":%d,"wood":%d},'
+            '"seed":%s,"step":%d,"worker":[%d,%d]}'
+        ) % (
+            '","'.join(self._grid_rows()), inventory["gold"], inventory["iron"],
+            inventory["wood"], "null" if self.seed is None else self.seed,
+            self.step_count, *self.worker)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
     def render(self) -> str:
-        snap = self.snapshot()
-        rows = [list(row) for row in snap["grid"]]
-        rows[self.worker[0]][self.worker[1]] = "@"
+        lines = self._grid_rows()
+        row, col = self.worker
+        lines[row] = lines[row][:col] + "@" + lines[row][col + 1:]
         inv = " ".join(f"{r}:{self.inventory[r]}" for r in RESOURCES)
         status = self.cause if self.done else "running"
-        lines = ["".join(row) for row in rows]
         lines.append(f"step {self.step_count} inv {inv} [{status}]")
         return "\n".join(lines)
 

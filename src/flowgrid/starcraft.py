@@ -183,20 +183,6 @@ class StarcraftWorld:
             chars[CELL_INDEX[cell]] = hexdigits[b]  # format(b, "x") for b < 16
         return ["".join(chars[i:i + GRID]) for i in range(0, len(CELLS), GRID)]
 
-    def _state(self) -> dict:
-        """The snapshot without its constant technology tree."""
-        return {
-            "grid": self._grid_rows(),
-            "probes": [list(p) for p in self.probes],
-            "units": {
-                UNIT_NAMES[u]: count
-                for u, count in sorted(self.units.items())
-                if count > 0
-            },
-            "step": self.step_count,
-            "seed": self.seed,
-        }
-
     def _tree_snapshot(self) -> dict:
         return {
             "prerequisite": {str(k): v for k, v in sorted(self.tree.prerequisite.items())},
@@ -210,9 +196,18 @@ class StarcraftWorld:
         return json.dumps(self._tree_snapshot(), sort_keys=True, separators=(",", ":"))
 
     def snapshot(self) -> dict:
-        snap = self._state()
-        snap["tree"] = self._tree_snapshot()
-        return snap
+        return {
+            "grid": self._grid_rows(),
+            "probes": [list(p) for p in self.probes],
+            "units": {
+                UNIT_NAMES[u]: count
+                for u, count in sorted(self.units.items())
+                if count > 0
+            },
+            "step": self.step_count,
+            "seed": self.seed,
+            "tree": self._tree_snapshot(),
+        }
 
     def digest(self) -> str:
         """sha256 of snapshot() as sort_keys JSON, laid out here key by key."""
@@ -224,12 +219,13 @@ class StarcraftWorld:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
     def render(self) -> str:
-        snap = self._state()
-        rows = [list(row) for row in snap["grid"]]
+        rows = [list(row) for row in self._grid_rows()]
         for r, c in self.probes:
             if rows[r][c] == ".":
                 rows[r][c] = "p"
-        units = " ".join(f"{name}:{n}" for name, n in snap["units"].items()) or "-"
+        units = " ".join(
+            f"{UNIT_NAMES[u]}:{n}" for u, n in sorted(self.units.items()) if n > 0
+        ) or "-"
         status = self.cause if self.done else "running"
         lines = ["".join(row) for row in rows]
         lines.append(f"step {self.step_count} units {units} [{status}]")

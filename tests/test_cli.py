@@ -11,6 +11,8 @@ import pytest
 from flowgrid import harness
 from flowgrid.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from flowgrid.instructions import decode, parse_text
+from flowgrid.minecraft import MinecraftWorld
+from flowgrid.starcraft import StarcraftWorld
 
 
 def run_cli(*argv):
@@ -495,6 +497,62 @@ def _null_every_other_digest(records):
     assert len(resolved) >= 2
     for record in resolved[1::2]:
         record["digest"] = None
+
+
+def _write_mixed_trace(path):
+    """Three minecraft and two starcraft oracle episodes, then one random
+    starcraft episode, as one trace; returns its records."""
+    parts = []
+    for argv in (
+        ("--domain", "minecraft", "--policy", "oracle", "--min-len", "3", "--max-len", "8",
+         "--episodes", "3"),
+        ("--domain", "starcraft", "--policy", "oracle", "--min-len", "3", "--max-len", "8",
+         "--episodes", "2"),
+        ("--domain", "starcraft", "--policy", "random", "--min-len", "1", "--max-len", "3",
+         "--episodes", "1"),
+    ):
+        code, out, _ = run_cli("run", *argv, "--seed", "5")
+        assert code == EXIT_OK
+        parts.append(out)
+    path.write_text("".join(parts))
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+# sha256 of the frames `replay` prints for the trace above; frames are drawn
+# from the live world only when printed, and must stay byte for byte the same
+MIXED_REPLAY_STDOUT_SHA256 = "f5ad37c3043e50a090bddf43781ec64277e306fc386b26bdfbafdd60ba8046a4"
+
+
+def test_replay_frames_are_pinned(tmp_path):
+    trace = tmp_path / "trace.jsonl"
+    records = _write_mixed_trace(trace)
+    code, out, err = run_cli("replay", "--trace", str(trace))
+    assert code == EXIT_OK
+    assert err == "replay ok: 6 episode(s) verified\n"
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == MIXED_REPLAY_STDOUT_SHA256
+    # one frame at spawn, then one per resolved step (minecraft steps always resolve)
+    frames = out.split("\n\n")
+    assert frames.pop() == ""
+    headers = sum(r["kind"] == "header" for r in records)
+    resolved = sum(r["kind"] == "step" and r.get("resolved", True) for r in records)
+    assert any(r["kind"] == "step" and not r.get("resolved", True) for r in records)
+    assert len(frames) == headers + resolved
+    assert sum(frame.splitlines()[-1].startswith("step 0 ") for frame in frames) == headers
+
+
+def test_quiet_replay_renders_nothing(tmp_path, monkeypatch):
+    trace = tmp_path / "trace.jsonl"
+    _write_mixed_trace(trace)
+
+    def no_render(self):
+        raise AssertionError("a frame was rendered")
+
+    monkeypatch.setattr(MinecraftWorld, "render", no_render)
+    monkeypatch.setattr(StarcraftWorld, "render", no_render)
+    code, out, err = run_cli("replay", "--trace", str(trace), "--quiet")
+    assert code == EXIT_OK
+    assert out == ""
+    assert err == "replay ok: 6 episode(s) verified\n"
 
 
 def _unresolve_a_resolved_step(records):

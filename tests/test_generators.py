@@ -1,5 +1,7 @@
 """Instruction generators: lengths, filters, budgets, and determinism."""
 
+from typing import List
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,9 +19,12 @@ from flowgrid.instructions import (
     ENDWHILE,
     IF,
     NEXUS,
+    N_UNITS,
     SUBTASK,
     WHILE,
+    BuildTree,
     Instruction,
+    ScLine,
     flow_kinds,
     validate,
 )
@@ -216,3 +221,65 @@ def test_starcraft_generation_deterministic(seed, max_len):
     assert t1.prerequisite == t2.prerequisite
     assert t1.producer == t2.producer
     assert i1.lines == i2.lines
+
+
+def _old_assemble_starcraft(rng, tree, max_len):
+    """``assemble_starcraft`` as it was before producer chains were computed
+    once per call: every candidate unit walks its producer's chain on every
+    iteration.  Kept as the oracle for the property test below."""
+    listed = {NEXUS}
+    tail = NEXUS
+    lines: List[ScLine] = []
+    frag_prereq: dict = {}
+    frag_producer: dict = {}
+    required: List[int] = []
+    chosen = set()
+    remaining = max_len
+    while remaining > 0 and len(chosen) < N_UNITS:
+        candidates = []
+        for unit in range(N_UNITS):
+            if unit in chosen:
+                continue
+            producer = tree.producer[unit]
+            unlisted = [b for b in tree.chain(producer) if b not in listed]
+            if unlisted:
+                cost = len(unlisted) + 1
+            else:
+                cost = 1 if tail == producer else 2
+            if cost <= remaining:
+                candidates.append((unit, producer, unlisted, cost))
+        if not candidates:
+            break
+        unit, producer, unlisted, cost = candidates[int(rng.integers(len(candidates)))]
+        if unlisted:
+            for prev, building in zip(unlisted, unlisted[1:]):
+                frag_prereq[building] = prev
+            for building in unlisted:
+                lines.append(ScLine.building(building))
+                listed.add(building)
+            tail = unlisted[-1]
+        elif tail != producer:
+            lines.append(ScLine.building(producer))
+            tail = producer
+        lines.append(ScLine.unit(unit))
+        frag_producer[unit] = tail
+        required.append(unit)
+        chosen.add(unit)
+        remaining -= cost
+    fragment = BuildTree(prerequisite=frag_prereq, producer=frag_producer)
+    return tuple(lines), fragment, required
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    max_depth=st.none() | st.integers(1, 4),
+    max_len=st.integers(1, 60),
+)
+def test_assembly_matches_the_per_iteration_chain_walk(seed, max_depth, max_len):
+    tree = gen_build_tree(substream(seed, "tree"), max_depth)
+    new_rng, old_rng = substream(seed, "assemble"), substream(seed, "assemble")
+    assert assemble_starcraft(new_rng, tree, max_len) == _old_assemble_starcraft(
+        old_rng, tree, max_len
+    )
+    assert new_rng.random() == old_rng.random()  # the same draws were made

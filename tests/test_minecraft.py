@@ -5,6 +5,8 @@ layered (cell, water-used) state graph, which shares no code with the
 library's hand-rolled search.
 """
 
+import hashlib
+import json
 from collections import deque
 
 import networkx as nx
@@ -17,6 +19,9 @@ from flowgrid.errors import EpisodeDone, SpawnInfeasible
 from flowgrid.generators import gen_longjump, gen_minecraft
 from flowgrid.instructions import CfLine, Instruction
 from flowgrid.minecraft import (
+    CELLS,
+    ENTITY_CHARS,
+    ENTITY_TYPES,
     GRID,
     Command,
     MinecraftWorld,
@@ -598,3 +603,88 @@ def test_required_stream_feasible_counts():
     inspect = mc(S("inspect", "wood"))
     assert required_stream_feasible(inspect, {"wood": 1})
     assert not required_stream_feasible(inspect, {})
+
+
+# --- digest -------------------------------------------------------------------------
+
+
+ANY_STATE = dict(
+    entities=st.dictionaries(st.sampled_from(CELLS), st.sampled_from(ENTITY_TYPES)),
+    water=st.sets(st.sampled_from(CELLS)),
+    walls=st.frozensets(st.sampled_from(CELLS)),
+    worker=st.sampled_from(CELLS),
+    inventory=st.fixed_dictionaries(
+        {r: st.integers(0, 10**9) for r in ("iron", "gold", "wood")}
+    ),
+    step=st.integers(0, 10**6),
+    seed=st.none() | st.integers(0, 2**63),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(**ANY_STATE)
+def test_digest_is_hash_of_sorted_snapshot_json_on_any_state(
+    entities, water, walls, worker, inventory, step, seed
+):
+    world = MinecraftWorld(
+        instruction=mc(S("mine", "iron")),
+        entities=entities,
+        water=water,
+        walls=walls,
+        worker=worker,
+        inventory=inventory,
+        step_count=step,
+        seed=seed,
+    )
+    # each cell shows its wall, else its water, else its entity
+    grid = [
+        "".join(
+            "#" if (r, c) in walls
+            else "~" if (r, c) in water
+            else ENTITY_CHARS[entities[(r, c)]] if (r, c) in entities
+            else "."
+            for c in range(GRID)
+        )
+        for r in range(GRID)
+    ]
+    assert world.snapshot() == {
+        "grid": grid,
+        "worker": list(worker),
+        "inventory": inventory,
+        "step": step,
+        "seed": seed,
+    }
+    blob = json.dumps(world.snapshot(), sort_keys=True, separators=(",", ":"))
+    assert world.digest() == hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+
+def _snapshot_render(world):
+    """``render`` as it was when it drew from the snapshot dict."""
+    rows = [list(row) for row in world.snapshot()["grid"]]
+    rows[world.worker[0]][world.worker[1]] = "@"
+    inv = " ".join(f"{r}:{world.inventory[r]}" for r in ("iron", "gold", "wood"))
+    status = world.cause if world.done else "running"
+    lines = ["".join(row) for row in rows]
+    lines.append(f"step {world.step_count} inv {inv} [{status}]")
+    return "\n".join(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(**ANY_STATE, ending=st.sampled_from([(False, None), (True, "success"), (True, "timeout")]))
+def test_render_matches_the_snapshot_drawing_on_any_state(
+    entities, water, walls, worker, inventory, step, seed, ending
+):
+    done, cause = ending
+    world = MinecraftWorld(
+        instruction=mc(S("mine", "iron")),
+        entities=entities,
+        water=water,
+        walls=walls,
+        worker=worker,
+        inventory=inventory,
+        step_count=step,
+        seed=seed,
+        done=done,
+        cause=cause,
+    )
+    assert world.render() == _snapshot_render(world)

@@ -408,3 +408,40 @@ def test_digest_is_hash_of_sorted_snapshot_json_on_any_state(
     )
     blob = json.dumps(world.snapshot(), sort_keys=True, separators=(",", ":"))
     assert world.digest() == hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+
+def _snapshot_render(world):
+    """``render`` as it was when it drew from the snapshot's state dict."""
+    snap = world.snapshot()
+    rows = [list(row) for row in snap["grid"]]
+    for r, c in world.probes:
+        if rows[r][c] == ".":
+            rows[r][c] = "p"
+    units = " ".join(f"{name}:{n}" for name, n in snap["units"].items()) or "-"
+    status = world.cause if world.done else "running"
+    lines = ["".join(row) for row in rows]
+    lines.append(f"step {world.step_count} units {units} [{status}]")
+    return "\n".join(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    grid=st.dictionaries(st.sampled_from(CELLS), st.integers(0, N_BUILDINGS - 1)),
+    probes=st.lists(st.sampled_from(CELLS), min_size=N_PROBES, max_size=N_PROBES),
+    units=st.dictionaries(st.integers(0, N_UNITS - 1), st.integers(0, 5)),
+    step=st.integers(0, 10**6),
+    ending=st.sampled_from([(False, None), (True, "success"), (True, "timeout")]),
+)
+def test_render_matches_the_snapshot_drawing_on_any_state(grid, probes, units, step, ending):
+    done, cause = ending
+    world = StarcraftWorld(
+        tree=gen_build_tree(substream(0, "tree")),
+        instruction=Instruction((ScLine.unit(0),)),
+        grid=grid,
+        probes=probes,
+        units=units,
+        step_count=step,
+        done=done,
+        cause=cause,
+    )
+    assert world.render() == _snapshot_render(world)
