@@ -162,10 +162,7 @@ def cmd_gen(args) -> int:
             "encoded": instruction.encoded(),
         }
         if tree is not None:
-            row["tree"] = {
-                "prerequisite": {str(k): v for k, v in sorted(tree.prerequisite.items())},
-                "producer": {str(k): v for k, v in sorted(tree.producer.items())},
-            }
+            row["tree"] = tree.as_dict()
         rows.append(row)
     with _open_out(args.out) as handle:
         for row in rows:
@@ -437,7 +434,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             try:
                 with open(known.config, "r", encoding="utf-8") as handle:
                     defaults = json.load(handle)
-            except (OSError, json.JSONDecodeError) as exc:
+            except (OSError, ValueError) as exc:  # ValueError: not JSON, not UTF-8
                 print(f"error: cannot read config: {exc}", file=sys.stderr)
                 return EXIT_IO
             if not isinstance(defaults, dict):

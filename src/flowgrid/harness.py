@@ -9,6 +9,7 @@ byte-identically and parallel execution cannot reorder randomness.
 from __future__ import annotations
 
 import json
+import operator
 import os
 from dataclasses import asdict, dataclass, field
 from typing import IO, List, Optional, Union
@@ -313,11 +314,6 @@ def parse_policy(policy: Union[str, PolicySpec], domain: str) -> PolicySpec:
     raise ValueError(f"unknown policy {policy!r}")
 
 
-def make_policy(name: str, domain: str, rng: np.random.Generator) -> Policy:
-    """Build a fresh policy instance from its CLI name."""
-    return parse_policy(name, domain).build(rng)
-
-
 # --- episode running -----------------------------------------------------------
 
 
@@ -362,6 +358,24 @@ def spawn_episode_world(spec: EpisodeSpec, seed: int):
     raise GenerationError("no feasible (instruction, world) pair for this seed")
 
 
+# the step record fields that replay recomputes, in _step_fields order
+_CHECKED_FIELDS = ("t", "reward", "done", "cause", "pc", "resolved", "noop")
+_recorded_fields = operator.itemgetter(*_CHECKED_FIELDS)
+
+
+def _step_fields(world, outcome) -> tuple:
+    """The _CHECKED_FIELDS of the step whose ``apply`` returned ``outcome``."""
+    resolved = outcome is not None
+    return (world.step_count, outcome.reward if resolved else 0, world.done, world.cause,
+            world.pc, resolved, resolved and outcome.noop)
+
+
+def _step_record(world, action, outcome, digest: bool) -> StepRecord:
+    t, reward, done, cause, pc, resolved, noop = _step_fields(world, outcome)
+    return StepRecord(t, action.as_dict(), reward, done, cause, pc,
+                      world.digest() if digest and resolved else None, resolved, noop)
+
+
 def drive_world(world, policy: Policy, record_digests: bool = True) -> List[StepRecord]:
     """Run ``policy`` on ``world`` until the episode ends."""
     policy.reset(world)
@@ -369,34 +383,7 @@ def drive_world(world, policy: Policy, record_digests: bool = True) -> List[Step
     steps: List[StepRecord] = []
     while not world.done:
         action = policy.act(world.observe() if reads_observation else None, world)
-        if isinstance(action, Command):
-            reward, done, cause = world.apply(action)
-            steps.append(
-                StepRecord(
-                    t=world.step_count,
-                    command=action.as_dict(),
-                    reward=reward,
-                    done=done,
-                    cause=cause,
-                    pc=world.pc,
-                    digest=world.digest() if record_digests else None,
-                )
-            )
-        else:
-            outcome = world.apply_token(action)
-            resolved = outcome is not None
-            steps.append(
-                StepRecord(
-                    t=world.step_count,
-                    command=action.as_dict(),
-                    reward=outcome.reward if resolved else 0,
-                    done=world.done,
-                    cause=world.cause,
-                    digest=world.digest() if (record_digests and resolved) else None,
-                    resolved=resolved,
-                    noop=bool(resolved and outcome.noop),
-                )
-            )
+        steps.append(_step_record(world, action, world.apply(action), record_digests))
     return steps
 
 
@@ -529,19 +516,22 @@ def write_traces(handle: IO, traces) -> None:
 
 def read_trace_records(handle: IO):
     """Yield the JSON object on each non-blank line of a trace file."""
-    for line_number, line in enumerate(handle, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(
-                f"line {line_number}: invalid JSON ({exc.msg})", line_number
-            ) from None
-        if not isinstance(record, dict):
-            raise TraceFormatError(f"line {line_number}: not a JSON object", line_number)
-        yield record
+    try:
+        for line_number, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise TraceFormatError(
+                    f"line {line_number}: invalid JSON ({exc.msg})", line_number
+                ) from None
+            if not isinstance(record, dict):
+                raise TraceFormatError(f"line {line_number}: not a JSON object", line_number)
+            yield record
+    except UnicodeDecodeError as exc:  # from reading ``handle``; text is decoded in blocks
+        raise TraceFormatError(f"not UTF-8 text ({exc.reason})") from None
 
 
 def split_episodes(records):
@@ -585,10 +575,11 @@ def replay_episode(episode: dict, check_digests: bool = True):
 
     Raises ReplayMismatch when the recorded run and this build disagree:
     the header instruction is not the one the seed regenerates, a step's
-    ``resolved`` flag or digest differs, a resolved step lacks the digest
-    that other steps of its episode carry, or the end record's outcome,
-    reward or step count is not what the replay reached (or the replayed
-    world is not done).
+    ``t``, ``reward``, ``done``, ``cause``, ``pc``, ``resolved`` or ``noop``
+    or its digest differs, a resolved step lacks the digest that other
+    steps of its episode carry, or the end record's outcome, reward, step
+    count or episode number (its header's) is not what the replay reached
+    (or the replayed world is not done).
     """
     header = episode["header"]
     try:
@@ -606,23 +597,23 @@ def replay_episode(episode: dict, check_digests: bool = True):
         world.instruction.encoded(),
     ):
         raise ReplayMismatch("header instruction differs from the one its seed generates")
-    advance = world.apply if spec.domain == MINECRAFT else world.apply_token
+    action_type = Command if spec.domain == MINECRAFT else ActionToken
     steps = episode["steps"]
     digested = check_digests and any(r.get("digest") is not None for r in steps)
     yield world
     for position, record in enumerate(steps):
         try:
-            command = record["command"]
-            if spec.domain == MINECRAFT:
-                action = Command(command["verb"], command["target"])
-            else:
-                action = ActionToken(command["kind"], command["value"])
+            action = action_type(**record["command"])
+            claimed = _recorded_fields(record)
         except (KeyError, TypeError, ValueError) as exc:
-            raise TraceFormatError(f"step {position}: bad command: {exc}") from None
-        resolved = advance(action) is not None  # only starcraft leaves steps open
-        claimed = record.get("resolved", True)
-        if claimed != resolved:
-            raise ReplayMismatch(f"step {position}: resolved {resolved} != recorded {claimed!r}")
+            raise TraceFormatError(f"step {position}: bad step record: {exc}") from None
+        outcome = world.apply(action)  # only starcraft leaves steps open (None)
+        fields = _step_fields(world, outcome)
+        if fields != claimed:  # one tuple comparison while the steps agree
+            for name, actual, wanted in zip(_CHECKED_FIELDS, fields, claimed):
+                if actual != wanted:
+                    raise ReplayMismatch(f"step {position}: {name} {actual!r} != recorded {wanted!r}")
+        resolved = outcome is not None
         recorded = record.get("digest")
         if digested and resolved and recorded is None:
             raise ReplayMismatch(f"step {position}: resolved step has no digest")
@@ -637,7 +628,8 @@ def replay_episode(episode: dict, check_digests: bool = True):
     if not world.done:
         raise ReplayMismatch(f"world still running after {len(steps)} steps at the end record")
     end = episode["end"]
-    replayed = {"outcome": world.cause, "reward": world.reward, "steps": len(steps)}
+    replayed = {"outcome": world.cause, "reward": world.reward, "steps": len(steps),
+                "episode": header.get("episode")}
     for key, actual in replayed.items():
         if end.get(key) != actual:
             raise ReplayMismatch(f"{key} {actual!r} != recorded {end.get(key)!r}")

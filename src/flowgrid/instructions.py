@@ -379,6 +379,13 @@ class BuildTree:
         out.reverse()
         return out
 
+    def as_dict(self) -> dict:
+        """Both maps with string keys in ascending order, as ``gen`` and snapshots lay them out."""
+        return {
+            "prerequisite": {str(k): v for k, v in sorted(self.prerequisite.items())},
+            "producer": {str(k): v for k, v in sorted(self.producer.items())},
+        }
+
     def depth(self, building: int) -> int:
         return len(self.chain(building))
 

@@ -22,6 +22,7 @@ from .errors import EpisodeDone, SpawnInfeasible
 from .instructions import COMPARANDS, RESOURCES, VERBS, CfLine, Instruction
 from .interpreter import cf_step, checked_flow, eval_condition
 
+# the grid and the time limit are shared with the starcraft world
 GRID = 6
 CELLS = tuple((r, c) for r in range(GRID) for c in range(GRID))
 CELL_INDEX = {cell: i for i, cell in enumerate(CELLS)}
@@ -52,6 +53,19 @@ class Command:
 
     def as_dict(self) -> dict:
         return {"verb": self.verb, "target": self.target}
+
+
+@dataclass
+class StepOutcome:
+    """What either world's ``apply`` returns for a step that advanced world time."""
+
+    reward: int
+    done: bool
+    cause: Optional[str]
+    command: Optional[dict] = None  # starcraft's resolved command, None for a no-op
+    noop: bool = False
+    # set by the starcraft world's step_token; apply leaves it None
+    observation: object = None
 
 
 @dataclass
@@ -218,11 +232,11 @@ class MinecraftWorld:
         Returns (observation, reward, done, cause).  Raises EpisodeDone if
         the episode already ended.
         """
-        reward, done, cause = self.apply(command)
-        return self.observe(), reward, done, cause
+        outcome = self.apply(command)
+        return self.observe(), outcome.reward, outcome.done, outcome.cause
 
-    def apply(self, command: Command):
-        """``step`` without building the observation: (reward, done, cause)."""
+    def apply(self, command: Command) -> StepOutcome:
+        """``step`` without building the observation."""
         if self.done:
             raise EpisodeDone("episode is over; build a new world")
         verb, target = command.verb, command.target
@@ -256,7 +270,7 @@ class MinecraftWorld:
         if not self.done and self.step_count >= self.time_limit:
             self.done = True
             self.cause = "timeout"
-        return reward, self.done, self.cause
+        return StepOutcome(reward, self.done, self.cause)
 
     def _mine_here(self, resource: str) -> None:
         assert self.entities.get(self.worker) == resource

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from string import hexdigits
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -33,14 +33,11 @@ from .instructions import (
     Instruction,
 )
 from .interpreter import sc_plan
+from .minecraft import CELL_INDEX, CELLS, GRID, TIME_LIMIT_FACTOR, StepOutcome
 
-GRID = 6
-CELLS = tuple((r, c) for r in range(GRID) for c in range(GRID))
-CELL_INDEX = {cell: i for i, cell in enumerate(CELLS)}
 N_PROBES = 3
 ATTACK_RATE = 0.1
 AMBUSH_RATE = 0.1
-TIME_LIMIT_FACTOR = 30
 MAX_ENDOWMENT = 36  # sampled upper bound; placement caps at the 35 free cells
 
 TOKEN_KINDS = ("select_probe", "select_coord", "select_building", "select_unit", "commit")
@@ -112,19 +109,6 @@ class DisruptionReport:
     ambushed: Optional[int] = None
 
 
-@dataclass
-class StepOutcome:
-    """Returned when a token resolves a command and time advances."""
-
-    reward: int
-    done: bool
-    cause: Optional[str]
-    command: Optional[dict]  # resolved command, None for a no-op
-    noop: bool
-    # set by step_token; apply_token leaves it None
-    observation: Optional["ScObservation"] = None
-
-
 @dataclass(eq=False)
 class StarcraftWorld:
     tree: BuildTree
@@ -146,6 +130,7 @@ class StarcraftWorld:
     cause: Optional[str] = None
     last_disruption: Optional[DisruptionReport] = None
     endowment: int = 0
+    pc = None  # a build order has no program counter
 
     def __post_init__(self):
         self.required = tuple(
@@ -184,11 +169,7 @@ class StarcraftWorld:
         return ["".join(chars[i:i + GRID]) for i in range(0, len(CELLS), GRID)]
 
     def _tree_snapshot(self) -> dict:
-        return {
-            "prerequisite": {str(k): v for k, v in sorted(self.tree.prerequisite.items())},
-            "producer": {str(k): v for k, v in sorted(self.tree.producer.items())},
-            "hidden": True,
-        }
+        return {**self.tree.as_dict(), "hidden": True}
 
     @cached_property
     def _tree_json(self) -> str:
@@ -240,10 +221,10 @@ class StarcraftWorld:
         token illegal in its context) applies the command, advances time
         one step, and returns the outcome with the new observation.
         """
-        outcome = self.apply_token(token)
+        outcome = self.apply(token)
         return None if outcome is None else replace(outcome, observation=self.observe())
 
-    def apply_token(self, token: ActionToken) -> Optional[StepOutcome]:
+    def apply(self, token: ActionToken) -> Optional[StepOutcome]:
         """``step_token`` without building the observation."""
         if self.done:
             raise EpisodeDone("episode is over; build a new world")
@@ -379,24 +360,13 @@ class StarcraftWorld:
         return report
 
     def _refresh_done(self) -> None:
+        """End the episode on success, which wins over the step limit."""
         if self.done:
             return
-        reward, done, cause = check_done(self)
-        if done:
-            self.done, self.cause = True, cause
-            self.reward = reward
-
-
-def check_done(world: StarcraftWorld) -> Tuple[int, bool, Optional[str]]:
-    """(reward, done, cause) for the world's current state.
-
-    Success takes precedence over the step limit when both hold.
-    """
-    if all(world.units.get(u, 0) > 0 for u in world.required):
-        return 1, True, "success"
-    if world.step_count >= world.time_limit:
-        return 0, True, "timeout"
-    return 0, False, None
+        if all(self.units.get(u, 0) > 0 for u in self.required):
+            self.done, self.cause, self.reward = True, "success", 1
+        elif self.step_count >= self.time_limit:
+            self.done, self.cause = True, "timeout"
 
 
 def _step_toward(cell: tuple, dest: tuple) -> tuple:

@@ -360,12 +360,12 @@ def test_replay_malformed_trace_is_io_error(tmp_path):
 @pytest.mark.parametrize(
     "content",
     ["[1, 2]\n", '{"kind": "step"}\n', '{"kind": "mystery"}\n',
-     '{"kind": "header", "v": 99}\n', ""],
-    ids=["not-object", "step-first", "unknown-kind", "bad-version", "empty"],
+     '{"kind": "header", "v": 99}\n', "", b"\xff\xfe\n"],
+    ids=["not-object", "step-first", "unknown-kind", "bad-version", "empty", "not-utf8"],
 )
 def test_replay_malformed_records_are_io_errors(tmp_path, content):
     bad = tmp_path / "bad.jsonl"
-    bad.write_text(content)
+    bad.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
     code, _, err = run_cli("replay", "--trace", str(bad))
     assert code == EXIT_IO
     assert err.startswith("error:")
@@ -452,8 +452,19 @@ def _cut_last_step(records):
         ("starcraft", lambda rs: rs[0]["instruction"]["text"].__setitem__(0, "tampered"),
          "instruction"),
         ("minecraft", _cut_last_step, "still running"),
+        ("minecraft", lambda rs: rs[1].update(pc=99), "step 0: pc 0 != recorded 99"),
+        ("starcraft", lambda rs: rs[1].update(pc=0), "step 0: pc None != recorded 0"),
+        ("minecraft", lambda rs: rs[1].update(reward=1), "step 0: reward 0 != recorded 1"),
+        ("minecraft", lambda rs: rs[1].update(cause="success"),
+         "step 0: cause None != recorded 'success'"),
+        ("starcraft", lambda rs: rs[1].update(t=5), "step 0: t 0 != recorded 5"),
+        ("starcraft", lambda rs: rs[-2].update(done=False), "done True != recorded False"),
+        ("starcraft", lambda rs: rs[1].update(noop=True), "step 0: noop False != recorded True"),
+        ("minecraft", lambda rs: rs[-1].update(episode=1), "episode 0 != recorded 1"),
     ],
-    ids=["end-steps", "end-reward", "minecraft-text", "starcraft-text", "not-done"],
+    ids=["end-steps", "end-reward", "minecraft-text", "starcraft-text", "not-done",
+         "step-pc", "starcraft-step-pc", "step-reward", "step-cause", "step-t", "step-done",
+         "step-noop", "end-episode"],
 )
 def test_replay_rejects_header_or_end_the_replay_disagrees_with(tmp_path, domain, tamper, reason):
     trace, records = _recorded_records(tmp_path, domain)
@@ -757,3 +768,7 @@ def test_unreadable_config_is_io_error(tmp_path):
     broken.write_text("{nope")
     code, _, _ = run_cli("--config", str(broken), "gen", "--domain", "minecraft")
     assert code == EXIT_IO
+    broken.write_bytes(b"\xff\xfe")  # not UTF-8
+    code, _, err = run_cli("--config", str(broken), "gen", "--domain", "minecraft")
+    assert code == EXIT_IO
+    assert err.startswith("error: cannot read config")

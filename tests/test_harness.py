@@ -5,6 +5,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -21,7 +23,6 @@ from flowgrid.harness import (
     PolicySpec,
     ScriptedPointerPolicy,
     drive_world,
-    make_policy,
     map_episodes,
     parse_policy,
     pool_workers,
@@ -185,16 +186,79 @@ def test_replay_flags_outcome_divergence():
         list(replay_episode(episode))
 
 
+def _replay_records(records) -> None:
+    """Replay a trace given as its decoded JSON records, checking digests."""
+    blob = "\n".join(json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records)
+    for episode in split_episodes(read_trace_records(io.StringIO(blob))):
+        for _ in replay_episode(episode):
+            pass
+
+
+# one edit per recomputed step field, each unequal to the value under ``==``
+_STEP_EDITS = {
+    "t": lambda v: v + 1,
+    "reward": lambda v: v + 1,
+    "done": lambda v: not v,
+    "cause": lambda v: "timeout" if v == "success" else "success",
+    "pc": lambda v: 0 if v is None else v + 1,
+    "resolved": lambda v: not v,
+    "noop": lambda v: not v,
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    spec_policy=st.sampled_from([
+        (MC_SPEC, "oracle"),
+        (MC_SPEC, "random"),
+        (MC_SPEC, PolicySpec("scripted:params.json", "minecraft", max_jump=2, walk=True)),
+        (SC_SPEC, "oracle"),
+        (SC_SPEC, "random"),
+    ]),
+    seed=st.integers(0, 2**32),
+    digests=st.booleans(),
+    data=st.data(),
+)
+def test_replay_round_trips_and_rejects_any_one_field_edit(spec_policy, seed, digests, data):
+    spec, policy = spec_policy
+    trace = run_episode(spec, policy, seed, record_digests=digests)
+    records = [json.loads(line) for line in trace_bytes([trace]).decode("utf-8").splitlines()]
+    _replay_records(records)
+    steps = [r for r in records if r["kind"] == "step"]
+    if not steps:  # the world was done at spawn
+        return
+    # the command is left out: two stalled minecraft commands leave the same state
+    edits = dict(_STEP_EDITS, digest=lambda v: "1" * 16 if v == "0" * 16 else "0" * 16)
+    name = data.draw(st.sampled_from(sorted(edits if digests else _STEP_EDITS)))
+    step = data.draw(st.sampled_from(steps))
+    edited = edits[name](step[name])
+    assert edited != step[name]
+    step[name] = edited
+    with pytest.raises(ReplayMismatch):
+        _replay_records(records)
+
+
+def test_benchmark_spans_install_finds_every_name_it_wraps():
+    """bench/spans.py wraps flowgrid names by getattr, so a rename breaks ``--trace 1``."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join(os.path.join(root, d) for d in ("src", "bench"))
+    result = subprocess.run(
+        [sys.executable, "-c", "import spans; spans.install(spans.Recorder())"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+
+
 # --- policies -----------------------------------------------------------------------
 
 
 def test_make_policy_names():
-    assert make_policy("oracle", "minecraft", substream(0, "p")).name == "oracle"
+    assert parse_policy("oracle", "minecraft").build(substream(0, "p")).name == "oracle"
     assert isinstance(
-        make_policy("oracle", "starcraft", substream(0, "p")), OracleStarcraftPolicy
+        parse_policy("oracle", "starcraft").build(substream(0, "p")), OracleStarcraftPolicy
     )
     with pytest.raises(ValueError):
-        make_policy("clairvoyant", "minecraft", substream(0, "p"))
+        parse_policy("clairvoyant", "minecraft").build(substream(0, "p"))
 
 
 def test_parsed_policy_builds_fresh_instances(tmp_path):
@@ -287,7 +351,7 @@ def test_policy_observation_is_built_only_when_read(spec, oracle, reads):
 )
 def test_digest_is_hash_of_sorted_snapshot_json(domain, policy_name, seed, steps):
     world = spawn_episode_world(EpisodeSpec(domain=domain, min_len=2, max_len=8), seed)
-    policy = make_policy(policy_name, domain, substream(seed, "policy"))
+    policy = parse_policy(policy_name, domain).build(substream(seed, "policy"))
     policy.reset(world)
 
     def check():
@@ -298,11 +362,7 @@ def test_digest_is_hash_of_sorted_snapshot_json(domain, policy_name, seed, steps
     for _ in range(steps):
         if world.done:
             break
-        action = policy.act(None, world)
-        if domain == "minecraft":
-            world.apply(action)
-        else:
-            world.apply_token(action)
+        world.apply(policy.act(None, world))
         check()
 
 
