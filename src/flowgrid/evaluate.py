@@ -10,13 +10,16 @@ from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, replace
 from typing import IO, List, Optional, Sequence, Tuple, Union
 
+# unused since eval plays episodes without step records, but bench/spans.py
+# still patches this name too
+from .harness import run_episode  # noqa: F401
 from .harness import (
     EpisodeSpec,
     PolicySpec,
-    drive_world,
     map_episodes,
     parse_policy,
-    run_episode,
+    play_world,
+    spawn_episode_world,
 )
 from .instructions import MINECRAFT
 from .generators import gen_longjump
@@ -90,8 +93,9 @@ def _binned(fn, tasks: list, bins: Sequence[Tuple[int, int]], per_bin: int, jobs
 
 def _episode_outcome(task) -> Tuple[str, int]:
     spec, policy, seed = task
-    trace = run_episode(spec, policy, seed, record_digests=False)
-    return trace.outcome, trace.reward
+    world = spawn_episode_world(spec, seed)
+    play_world(world, policy.build(seed))
+    return world.cause, world.reward
 
 
 def evaluate(
@@ -137,7 +141,7 @@ def _longjump_outcome(task) -> Tuple[str, int]:
     spawn_rng = substream(seed, "spawning")
     instruction = gen_longjump(gen_rng, block_len)
     world = spawn_longjump(spawn_rng, instruction, seed=seed)
-    drive_world(world, policy.build(substream(seed, "policy")), record_digests=False)
+    play_world(world, policy.build(seed))
     return world.cause, world.reward
 
 

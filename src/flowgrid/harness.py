@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import operator
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import IO, List, Optional, Union
 
 import numpy as np
@@ -146,6 +146,7 @@ class OracleStarcraftPolicy(Policy):
         return self.queue.pop(0)
 
     def _decide(self, world) -> List[ActionToken]:
+        tokens = starcraft.TOKENS
         plan = sc_plan(
             world.tree, world.required, set(world.grid.values()), world.units
         )
@@ -157,9 +158,9 @@ class OracleStarcraftPolicy(Policy):
                                if cell not in world.grid]
                     if empties:
                         return [
-                            ActionToken.probe(0),
-                            ActionToken.building(head.ident),
-                            ActionToken.coord(empties[0]),
+                            tokens["select_probe"][0],
+                            tokens["select_building"][head.ident],
+                            tokens["select_coord"][empties[0]],
                         ]
                 # construction in flight or no room: wait
             else:  # train
@@ -167,15 +168,15 @@ class OracleStarcraftPolicy(Policy):
                 cells = world.building_cells(producer)
                 if cells:
                     return [
-                        ActionToken.coord(starcraft.CELL_INDEX[cells[0]]),
-                        ActionToken.unit(head.ident),
+                        tokens["select_coord"][starcraft.CELL_INDEX[cells[0]]],
+                        tokens["select_unit"][head.ident],
                     ]
                 # producer still under construction: wait
         # waiting is a go-to of a spare probe onto its own cell
         idle_cell = world.probes[1]
         return [
-            ActionToken.probe(1),
-            ActionToken.coord(starcraft.CELL_INDEX[idle_cell]),
+            tokens["select_probe"][1],
+            tokens["select_coord"][starcraft.CELL_INDEX[idle_cell]],
         ]
 
 
@@ -201,9 +202,10 @@ class RandomStarcraftPolicy(Policy):
 
     def act(self, observation, world) -> ActionToken:
         kind = starcraft.TOKEN_KINDS[int(self.rng.integers(len(starcraft.TOKEN_KINDS)))]
+        tokens = starcraft.TOKENS[kind]
         if kind == "commit":
-            return ActionToken.commit()
-        return ActionToken(kind, int(self.rng.integers(starcraft.TOKEN_LIMITS[kind])))
+            return tokens[0]
+        return tokens[int(self.rng.integers(len(tokens)))]
 
 
 class ScriptedPointerPolicy(Policy):
@@ -254,6 +256,7 @@ class PolicySpec:
 
     Holds the parsed params of a ``scripted:`` policy, so a command reads
     its file once, not once per episode, and pool workers get it pickled.
+    An unknown name, or a policy the domain cannot run, is a ValueError.
     """
 
     name: str
@@ -261,10 +264,21 @@ class PolicySpec:
     max_jump: int = 1
     walk: bool = False
 
-    def build(self, rng: np.random.Generator) -> Policy:
+    def __post_init__(self):
+        if self.domain not in (MINECRAFT, STARCRAFT):
+            raise ValueError(f"unknown domain {self.domain!r}")
+        if self.name.startswith("scripted:"):
+            if self.domain != MINECRAFT:
+                raise ValueError("scripted pointer policies drive the minecraft domain")
+        elif self.name not in ("oracle", "random"):
+            raise ValueError(f"unknown policy {self.name!r}")
+
+    def build(self, seed: int) -> Policy:
+        """A fresh policy for episode ``seed``; only ``random`` builds its "policy" substream."""
         if self.name == "oracle":
             return OracleMinecraftPolicy() if self.domain == MINECRAFT else OracleStarcraftPolicy()
         if self.name == "random":
+            rng = substream(seed, "policy")
             return (
                 RandomMinecraftPolicy(rng)
                 if self.domain == MINECRAFT
@@ -305,13 +319,10 @@ def parse_policy(policy: Union[str, PolicySpec], domain: str) -> PolicySpec:
         if policy.domain != domain:
             raise ValueError(f"policy {policy.name!r} was parsed for {policy.domain}")
         return policy
-    if policy in ("oracle", "random"):
-        return PolicySpec(policy, domain)
+    spec = PolicySpec(policy, domain)  # checks the name before any file is read
     if policy.startswith("scripted:"):
-        if domain != MINECRAFT:
-            raise ValueError("scripted pointer policies drive the minecraft domain")
-        return PolicySpec(policy, domain, **_read_scripted_params(policy.split(":", 1)[1]))
-    raise ValueError(f"unknown policy {policy!r}")
+        return replace(spec, **_read_scripted_params(policy.split(":", 1)[1]))
+    return spec
 
 
 # --- episode running -----------------------------------------------------------
@@ -387,6 +398,14 @@ def drive_world(world, policy: Policy, record_digests: bool = True) -> List[Step
     return steps
 
 
+def play_world(world, policy: Policy) -> None:
+    """``drive_world`` without step records, for callers that read only the end."""
+    policy.reset(world)
+    reads_observation = policy.reads_observation
+    while not world.done:
+        world.apply(policy.act(world.observe() if reads_observation else None, world))
+
+
 def run_episode(
     spec: EpisodeSpec,
     policy: Union[str, PolicySpec],
@@ -399,7 +418,7 @@ def run_episode(
     """
     policy = parse_policy(policy, spec.domain)
     world = spawn_episode_world(spec, seed)
-    steps = drive_world(world, policy.build(substream(seed, "policy")), record_digests)
+    steps = drive_world(world, policy.build(seed), record_digests)
     return EpisodeTrace(
         seed=seed,
         domain=spec.domain,

@@ -90,6 +90,12 @@ class ActionToken:
         return {"kind": self.kind, "value": self.value}
 
 
+# every token, validated once at import: TOKENS[kind][value], TOKENS["commit"][0]
+TOKENS = {kind: tuple(ActionToken(kind, v) for v in range(limit))
+          for kind, limit in TOKEN_LIMITS.items()}
+TOKENS["commit"] = (ActionToken.commit(),)
+
+
 @dataclass
 class ScObservation:
     """Agent-visible state.  The technology tree is never included."""
@@ -101,12 +107,15 @@ class ScObservation:
     instruction: tuple  # encoded symbol codes
 
 
-@dataclass
+@dataclass(frozen=True)
 class DisruptionReport:
     attack: bool = False
     destroyed: tuple = ()
     ambush: bool = False
     ambushed: Optional[int] = None
+
+
+_CALM = DisruptionReport()  # the one report of every step without attack or ambush
 
 
 @dataclass(eq=False)
@@ -315,14 +324,15 @@ class StarcraftWorld:
                         self.grid[cell] = b
                     # an occupied cell at arrival cancels the construction
                 self.probe_dest[i] = None
-        for unit in self.pending_train:
+        trained = self.pending_train
+        for unit in trained:
             self.units[unit] = self.units.get(unit, 0) + 1
         self.pending_train = []
         self.ambush_message = None
         self.last_disruption = (
             self.roll_disruptions() if self.disruptions_enabled else None
         )
-        self._refresh_done()
+        self._refresh_done(bool(trained))
 
     def roll_disruptions(self) -> DisruptionReport:
         """Independent per-step attack and ambush events.
@@ -335,20 +345,19 @@ class StarcraftWorld:
         rng = self.rng
         if rng is None:
             raise ValueError("world has no disruption stream")
-        report = DisruptionReport()
-        if rng.random() < ATTACK_RATE:
-            report.attack = True
+        destroyed, victim = (), None
+        attack = rng.random() < ATTACK_RATE
+        if attack:
             targets = sorted(cell for cell, b in self.grid.items() if b != NEXUS)
             if targets:
                 mask = int(rng.integers(1, 1 << len(targets)))
-                chosen = [
+                destroyed = tuple(
                     targets[j] for j in range(len(targets)) if (mask >> j) & 1
-                ]
-                for cell in chosen:
+                )
+                for cell in destroyed:
                     del self.grid[cell]
-                report.destroyed = tuple(chosen)
-        if rng.random() < AMBUSH_RATE:
-            report.ambush = True
+        ambush = rng.random() < AMBUSH_RATE
+        if ambush:
             pool = [u for u in sorted(self.units) for _ in range(self.units[u])]
             if pool:
                 victim = pool[int(rng.integers(len(pool)))]
@@ -356,14 +365,19 @@ class StarcraftWorld:
                 if self.units[victim] == 0:
                     del self.units[victim]
                 self.ambush_message = victim
-                report.ambushed = victim
-        return report
+        if not (attack or ambush):
+            return _CALM
+        return DisruptionReport(attack, destroyed, ambush, victim)
 
-    def _refresh_done(self) -> None:
-        """End the episode on success, which wins over the step limit."""
+    def _refresh_done(self, trained: bool = True) -> None:
+        """End the episode on success, which wins over the step limit.
+
+        Units grow only by training, so a step that ``trained`` none cannot
+        newly succeed and skips the success test.
+        """
         if self.done:
             return
-        if all(self.units.get(u, 0) > 0 for u in self.required):
+        if trained and all(self.units.get(u, 0) > 0 for u in self.required):
             self.done, self.cause, self.reward = True, "success", 1
         elif self.step_count >= self.time_limit:
             self.done, self.cause = True, "timeout"

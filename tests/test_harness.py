@@ -25,6 +25,7 @@ from flowgrid.harness import (
     drive_world,
     map_episodes,
     parse_policy,
+    play_world,
     pool_workers,
     read_trace_records,
     replay_episode,
@@ -33,7 +34,8 @@ from flowgrid.harness import (
     split_episodes,
     write_traces,
 )
-from flowgrid.evaluate import longjump_sweep
+from flowgrid import harness
+from flowgrid.evaluate import evaluate, longjump_sweep, write_csv
 from flowgrid.generators import gen_longjump
 from flowgrid.minecraft import spawn_longjump
 from flowgrid.rngtools import substream
@@ -253,12 +255,19 @@ def test_benchmark_spans_install_finds_every_name_it_wraps():
 
 
 def test_make_policy_names():
-    assert parse_policy("oracle", "minecraft").build(substream(0, "p")).name == "oracle"
+    assert parse_policy("oracle", "minecraft").build(0).name == "oracle"
     assert isinstance(
-        parse_policy("oracle", "starcraft").build(substream(0, "p")), OracleStarcraftPolicy
+        parse_policy("oracle", "starcraft").build(0), OracleStarcraftPolicy
     )
     with pytest.raises(ValueError):
-        parse_policy("clairvoyant", "minecraft").build(substream(0, "p"))
+        parse_policy("clairvoyant", "minecraft").build(0)
+
+
+@pytest.mark.parametrize("name, domain", [("oracel", "starcraft"), ("scripted:p.json", "starcraft")])
+def test_policy_spec_refuses_what_parse_policy_refuses(name, domain):
+    with pytest.raises(ValueError):
+        PolicySpec(name, domain)
+    assert PolicySpec("scripted:p.json", "minecraft").build(0).name == "scripted"
 
 
 def test_parsed_policy_builds_fresh_instances(tmp_path):
@@ -267,7 +276,7 @@ def test_parsed_policy_builds_fresh_instances(tmp_path):
     spec = parse_policy(f"scripted:{params}", "minecraft")
     assert spec == PolicySpec(f"scripted:{params}", "minecraft", max_jump=4, walk=True)
     params.unlink()  # parsed once: building needs the file no more
-    first, second = spec.build(None), spec.build(None)
+    first, second = spec.build(0), spec.build(0)
     assert first is not second
     assert (first.max_jump, first.walk) == (4, True)
     assert parse_policy(spec, "minecraft") is spec
@@ -298,6 +307,57 @@ def test_scripted_policy_walks_into_reach():
 def test_scripted_policy_large_jump_succeeds_directly():
     results = longjump_sweep("oracle", block_lens=(5,), episodes_each=4, base_seed=9)
     assert results[0].success_rate == 1.0
+
+
+def _csv(results) -> str:
+    buf = io.StringIO()
+    write_csv(buf, results)
+    return buf.getvalue()
+
+
+def test_eval_builds_no_step_records(monkeypatch):
+    """eval and the long-jump sweep play without step records; rows as recorded before."""
+
+    def refuse(*args):
+        raise AssertionError("eval built a step record")
+
+    monkeypatch.setattr(harness, "_step_record", refuse)
+    head = "bin_lo,bin_hi,episodes,success_rate,stderr,timeouts,out_of_order\n"
+    sc = EpisodeSpec(domain="starcraft")
+    assert _csv(evaluate(sc, "random", bins=[(1, 10)], episodes_per_bin=40, jobs=1)) == (
+        head + "1,10,40,0.025000,0.024686,39,0\n")
+    assert _csv(evaluate(sc, "oracle", bins=[(1, 4)], episodes_per_bin=6, base_seed=3)) == (
+        head + "1,4,6,1.000000,0.000000,0,0\n")
+    mc = EpisodeSpec(domain="minecraft")
+    assert _csv(evaluate(mc, "random", bins=[(1, 4), (5, 8)], episodes_per_bin=6, base_seed=3,
+                         jobs=1)) == head + "1,4,6,0.000000,0.000000,0,6\n5,8,6,0.333333,0.192450,0,4\n"
+    scripted = PolicySpec("scripted:p.json", "minecraft", max_jump=4)
+    assert _csv(longjump_sweep(scripted, block_lens=(2, 3), episodes_each=3, base_seed=3,
+                               jobs=1)) == head + "2,2,3,1.000000,0.000000,0,0\n3,3,3,0.000000,0.000000,3,0\n"
+    assert _csv(longjump_sweep("random", block_lens=(1,), episodes_each=6, base_seed=3,
+                               jobs=1)) == head + "1,1,6,0.166667,0.152145,0,5\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    domain=st.sampled_from(["minecraft", "starcraft"]),
+    policy_name=st.sampled_from(["oracle", "random", "scripted"]),
+    max_jump=st.integers(1, 4),
+    walk=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+def test_play_world_ends_where_drive_world_does(domain, policy_name, max_jump, walk, seed):
+    if policy_name == "scripted":
+        policy = PolicySpec("scripted:p.json", "minecraft", max_jump=max_jump, walk=walk)
+        domain = "minecraft"
+    else:
+        policy = parse_policy(policy_name, domain)
+    ends = []
+    for play in (drive_world, play_world):
+        world = spawn_episode_world(EpisodeSpec(domain=domain, min_len=2, max_len=8), seed)
+        play(world, policy.build(seed))
+        ends.append((world.cause, world.reward, world.step_count, world.digest()))
+    assert ends[0] == ends[1]
 
 
 def test_random_policies_emit_valid_actions():
@@ -351,7 +411,7 @@ def test_policy_observation_is_built_only_when_read(spec, oracle, reads):
 )
 def test_digest_is_hash_of_sorted_snapshot_json(domain, policy_name, seed, steps):
     world = spawn_episode_world(EpisodeSpec(domain=domain, min_len=2, max_len=8), seed)
-    policy = parse_policy(policy_name, domain).build(substream(seed, "policy"))
+    policy = parse_policy(policy_name, domain).build(seed)
     policy.reset(world)
 
     def check():

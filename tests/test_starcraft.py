@@ -1,5 +1,6 @@
 """Build-order world: token automaton, dynamics, disruptions, audits."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from flowgrid.errors import EpisodeDone, SpawnInfeasible
 from flowgrid.generators import gen_build_tree, gen_starcraft
+from flowgrid.harness import RandomStarcraftPolicy
 from flowgrid.instructions import N_BUILDINGS, N_UNITS, BuildTree, Instruction, ScLine
 from flowgrid.rngtools import substream
 from flowgrid.starcraft import (
@@ -16,7 +18,11 @@ from flowgrid.starcraft import (
     CELLS,
     GRID,
     N_PROBES,
+    TOKEN_KINDS,
+    TOKEN_LIMITS,
+    TOKENS,
     ActionToken,
+    DisruptionReport,
     StarcraftWorld,
     classify_assembly,
     enumerate_command_space,
@@ -225,6 +231,81 @@ def test_success_takes_precedence_over_timeout():
     assert outcome.cause == "success" and outcome.reward == 1
 
 
+class _AllUnitsWorld(StarcraftWorld):
+    """A world that tests every required unit after every step, as it used to."""
+
+    def _refresh_done(self, trained=True):
+        if self.done:
+            return
+        if all(self.units.get(u, 0) > 0 for u in self.required):
+            self.done, self.cause, self.reward = True, "success", 1
+        elif self.step_count >= self.time_limit:
+            self.done, self.cause = True, "timeout"
+
+
+# tokens that can train TREE's units 0-2 on a grid of its buildings 0, 2 and 5
+_TRAINING_TOKENS = (
+    [ActionToken.coord(CELL_INDEX[(0, c)]) for c in range(4)]
+    + [ActionToken.unit(u) for u in range(3)]
+    + [ActionToken.commit(), ActionToken.probe(0)]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    required=st.lists(st.integers(0, 3), min_size=1, max_size=4),
+    row=st.lists(st.sampled_from([0, 2, 5]), min_size=1, max_size=4),
+    units=st.dictionaries(st.integers(0, 3), st.integers(0, 2)),
+    tokens=st.lists(st.sampled_from(_TRAINING_TOKENS), max_size=150),
+    seed=st.integers(0, 2**32),
+)
+def test_success_test_after_training_only_ends_as_the_full_test(required, row, units, tokens, seed):
+    """Zero-count ``units`` entries included; disruptions remove units and buildings."""
+    worlds = [
+        cls(
+            tree=TREE,
+            instruction=Instruction(tuple(ScLine.unit(u) for u in required)),
+            grid={(0, c): b for c, b in enumerate(row)},
+            probes=[(0, 0)] * N_PROBES,
+            units=dict(units),
+            rng=substream(seed, "disruptions"),
+        )
+        for cls in (StarcraftWorld, _AllUnitsWorld)
+    ]
+    for token in tokens:
+        states = [(w.done, w.cause, w.reward, w.step_count, w.units) for w in worlds]
+        assert states[0] == states[1]
+        if worlds[0].done:
+            break
+        for world in worlds:
+            world.apply(token)
+
+
+def test_tokens_table_holds_every_validated_token():
+    assert set(TOKENS) == set(TOKEN_KINDS)
+    assert TOKENS["commit"] == (ActionToken("commit"),)
+    for kind, limit in TOKEN_LIMITS.items():
+        assert TOKENS[kind] == tuple(ActionToken(kind, v) for v in range(limit))
+
+
+def _constructed_act(rng):
+    """``RandomStarcraftPolicy.act`` as it was, building each token."""
+    kind = TOKEN_KINDS[int(rng.integers(len(TOKEN_KINDS)))]
+    if kind == "commit":
+        return ActionToken.commit()
+    return ActionToken(kind, int(rng.integers(TOKEN_LIMITS[kind])))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_random_policy_draws_the_tokens_it_used_to_build(seed):
+    policy = RandomStarcraftPolicy(substream(seed, "policy"))
+    rng = substream(seed, "policy")
+    assert [policy.act(None, None) for _ in range(300)] == [
+        _constructed_act(rng) for _ in range(300)
+    ]
+
+
 # --- disruptions -------------------------------------------------------------------
 
 
@@ -295,6 +376,17 @@ def test_ambush_message_resets_next_step():
         assert world.ambush_message == 3
     else:
         assert world.ambush_message is None
+
+
+def test_calm_steps_share_one_frozen_report():
+    world = simple_world(grid={(0, 0): 0, (1, 1): 1}, disruptions=True,
+                         rng=substream(5, "calm"))
+    reports = [world.roll_disruptions() for _ in range(50)]
+    calm = [r for r in reports if not (r.attack or r.ambush)]
+    assert len(calm) > 1 and all(r is calm[0] for r in calm)
+    assert calm[0] == DisruptionReport()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        calm[0].attack = True
 
 
 def test_disruption_rates_rough():
