@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import operator
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import IO, List, Optional, Union
 
 import numpy as np
@@ -423,7 +423,7 @@ def run_episode(
         seed=seed,
         domain=spec.domain,
         policy=policy.name,
-        spec=asdict(spec),
+        spec=dict(vars(spec)),
         instruction_text=world.instruction.text(),
         instruction_encoded=world.instruction.encoded(),
         outcome=world.cause,

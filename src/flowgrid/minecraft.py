@@ -62,7 +62,6 @@ class StepOutcome:
     reward: int
     done: bool
     cause: Optional[str]
-    command: Optional[dict] = None  # starcraft's resolved command, None for a no-op
     noop: bool = False
     # set by the starcraft world's step_token; apply leaves it None
     observation: object = None

@@ -63,7 +63,8 @@ class ActionToken:
             if self.value is not None:
                 raise ValueError("commit carries no value")
         else:
-            if self.value is None or not 0 <= self.value < TOKEN_LIMITS[self.kind]:
+            # type(), not isinstance: a JSON true is a bool, which is an int subclass
+            if type(self.value) is not int or not 0 <= self.value < TOKEN_LIMITS[self.kind]:
                 raise ValueError(f"bad value {self.value!r} for {self.kind}")
 
     @classmethod
@@ -94,6 +95,20 @@ class ActionToken:
 TOKENS = {kind: tuple(ActionToken(kind, v) for v in range(limit))
           for kind, limit in TOKEN_LIMITS.items()}
 TOKENS["commit"] = (ActionToken.commit(),)
+
+# the command grammar: (open assembly, token kind) -> the assembly the token
+# opens or the command it completes; every other pair resolves as a no-op.
+# An open assembly carries the values of its tokens after its name.
+GRAMMAR = {
+    ("start", "select_probe"): "probe",
+    ("start", "select_coord"): "train_from",
+    ("probe", "select_building"): "building",
+    ("probe", "select_coord"): "goto",
+    ("building", "select_coord"): "build",
+    ("train_from", "select_unit"): "train",
+}
+ASSEMBLIES = frozenset(state for state, _ in GRAMMAR)  # "start" and the open ones
+COMMANDS = frozenset(GRAMMAR.values()) - ASSEMBLIES
 
 
 @dataclass
@@ -237,75 +252,38 @@ class StarcraftWorld:
         """``step_token`` without building the observation."""
         if self.done:
             raise EpisodeDone("episode is over; build a new world")
-        state = self.assembly
-        kind = token.kind
-        resolved: tuple
-        if state[0] == "start":
-            if kind == "select_probe":
-                self.assembly = ("probe", token.value)
-                return None
-            if kind == "select_coord":
-                cell = CELLS[token.value]
-                if cell in self.grid:
-                    self.assembly = ("train_from", cell)
-                    return None
-                resolved = ("noop", "coordinate holds no building")
-            else:
-                resolved = ("noop", f"{kind} opens nothing")
-        elif state[0] == "probe":
-            i = state[1]
-            if kind == "select_building":
-                self.assembly = ("build", i, token.value)
-                return None
-            if kind == "select_coord":
-                resolved = ("goto", i, CELLS[token.value])
-            else:
-                resolved = ("noop", f"{kind} after a probe")
-        elif state[0] == "build":
-            _, i, b = state
-            if kind == "select_coord":
-                cell = CELLS[token.value]
-                prereq = self.tree.prerequisite.get(b)
-                if cell in self.grid:
-                    resolved = ("noop", "target cell occupied")
-                elif prereq is not None and not self.alive(prereq):
-                    resolved = ("noop", "prerequisite not alive")
-                else:
-                    resolved = ("build", i, b, cell)
-            else:
-                resolved = ("noop", f"{kind} closes no build")
-        else:  # train_from
-            cell = state[1]
-            if kind == "select_unit":
-                producer = self.grid.get(cell)
-                if producer is not None and self.tree.producer.get(token.value) == producer:
-                    resolved = ("train", token.value)
-                else:
-                    resolved = ("noop", "building does not train that unit")
-            else:
-                resolved = ("noop", f"{kind} closes no train")
+        state, value = self.assembly, token.value
+        step = GRAMMAR.get((state[0], token.kind))
+        if step == "train_from" and CELLS[value] not in self.grid:
+            step = None  # a coordinate opens a train only on a building
+        if step in ASSEMBLIES:
+            self.assembly = (step, *state[1:], value)
+            return None
         self.assembly = ("start",)
-        command = None
-        if resolved[0] == "goto":
-            _, i, cell = resolved
-            self.probe_dest[i] = cell
+        if step == "goto":
+            i = state[1]
+            self.probe_dest[i] = CELLS[value]
             self.pending_build.pop(i, None)  # redirecting abandons the build
-            command = {"op": "goto", "probe": i, "cell": list(cell)}
-        elif resolved[0] == "build":
-            _, i, b, cell = resolved
-            self.pending_build[i] = (b, cell)
-            self.probe_dest[i] = cell
-            command = {"op": "build", "probe": i, "building": b, "cell": list(cell)}
-        elif resolved[0] == "train":
-            self.pending_train.append(resolved[1])
-            command = {"op": "train", "unit": resolved[1]}
+        elif step == "build":
+            _, i, b = state
+            cell, prereq = CELLS[value], self.tree.prerequisite.get(b)
+            if cell in self.grid or (prereq is not None and not self.alive(prereq)):
+                step = None
+            else:
+                self.pending_build[i] = (b, cell)
+                self.probe_dest[i] = cell
+        elif step == "train":
+            producer = self.grid.get(CELLS[state[1]])
+            if producer is not None and self.tree.producer.get(value) == producer:
+                self.pending_train.append(value)
+            else:
+                step = None
         self._advance()
         return StepOutcome(
             reward=1 if (self.done and self.cause == "success") else 0,
             done=self.done,
             cause=self.cause,
-            command=command,
-            noop=command is None,
+            noop=step is None,
         )
 
     def _advance(self) -> None:
@@ -447,31 +425,9 @@ def classify_assembly(tokens) -> Optional[str]:
     prerequisites, producers) is the world's concern, not the grammar's.
     """
     state = "start"
-    for pos, token in enumerate(tokens):
-        last = pos == len(tokens) - 1
-        if state == "start":
-            if token.kind == "select_probe":
-                state = "probe"
-            elif token.kind == "select_coord":
-                state = "train_from"
-            else:
-                return None
-        elif state == "probe":
-            if token.kind == "select_building":
-                state = "build"
-            elif token.kind == "select_coord":
-                return "goto" if last else None
-            else:
-                return None
-        elif state == "build":
-            if token.kind == "select_coord":
-                return "build" if last else None
-            return None
-        elif state == "train_from":
-            if token.kind == "select_unit":
-                return "train" if last else None
-            return None
-    return None
+    for token in tokens:
+        state = GRAMMAR.get((state, token.kind))  # a command opens nothing
+    return state if state in COMMANDS else None
 
 
 def enumerate_command_space() -> dict:

@@ -414,7 +414,13 @@ def test_replay_bad_header_is_io_error(tmp_path, domain, key, value):
 
 @pytest.mark.parametrize(
     "domain, field, value",
-    [("minecraft", "verb", "dance"), ("starcraft", "kind", "select_dance")],
+    [
+        ("minecraft", "verb", "dance"),
+        ("starcraft", "kind", "select_dance"),
+        # in range, but not an int: a token value indexes lists
+        pytest.param("starcraft", "value", 1.0, id="starcraft-value-float"),
+        pytest.param("starcraft", "value", True, id="starcraft-value-bool"),
+    ],
 )
 def test_replay_unknown_command_is_io_error(tmp_path, domain, field, value):
     trace, records = _recorded_records(tmp_path, domain)

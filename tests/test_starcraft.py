@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from flowgrid.errors import EpisodeDone, SpawnInfeasible
 from flowgrid.generators import gen_build_tree, gen_starcraft
-from flowgrid.harness import RandomStarcraftPolicy
+from flowgrid.harness import EpisodeSpec, RandomStarcraftPolicy, spawn_episode_world
 from flowgrid.instructions import N_BUILDINGS, N_UNITS, BuildTree, Instruction, ScLine
 from flowgrid.rngtools import substream
 from flowgrid.starcraft import (
@@ -76,7 +77,8 @@ def test_build_command_resolves_and_places_on_arrival():
         ActionToken.coord(CELL_INDEX[(0, 2)]),
     )
     assert outcome is not None and not outcome.noop
-    assert outcome.command["op"] == "build"
+    assert world.pending_build == {0: (1, (0, 2))}
+    assert world.probe_dest[0] == (0, 2)
     assert (0, 2) not in world.grid  # probe still walking
     feed(world, ActionToken.commit())  # noop advances time; probe arrives
     assert world.grid.get((0, 2)) == 1
@@ -91,9 +93,10 @@ def test_build_without_prerequisite_is_noop():
         ActionToken.building(2),  # needs building 1, not alive
         ActionToken.coord(CELL_INDEX[(3, 3)]),
     )
-    assert outcome.noop and outcome.command is None
+    assert outcome.noop
     assert world.step_count == 1  # illegal commands still cost a step
     assert not world.pending_build
+    assert world.probe_dest == [None] * N_PROBES
 
 
 def test_build_on_occupied_cell_is_noop():
@@ -117,7 +120,8 @@ def test_goto_reassignment_abandons_pending_build():
     )
     assert 0 in world.pending_build
     outcome = feed(world, ActionToken.probe(0), ActionToken.coord(CELL_INDEX[(5, 0)]))
-    assert outcome.command["op"] == "goto"
+    assert not outcome.noop
+    assert world.probe_dest[0] == (5, 0)
     assert 0 not in world.pending_build
     for _ in range(12):
         if world.done:
@@ -131,7 +135,8 @@ def test_train_requires_matching_producer():
     outcome = feed(
         world, ActionToken.coord(CELL_INDEX[(0, 0)]), ActionToken.unit(1)
     )
-    assert not outcome.noop and outcome.command == {"op": "train", "unit": 1}
+    assert not outcome.noop
+    assert world.pending_train == []  # queued, then trained within the resolution
     # completes at the next time step
     assert world.units.get(1, 0) == 1  # _advance ran within the same resolution
     assert world.done and world.cause == "success" and world.reward == 1
@@ -421,6 +426,145 @@ def test_classify_assembly_rejects_malformed():
         )
         is None
     )
+
+
+def _chain_classify(tokens):
+    """``classify_assembly`` as it was, before it walked ``GRAMMAR``."""
+    state = "start"
+    for pos, token in enumerate(tokens):
+        last = pos == len(tokens) - 1
+        if state == "start":
+            if token.kind == "select_probe":
+                state = "probe"
+            elif token.kind == "select_coord":
+                state = "train_from"
+            else:
+                return None
+        elif state == "probe":
+            if token.kind == "select_building":
+                state = "build"
+            elif token.kind == "select_coord":
+                return "goto" if last else None
+            else:
+                return None
+        elif state == "build":
+            if token.kind == "select_coord":
+                return "build" if last else None
+            return None
+        elif state == "train_from":
+            if token.kind == "select_unit":
+                return "train" if last else None
+            return None
+    return None
+
+
+def test_classify_assembly_matches_the_state_chain_on_every_kind_sequence():
+    shapes = set()
+    for seq in (seq for n in range(5) for seq in itertools.product(TOKEN_KINDS, repeat=n)):
+        tokens = [TOKENS[kind][0] for kind in seq]
+        shapes.add(classify_assembly(tokens))
+        assert classify_assembly(tokens) == _chain_classify(tokens), seq
+    assert shapes == {None, "build", "goto", "train"}
+
+
+def _chain_apply(world, token):
+    """``StarcraftWorld.apply`` as it was, one branch per open assembly.
+
+    Returns None while the assembly is open, else whether the step was a no-op.
+    """
+    state = world.assembly
+    kind = token.kind
+    if state[0] == "start":
+        if kind == "select_probe":
+            world.assembly = ("probe", token.value)
+            return None
+        if kind == "select_coord":
+            cell = CELLS[token.value]
+            if cell in world.grid:
+                world.assembly = ("train_from", cell)
+                return None
+            resolved = ("noop", "coordinate holds no building")
+        else:
+            resolved = ("noop", f"{kind} opens nothing")
+    elif state[0] == "probe":
+        i = state[1]
+        if kind == "select_building":
+            world.assembly = ("build", i, token.value)
+            return None
+        if kind == "select_coord":
+            resolved = ("goto", i, CELLS[token.value])
+        else:
+            resolved = ("noop", f"{kind} after a probe")
+    elif state[0] == "build":
+        _, i, b = state
+        if kind == "select_coord":
+            cell = CELLS[token.value]
+            prereq = world.tree.prerequisite.get(b)
+            if cell in world.grid:
+                resolved = ("noop", "target cell occupied")
+            elif prereq is not None and not world.alive(prereq):
+                resolved = ("noop", "prerequisite not alive")
+            else:
+                resolved = ("build", i, b, cell)
+        else:
+            resolved = ("noop", f"{kind} closes no build")
+    else:  # train_from
+        cell = state[1]
+        if kind == "select_unit":
+            producer = world.grid.get(cell)
+            if producer is not None and world.tree.producer.get(token.value) == producer:
+                resolved = ("train", token.value)
+            else:
+                resolved = ("noop", "building does not train that unit")
+        else:
+            resolved = ("noop", f"{kind} closes no train")
+    world.assembly = ("start",)
+    if resolved[0] == "goto":
+        _, i, cell = resolved
+        world.probe_dest[i] = cell
+        world.pending_build.pop(i, None)
+    elif resolved[0] == "build":
+        _, i, b, cell = resolved
+        world.pending_build[i] = (b, cell)
+        world.probe_dest[i] = cell
+    elif resolved[0] == "train":
+        world.pending_train.append(resolved[1])
+    world._advance()
+    return resolved[0] == "noop"
+
+
+def _world_state(world):
+    return (world.assembly == ("start",), list(world.probe_dest), dict(world.pending_build),
+            list(world.pending_train), dict(world.grid), world.digest())
+
+
+# whole build, go-to and train shapes, so that streams reach every world check,
+# and every single token kind, so that they also break assemblies off anywhere
+_PHRASES = [("select_probe", "select_building", "select_coord"),
+            ("select_probe", "select_coord"), ("select_coord", "select_unit")]
+_PHRASES += [(kind,) for kind in TOKEN_KINDS]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    disruptions=st.booleans(),
+    phrases=st.lists(st.tuples(st.sampled_from(_PHRASES),
+                               st.lists(st.integers(0, GRID * GRID - 1), min_size=3,
+                                        max_size=3)), max_size=150),
+)
+def test_apply_matches_the_state_chain_on_random_token_streams(seed, disruptions, phrases):
+    spec = EpisodeSpec("starcraft", max_len=6, disruptions=disruptions)
+    world, chain = (spawn_episode_world(spec, seed) for _ in range(2))
+    tokens = [TOKENS[kind][v % len(TOKENS[kind])]
+              for kinds, values in phrases for kind, v in zip(kinds, values)]
+    for token in tokens:
+        if world.done:
+            break
+        outcome = world.apply(token)
+        assert (None if outcome is None else outcome.noop) == _chain_apply(chain, token)
+        assert _world_state(world) == _world_state(chain)
+        assert (world.done, world.cause, world.reward) == (chain.done, chain.cause, chain.reward)
 
 
 def test_legal_train_pairs_bounded_by_grammar():
