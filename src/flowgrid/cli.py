@@ -29,7 +29,7 @@ from .errors import (
     ReplayMismatch,
     TraceFormatError,
 )
-from .generators import FLOW_FILTERS
+from .generators import FLOW_FILTERS, LONGJUMP_MAX_BLOCK
 from .harness import (
     MAX_REGENERATIONS,
     EpisodeSpec,
@@ -224,12 +224,19 @@ def cmd_run(args) -> int:
 def cmd_eval(args) -> int:
     _require(args.episodes_per_bin >= 1, "--episodes-per-bin must be at least 1")
     _require(args.jobs >= 1, "--jobs must be at least 1")
+    # bins or block lengths set the lengths; only flags from the command line
+    # are in ``given``, so a config shared with run/gen may still set them
+    _require(
+        not getattr(args, "given", None),
+        "eval takes instruction lengths from --bins (e.g. --bins 1-10,11-20) "
+        "or --block-min/--block-max, not --min-len/--max-len",
+    )
     if args.longjump:
         if args.domain != MINECRAFT:
             raise UsageError("--longjump applies to the minecraft domain")
         _require(
-            1 <= args.block_min <= args.block_max <= 40,
-            "need 1 <= --block-min <= --block-max <= 40",
+            1 <= args.block_min <= args.block_max <= LONGJUMP_MAX_BLOCK,
+            f"need 1 <= --block-min <= --block-max <= {LONGJUMP_MAX_BLOCK}",
         )
         policy = _parse_policy(args.policy, MINECRAFT)
         blocks = range(args.block_min, args.block_max + 1)
@@ -237,13 +244,6 @@ def cmd_eval(args) -> int:
             policy, blocks, args.episodes_per_bin, args.seed, args.jobs
         )
     else:
-        # bins set the lengths; only flags from the command line are in
-        # ``given``, so a config shared with run/gen may still set them
-        _require(
-            not getattr(args, "given", None),
-            "eval takes instruction lengths from --bins (e.g. --bins 1-10,11-20), "
-            "not --min-len/--max-len",
-        )
         bins = _parse_bins(args.bins) if args.bins else list(evaluate_mod.DEFAULT_BINS)
         # each bin's spec is checked here, before any episode runs
         specs = [
@@ -260,13 +260,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    try:
-        handle = open(args.trace, "r", encoding="utf-8")
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     replayed = 0
-    with handle:
+    with open(args.trace, "r", encoding="utf-8") as handle:  # main reports an OSError
         for episode in split_episodes(read_trace_records(handle)):
             for world in replay_episode(episode, check_digests=not args.no_check_digests):
                 if not args.quiet:
@@ -415,12 +410,35 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     sc.set_defaults(func=cmd_scan_check)
 
     if defaults:
+        subs = (gen, run, ev, rp, sc)
+        _check_config(defaults, [action for sub in subs for action in sub._actions])
         # Subcommands parse into their own namespace, so the overrides must
         # land on every subparser, not just the root.
         parser.set_defaults(**defaults)
-        for sub in (gen, run, ev, rp, sc):
+        for sub in subs:
             sub.set_defaults(**defaults)
     return parser
+
+
+def _check_config(defaults: dict, actions) -> None:
+    """Raise ValueError unless each key of ``defaults`` is the dest of options
+    in ``actions`` and its value suits each of them: one of its choices, a
+    bool for a flag, else a string (parsed as on the command line), a value
+    of its type, or null where null is its default.
+    """
+    for key, value in defaults.items():
+        options = [a for a in actions if a.dest == key and a.default is not argparse.SUPPRESS]
+        if not options:
+            raise ValueError(f"{key!r} names no option")
+        for action in options:
+            if action.choices is not None:
+                ok = value in action.choices
+            elif action.nargs == 0:  # store_true
+                ok = type(value) is bool
+            else:
+                ok = type(value) in (str, action.type, type(action.default))
+            if not ok:
+                raise ValueError(f"{key!r} cannot be {value!r}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -437,9 +455,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             except (OSError, ValueError) as exc:  # ValueError: not JSON, not UTF-8
                 print(f"error: cannot read config: {exc}", file=sys.stderr)
                 return EXIT_IO
+        try:
             if not isinstance(defaults, dict):
-                raise UsageError("config must be a JSON object")
-        parser = build_parser(defaults)
+                raise ValueError("not a JSON object")
+            parser = build_parser(defaults)
+        except ValueError as exc:  # from _check_config
+            print(f"error: config {known.config}: {exc}", file=sys.stderr)
+            return EXIT_IO
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
             parser.print_usage(sys.stderr)

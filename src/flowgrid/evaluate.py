@@ -4,15 +4,10 @@ from __future__ import annotations
 
 import csv
 import math
-# unused since episodes run through harness.map_episodes, but bench/spans.py
-# still patches this name (see the benchmark follow-up in ROADMAP.md)
-from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, replace
 from typing import IO, List, Optional, Sequence, Tuple, Union
 
-# unused since eval plays episodes without step records, but bench/spans.py
-# still patches this name too
-from .harness import run_episode  # noqa: F401
+from .generators import LONGJUMP_FRAME_LINES, LONGJUMP_MAX_BLOCK
 from .harness import (
     EpisodeSpec,
     PolicySpec,
@@ -22,9 +17,13 @@ from .harness import (
     spawn_episode_world,
 )
 from .instructions import MINECRAFT
-from .generators import gen_longjump
-from .minecraft import spawn_longjump
-from .rngtools import derived_seed, substream
+from .rngtools import derived_seed
+
+# unused: eval runs no thread pool, builds no step records and makes no
+# substreams itself, but bench/spans.py still patches these names
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
+from .harness import run_episode  # noqa: F401
+from .rngtools import substream  # noqa: F401
 
 DEFAULT_BINS: Tuple[Tuple[int, int], ...] = tuple(
     (lo, lo + 9) for lo in range(1, 51, 10)
@@ -82,13 +81,13 @@ def _summarize(lo: int, hi: int, outcomes: Sequence[Tuple[str, int]]) -> BinResu
     )
 
 
-def _binned(fn, tasks: list, bins: Sequence[Tuple[int, int]], per_bin: int, jobs: int):
-    """Run ``per_bin`` consecutive tasks per bin and summarise each bin."""
-    outcomes = list(map_episodes(fn, tasks, jobs))
-    return [
-        _summarize(lo, hi, outcomes[index * per_bin:(index + 1) * per_bin])
-        for index, (lo, hi) in enumerate(bins)
-    ]
+def _binned(policy: PolicySpec, bins: list, per_bin: int, base_seed: int, jobs: int):
+    """Summarise ``per_bin`` episodes of each ((lo, hi), spec, seed tag) in ``bins``."""
+    tasks = [(spec, policy, derived_seed(base_seed, tag, f"ep{i}"))
+             for _, spec, tag in bins for i in range(per_bin)]
+    outcomes = list(map_episodes(_episode_outcome, tasks, jobs))
+    return [_summarize(lo, hi, outcomes[k * per_bin:(k + 1) * per_bin])
+            for k, ((lo, hi), _, _) in enumerate(bins)]
 
 
 def _episode_outcome(task) -> Tuple[str, int]:
@@ -116,16 +115,9 @@ def evaluate(
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     policy = parse_policy(policy, spec.domain)
-    tasks = [
-        (
-            replace(spec, min_len=lo, max_len=hi),
-            policy,
-            derived_seed(base_seed, f"bin{bin_index}", f"ep{episode_index}"),
-        )
-        for bin_index, (lo, hi) in enumerate(bins)
-        for episode_index in range(episodes_per_bin)
-    ]
-    return _binned(_episode_outcome, tasks, bins, episodes_per_bin, jobs)
+    labelled = [((lo, hi), replace(spec, min_len=lo, max_len=hi), f"bin{k}")
+                for k, (lo, hi) in enumerate(bins)]
+    return _binned(policy, labelled, episodes_per_bin, base_seed, jobs)
 
 
 def write_csv(handle: IO, results: Sequence[BinResult]) -> None:
@@ -135,19 +127,9 @@ def write_csv(handle: IO, results: Sequence[BinResult]) -> None:
         writer.writerow(result.row())
 
 
-def _longjump_outcome(task) -> Tuple[str, int]:
-    policy, block_len, seed = task
-    gen_rng = substream(seed, "generation")
-    spawn_rng = substream(seed, "spawning")
-    instruction = gen_longjump(gen_rng, block_len)
-    world = spawn_longjump(spawn_rng, instruction, seed=seed)
-    play_world(world, policy.build(seed))
-    return world.cause, world.reward
-
-
 def longjump_sweep(
     policy: Union[str, PolicySpec],
-    block_lens: Sequence[int] = tuple(range(1, 41)),
+    block_lens: Sequence[int] = tuple(range(1, LONGJUMP_MAX_BLOCK + 1)),
     episodes_each: int = 20,
     base_seed: int = 0,
     jobs: int = 1,
@@ -158,15 +140,13 @@ def longjump_sweep(
     subtasks whose guard is false, so the only correct behaviour is one
     long forward jump.  Policies with a bounded pointer range fall off
     beyond their reach.  ``policy`` is a PolicySpec or a policy name.
-    jobs > 1 runs the episodes on worker processes.
+    jobs > 1 runs the episodes on worker processes.  The episodes are
+    those of ``flow="longjump"`` specs, which ``run`` and ``replay`` play too.
     """
-    if any(not 1 <= block_len <= 40 for block_len in block_lens):
-        raise ValueError("block lengths must lie in 1..40")
+    if any(not 1 <= block_len <= LONGJUMP_MAX_BLOCK for block_len in block_lens):
+        raise ValueError(f"block lengths must lie in 1..{LONGJUMP_MAX_BLOCK}")
     policy = parse_policy(policy, MINECRAFT)
-    tasks = [
-        (policy, block_len, derived_seed(base_seed, f"jump{block_len}", f"ep{episode_index}"))
-        for block_len in block_lens
-        for episode_index in range(episodes_each)
-    ]
-    bins = [(block_len, block_len) for block_len in block_lens]
-    return _binned(_longjump_outcome, tasks, bins, episodes_each, jobs)
+    frame = LONGJUMP_FRAME_LINES
+    labelled = [((b, b), EpisodeSpec(MINECRAFT, b + frame, b + frame, flow="longjump"), f"jump{b}")
+                for b in block_lens]
+    return _binned(policy, labelled, episodes_each, base_seed, jobs)

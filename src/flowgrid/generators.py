@@ -31,8 +31,10 @@ from .instructions import (
     flow_kinds,
 )
 
-FLOW_FILTERS = ("any", "single", "multi")
+FLOW_FILTERS = ("any", "single", "multi", "longjump")
 MULTI_MIN_LINES = 6  # if, subtask, endif, while, subtask, endwhile
+LONGJUMP_FRAME_LINES = 3  # a long-jump block's opener and closer, and the final subtask
+LONGJUMP_MAX_BLOCK = 40
 
 
 def _pick(rng: np.random.Generator, options):
@@ -115,7 +117,8 @@ def gen_minecraft(
     """Sample a control-flow instruction with length in ``length_range``.
 
     ``flow_filter`` constrains the flow constructs used: "single" rejects
-    instructions mixing if and while, "multi" requires both.  Rejection
+    instructions mixing if and while, "multi" requires both, and
+    "longjump" returns ``gen_longjump`` of the drawn length.  Rejection
     sampling is budgeted; exhaustion raises GenerationError.
     """
     lo, hi = length_range
@@ -125,6 +128,8 @@ def gen_minecraft(
         raise ValueError(f"unknown flow filter {flow_filter!r}")
     for _ in range(max_attempts):
         target = int(rng.integers(lo, hi + 1))
+        if flow_filter == "longjump":
+            return gen_longjump(rng, target - LONGJUMP_FRAME_LINES)
         instruction = _sample_minecraft(rng, target)
         used = flow_kinds(instruction)
         if flow_filter == "single" and len(used) > 1:
@@ -142,10 +147,10 @@ def gen_longjump(rng: np.random.Generator, block_len: int) -> Instruction:
 
     The opening condition compares a comparand that the paired spawner
     leaves off the map against one it places, so resolution always jumps
-    over the block.  Total length is block_len + 3.
+    over the block.  Total length is block_len + LONGJUMP_FRAME_LINES.
     """
-    if not 1 <= block_len <= 40:
-        raise ValueError(f"block_len must be in 1..40, got {block_len}")
+    if not 1 <= block_len <= LONGJUMP_MAX_BLOCK:
+        raise ValueError(f"block_len must be in 1..{LONGJUMP_MAX_BLOCK}, got {block_len}")
     final = _random_subtask(rng)
     b = _pick(rng, COMPARANDS)
     banned = {b, final.target}

@@ -24,7 +24,8 @@ from .errors import (
     TraceFormatError,
     ReplayMismatch,
 )
-from .generators import FLOW_FILTERS, MULTI_MIN_LINES, gen_minecraft, gen_starcraft
+from .generators import FLOW_FILTERS, LONGJUMP_FRAME_LINES, LONGJUMP_MAX_BLOCK, MULTI_MIN_LINES
+from .generators import gen_minecraft, gen_starcraft
 from .instructions import MINECRAFT, RESOURCES, STARCRAFT, VERBS
 from .interpreter import sc_plan
 from .minecraft import Command
@@ -50,8 +51,10 @@ class EpisodeSpec:
     def __post_init__(self):
         if self.domain not in (MINECRAFT, STARCRAFT):
             raise ValueError(f"unknown domain {self.domain!r}")
-        if not 1 <= self.min_len <= self.max_len:
-            raise ValueError("need 1 <= min_len <= max_len")
+        # type(), not isinstance: a JSON true is a bool, which is an int subclass
+        lengths = (self.min_len, self.max_len)
+        if any(type(x) is not int for x in lengths) or not 1 <= self.min_len <= self.max_len:
+            raise ValueError(f"need integers 1 <= min_len <= max_len, not {lengths}")
         if self.flow not in FLOW_FILTERS:
             raise ValueError(f"unknown flow filter {self.flow!r}")
         if self.domain == MINECRAFT and self.flow == "multi" and self.max_len < MULTI_MIN_LINES:
@@ -59,8 +62,19 @@ class EpisodeSpec:
                 f"no instruction matching flow='multi' fits in {self.max_len} lines; "
                 f"it needs at least {MULTI_MIN_LINES}"
             )
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError("need max_depth >= 1")
+        longest = LONGJUMP_MAX_BLOCK + LONGJUMP_FRAME_LINES
+        if self.flow == "longjump" and not (
+            self.domain == MINECRAFT and LONGJUMP_FRAME_LINES < self.min_len
+            and self.max_len <= longest
+        ):
+            raise ValueError(
+                "flow='longjump' needs the minecraft domain and "
+                f"{LONGJUMP_FRAME_LINES + 1} <= min_len <= max_len <= {longest}"
+            )
+        if self.max_depth is not None and (type(self.max_depth) is not int or self.max_depth < 1):
+            raise ValueError(f"need an integer max_depth >= 1, not {self.max_depth!r}")
+        if type(self.disruptions) is not bool:
+            raise ValueError(f"disruptions must be true or false, not {self.disruptions!r}")
 
 
 @dataclass
@@ -354,6 +368,8 @@ def spawn_episode_world(spec: EpisodeSpec, seed: int):
         disruption_rng = substream(seed, "disruptions")
     for tree, instruction in generate_instructions(spec, gen_rng):
         try:
+            if spec.flow == "longjump":
+                return minecraft.spawn_longjump(spawn_rng, instruction, seed=seed)
             if spec.domain == MINECRAFT:
                 return minecraft.spawn(spawn_rng, instruction, seed=seed)
             return starcraft.spawn(

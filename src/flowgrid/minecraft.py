@@ -489,15 +489,20 @@ def _wood_reachable(entities: dict, worker: tuple, water: set) -> bool:
     return False
 
 
-def _wall_cells(occupied: set) -> frozenset:
+def _placed_world(
+    instruction: Instruction, entities: dict, water: set, worker: tuple, seed: Optional[int]
+) -> MinecraftWorld:
+    """The normalized world holding this placement, with an empty inventory."""
+    occupied = set(entities) | water | {worker}
     # walls fill open cells whose row and column indices are both even;
     # such cells never disconnect the remaining grid
-    return frozenset(
-        (r, c)
-        for r in range(0, GRID, 2)
-        for c in range(0, GRID, 2)
-        if (r, c) not in occupied
+    walls = frozenset(
+        (r, c) for r in range(0, GRID, 2) for c in range(0, GRID, 2) if (r, c) not in occupied
     )
+    world = MinecraftWorld(instruction=instruction, entities=entities, water=water, walls=walls,
+                           worker=worker, inventory={r: 0 for r in RESOURCES}, seed=seed)
+    world.normalize()
+    return world
 
 
 def spawn(
@@ -550,17 +555,7 @@ def spawn(
         if water and not _wood_reachable(entities, worker, water):
             water = set()
             water_removed = True
-        occupied = set(entities) | set(water) | {worker}
-        world = MinecraftWorld(
-            instruction=instruction,
-            entities=entities,
-            water=water,
-            walls=_wall_cells(occupied),
-            worker=worker,
-            inventory={r: 0 for r in RESOURCES},
-            seed=seed,
-        )
-        world.normalize()
+        world = _placed_world(instruction, entities, water, worker, seed)
         if feasibility_gate and not oracle_completes(world):
             attempts.append(
                 SpawnAttempt(n, "gate_reject", water_placed, water_removed)
@@ -591,29 +586,9 @@ def spawn_longjump(
     """
     a, b = instruction.lines[0].condition
     final = instruction.lines[-1]
-    need = {b: 1}
-    need[final.target] = max(need.get(final.target, 0), 1)
-    if final.verb == "sell":
-        need["merchant"] = max(need.get("merchant", 0), 1)
-    if a in need:
+    kinds = sorted({b, final.target} | ({"merchant"} if final.verb == "sell" else set()))
+    if a in kinds:
         raise ValueError("guard comparand must stay off the map")
     order = rng.permutation(len(CELLS))
-    entities = {}
-    idx = 0
-    for kind in sorted(need):
-        for _ in range(need[kind]):
-            entities[CELLS[order[idx]]] = kind
-            idx += 1
-    worker = CELLS[order[idx]]
-    occupied = set(entities) | {worker}
-    world = MinecraftWorld(
-        instruction=instruction,
-        entities=entities,
-        water=set(),
-        walls=_wall_cells(occupied),
-        worker=worker,
-        inventory={r: 0 for r in RESOURCES},
-        seed=seed,
-    )
-    world.normalize()
-    return world
+    entities = {CELLS[order[i]]: kind for i, kind in enumerate(kinds)}
+    return _placed_world(instruction, entities, set(), CELLS[order[len(kinds)]], seed)

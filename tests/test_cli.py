@@ -10,7 +10,8 @@ import pytest
 
 from flowgrid import harness
 from flowgrid.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
-from flowgrid.instructions import decode, parse_text
+from flowgrid.instructions import COMPARANDS, decode, parse_text
+from flowgrid.interpreter import cf_step, eval_condition
 from flowgrid.minecraft import MinecraftWorld
 from flowgrid.starcraft import StarcraftWorld
 
@@ -164,6 +165,19 @@ def test_eval_length_flags_are_usage_errors(tmp_path, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--min-len", "--max-len"])
+def test_eval_longjump_length_flags_are_usage_errors(tmp_path, flag):
+    # block lengths set a long-jump sweep's instruction lengths
+    out = tmp_path / "out.csv"
+    code, _, err = run_cli(
+        "eval", "--domain", "minecraft", "--longjump", flag, "8", "--block-max", "2",
+        "--episodes-per-bin", "1", "--out", str(out),
+    )
+    assert code == EXIT_USAGE
+    assert "--block-min/--block-max" in err
+    assert not out.exists()
+
+
 def test_eval_lengths_from_config_are_not_refused(tmp_path):
     # a config shared with run/gen may set lengths; only explicit flags are refused
     config = tmp_path / "config.json"
@@ -233,6 +247,25 @@ def test_gen_exhausted_flow_filter_is_usage_error():
     assert "no instruction matching flow='multi'" in err
 
 
+def test_gen_longjump_prints_blocks_that_are_never_taken(tmp_path):
+    out = tmp_path / "jump.jsonl"
+    code, _, _ = run_cli(
+        "gen", "--domain", "minecraft", "--flow", "longjump", "--min-len", "8",
+        "--max-len", "8", "--count", "20", "--seed", "2", "--out", str(out),
+    )
+    assert code == EXIT_OK
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(rows) == 20
+    for row in rows:
+        instruction = decode(row["encoded"], "minecraft")
+        assert len(row["text"]) == len(instruction) == 8
+        # the long-jump spawner places every comparand but the guard's left one
+        absent = instruction.lines[0].condition[0]
+        counts = {name: int(name != absent) for name in COMPARANDS}
+        resting = cf_step(instruction, 0, lambda condition: eval_condition(condition, counts))
+        assert resting == 7  # past the block and its closer, at the final subtask
+
+
 # --- run / replay -------------------------------------------------------------------
 
 
@@ -246,6 +279,35 @@ def test_run_then_replay_round_trip(tmp_path):
     code, _, err = run_cli("replay", "--trace", str(trace), "--quiet")
     assert code == EXIT_OK
     assert "3 episode(s)" in err
+
+
+@pytest.mark.parametrize("scripted", [False, True], ids=["oracle", "scripted"])
+def test_longjump_run_replays_and_rejects_an_edited_instruction(tmp_path, scripted):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"max_jump": 4}))
+    policy = f"scripted:{params}" if scripted else "oracle"
+    trace = tmp_path / "jump.jsonl"
+    code, _, _ = run_cli(
+        "run", "--domain", "minecraft", "--flow", "longjump", "--min-len", "4",
+        "--max-len", "12", "--episodes", "6", "--seed", "3", "--policy", policy,
+        "--out", str(trace),
+    )
+    assert code == EXIT_OK
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    headers = [r for r in records if r["kind"] == "header"]
+    assert len(headers) == 6
+    assert all(h["spec"]["flow"] == "longjump" for h in headers)
+    assert all(4 <= len(h["instruction"]["text"]) <= 12 for h in headers)
+    code, _, err = run_cli("replay", "--trace", str(trace), "--quiet")
+    assert code == EXIT_OK
+    assert "6 episode(s)" in err
+    # a line inside the never-taken block: no step executes it, the header check sees it
+    text = records[0]["instruction"]["text"]
+    text[1] = "inspect gold" if text[1] == "inspect wood" else "inspect wood"
+    _rewrite(trace, records)
+    code, _, err = run_cli("replay", "--trace", str(trace), "--quiet")
+    assert code == EXIT_VERIFY
+    assert "header instruction differs" in err
 
 
 def test_run_jobs_byte_identical(tmp_path):
@@ -410,6 +472,28 @@ def test_replay_bad_header_is_io_error(tmp_path, domain, key, value):
     code, _, err = run_cli("replay", "--trace", str(trace), "--quiet")
     assert code == EXIT_IO
     assert "malformed trace" in err
+
+
+@pytest.mark.parametrize(
+    "domain, key, value",
+    [
+        ("minecraft", "min_len", True),
+        ("minecraft", "min_len", 3.0),
+        ("minecraft", "max_len", 6.0),
+        ("starcraft", "max_depth", True),
+        ("starcraft", "disruptions", "no"),
+    ],
+    ids=["bool-min-len", "float-min-len", "float-max-len", "bool-max-depth",
+         "string-disruptions"],
+)
+def test_replay_header_spec_of_the_wrong_type_is_io_error(tmp_path, domain, key, value):
+    # each value passes the range checks, as True == 1 and 3.0 == 3 compare
+    trace, records = _recorded_records(tmp_path, domain)
+    records[0]["spec"][key] = value
+    _rewrite(trace, records)
+    code, _, err = run_cli("replay", "--trace", str(trace), "--quiet")
+    assert code == EXIT_IO
+    assert "bad episode header" in err
 
 
 @pytest.mark.parametrize(
@@ -778,3 +862,44 @@ def test_unreadable_config_is_io_error(tmp_path):
     code, _, err = run_cli("--config", str(broken), "gen", "--domain", "minecraft")
     assert code == EXIT_IO
     assert err.startswith("error: cannot read config")
+
+
+@pytest.mark.parametrize(
+    "config, argv",
+    [
+        ({"no_digests": "false"}, ["run", "--domain", "minecraft", "--out"]),
+        ({"failure_buffer": "false"}, ["run", "--domain", "minecraft", "--out"]),
+        ({"episodes": 2.5}, ["run", "--domain", "minecraft", "--out"]),
+        ({"episodes": True}, ["run", "--domain", "minecraft", "--out"]),
+        ({"mode": "bogus"}, ["scan-check", "--out-dir"]),
+        ({"flow": "bogus"}, ["gen", "--domain", "minecraft", "--out"]),
+        ({"func": 1}, ["gen", "--domain", "minecraft", "--out"]),
+        ({"given": ["min_len"]}, ["eval", "--domain", "minecraft", "--out"]),
+        ([1, 2], ["gen", "--domain", "minecraft", "--out"]),
+    ],
+    ids=["string-flag", "string-buffer-flag", "float-int", "bool-int", "mode-choice",
+         "flow-choice", "func", "given", "not-object"],
+)
+def test_bad_config_is_io_error_naming_the_file(tmp_path, config, argv):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code, stdout, err = run_cli("--config", str(path), *argv, str(out))
+    assert code == EXIT_IO
+    assert str(path) in err
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_config_values_of_each_kind_are_taken(tmp_path):
+    # a bool for a flag, a string for a typed option, null for a None default
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        {"no_digests": True, "episodes": "2", "max_depth": None, "flow": "single"}))
+    trace = tmp_path / "trace.jsonl"
+    code, _, _ = run_cli("--config", str(config), "run", "--domain", "minecraft",
+                         "--out", str(trace))
+    assert code == EXIT_OK
+    steps = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert sum(r["kind"] == "header" for r in steps) == 2
+    assert all(r["digest"] is None for r in steps if r["kind"] == "step")

@@ -42,7 +42,6 @@ from flowgrid.minecraft import (
     MinecraftWorld,
     SpawnAttempt,
     SpawnStats,
-    _wall_cells,
     _wood_reachable,
     oracle_completes,
     required_stream_feasible,
@@ -186,6 +185,16 @@ def _old_required_stream_feasible(instruction: Instruction, type_counts) -> bool
             if counts[resource] < 1:
                 return False
         pc += 1
+
+
+def _wall_cells(occupied: set) -> frozenset:
+    # walls fill open cells whose row and column indices are both even
+    return frozenset(
+        (r, c)
+        for r in range(0, GRID, 2)
+        for c in range(0, GRID, 2)
+        if (r, c) not in occupied
+    )
 
 
 def _old_spawn(rng, instruction, max_resamples=50, feasibility_gate=True, seed=None):

@@ -494,3 +494,43 @@ def test_episode_spec_validation():
         EpisodeSpec(domain="chess")
     with pytest.raises(ValueError):
         EpisodeSpec(domain="minecraft", min_len=5, max_len=2)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(domain="starcraft", min_len=4, max_len=10),
+        dict(domain="minecraft", min_len=3, max_len=10),
+        dict(domain="minecraft", min_len=4, max_len=44),
+    ],
+    ids=["starcraft", "length-3", "length-44"],
+)
+def test_episode_spec_refuses_longjump_off_its_range(fields):
+    with pytest.raises(ValueError, match="longjump"):
+        EpisodeSpec(flow="longjump", **fields)
+
+
+def test_episode_spec_takes_longjump_lengths_4_to_43():
+    assert EpisodeSpec("minecraft", 4, 43, flow="longjump").max_len == 43
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [dict(min_len=True), dict(min_len=2.0), dict(max_len=10.0), dict(max_depth=True),
+     dict(max_depth=2.0), dict(disruptions="no"), dict(disruptions=1)],
+)
+def test_episode_spec_refuses_fields_of_the_wrong_type(fields):
+    with pytest.raises(ValueError):
+        EpisodeSpec(domain="starcraft", **fields)
+
+
+@pytest.mark.parametrize("block_len", [1, 17, 40])
+def test_longjump_spec_draws_what_its_two_substreams_give(block_len):
+    """The spec's episode is gen_longjump on "generation", spawn_longjump on "spawning"."""
+    spec = EpisodeSpec("minecraft", block_len + 3, block_len + 3, flow="longjump")
+    for seed in range(4):
+        world = spawn_episode_world(spec, seed)
+        instruction = gen_longjump(substream(seed, "generation"), block_len)
+        reference = spawn_longjump(substream(seed, "spawning"), instruction, seed=seed)
+        assert world.instruction.text() == instruction.text()
+        assert (world.digest(), world.pc) == (reference.digest(), reference.pc)
