@@ -20,7 +20,6 @@ from .errors import (
 from .generators import gen_build_tree, gen_longjump, gen_minecraft, gen_starcraft
 from .harness import (
     EpisodeSpec,
-    EpisodeTrace,
     FailureBuffer,
     OracleMinecraftPolicy,
     OracleStarcraftPolicy,
@@ -55,7 +54,6 @@ __all__ = [
     "Command",
     "DecodeError",
     "EpisodeSpec",
-    "EpisodeTrace",
     "FailureBuffer",
     "FlowgridError",
     "GenerationError",

@@ -96,11 +96,14 @@ def _parse_bins(text: str) -> List[Tuple[int, int]]:
     bins = []
     for part in text.split(","):
         part = part.strip()
-        if "-" in part:
-            lo_s, hi_s = part.split("-", 1)
-            lo, hi = int(lo_s), int(hi_s)
-        else:
-            lo = hi = int(part)
+        try:
+            if "-" in part:
+                lo_s, hi_s = part.split("-", 1)
+                lo, hi = int(lo_s), int(hi_s)
+            else:
+                lo = hi = int(part)
+        except ValueError:
+            raise UsageError(f"bad bin {part!r}: need lo-hi or one length") from None
         if not 1 <= lo <= hi:
             raise UsageError(f"bad bin {part!r}: need 1 <= lo <= hi")
         bins.append((lo, hi))
@@ -178,9 +181,8 @@ def _play(spec: EpisodeSpec, policy: PolicySpec, base_seed: int, record_digests:
     return run_episode(spec, policy, seed, record_digests=record_digests)
 
 
-def _buffered_traces(args, spec: EpisodeSpec, policy: PolicySpec):
-    """Episodes whose seeds the failure buffer picks, one after another."""
-    buffer = FailureBuffer(beta=args.buffer_beta, scale=args.buffer_scale)
+def _buffered_traces(args, spec: EpisodeSpec, policy: PolicySpec, buffer: FailureBuffer):
+    """Episodes whose seeds ``buffer`` picks, one after another."""
     buffer_rng = substream(args.seed, "buffer")
     for index in range(args.episodes):
         seed = buffer.sample(buffer_rng)
@@ -188,9 +190,9 @@ def _buffered_traces(args, spec: EpisodeSpec, policy: PolicySpec):
             seed = derived_seed(args.seed, f"ep{index}")
         else:
             log.debug("episode %d retries buffered seed %d", index, seed)
-        trace = run_episode(spec, policy, seed, record_digests=not args.no_digests)
-        buffer.update(seed, trace.outcome == "success")
-        yield trace
+        episode = run_episode(spec, policy, seed, record_digests=not args.no_digests)
+        buffer.update(seed, episode["end"]["outcome"] == "success")
+        yield episode
 
 
 def cmd_run(args) -> int:
@@ -201,16 +203,20 @@ def cmd_run(args) -> int:
     spec = _episode_spec(args, disruptions=not args.no_disruptions)
     policy = _parse_policy(args.policy, spec.domain)
     if args.failure_buffer:
-        traces = _buffered_traces(args, spec, policy)
+        try:
+            buffer = FailureBuffer(beta=args.buffer_beta, scale=args.buffer_scale)
+        except ValueError as exc:
+            raise UsageError(f"failure buffer: {exc}") from None
+        traces = _buffered_traces(args, spec, policy, buffer)
     else:
         play = functools.partial(_play, spec, policy, args.seed, not args.no_digests)
         traces = map_episodes(play, range(args.episodes), args.jobs)
     successes = []
 
     def tallied():
-        for trace in traces:
-            successes.append(trace.outcome == "success")
-            yield trace
+        for episode in traces:
+            successes.append(episode["end"]["outcome"] == "success")
+            yield episode
 
     # each trace is written as it arrives; none is held until the end
     with _open_out(args.out) as handle:
@@ -224,16 +230,19 @@ def cmd_run(args) -> int:
 def cmd_eval(args) -> int:
     _require(args.episodes_per_bin >= 1, "--episodes-per-bin must be at least 1")
     _require(args.jobs >= 1, "--jobs must be at least 1")
-    # bins or block lengths set the lengths; only flags from the command line
-    # are in ``given``, so a config shared with run/gen may still set them
+    # bins or block lengths set the lengths, and each mode refuses the other's
+    # flags; only flags from the command line are in ``given``, so a config
+    # shared with run/gen or with the other mode may still set them
+    given = getattr(args, "given", frozenset())
     _require(
-        not getattr(args, "given", None),
+        not given & {"min_len", "max_len"},
         "eval takes instruction lengths from --bins (e.g. --bins 1-10,11-20) "
         "or --block-min/--block-max, not --min-len/--max-len",
     )
     if args.longjump:
         if args.domain != MINECRAFT:
             raise UsageError("--longjump applies to the minecraft domain")
+        _require(not given & {"bins", "flow"}, "--longjump takes neither --bins nor --flow")
         _require(
             1 <= args.block_min <= args.block_max <= LONGJUMP_MAX_BLOCK,
             f"need 1 <= --block-min <= --block-max <= {LONGJUMP_MAX_BLOCK}",
@@ -244,6 +253,8 @@ def cmd_eval(args) -> int:
             policy, blocks, args.episodes_per_bin, args.seed, args.jobs
         )
     else:
+        _require(not given & {"block_min", "block_max"},
+                 "--block-min/--block-max apply only with --longjump")
         bins = _parse_bins(args.bins) if args.bins else list(evaluate_mod.DEFAULT_BINS)
         # each bin's spec is checked here, before any episode runs
         specs = [
@@ -341,7 +352,7 @@ def _add_instruction_opts(sub, domain_required=True):
                      required=domain_required, help="instruction domain")
     sub.add_argument("--min-len", type=int, default=1, action=_StoreGiven)
     sub.add_argument("--max-len", type=int, default=10, action=_StoreGiven)
-    sub.add_argument("--flow", choices=FLOW_FILTERS, default="any",
+    sub.add_argument("--flow", choices=FLOW_FILTERS, default="any", action=_StoreGiven,
                      help="minecraft control-flow filter")
     sub.add_argument("--max-depth", type=int, default=None,
                      help="starcraft technology-tree depth cap")
@@ -383,13 +394,13 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     ev.add_argument("--seed", type=int, default=0)
     ev.add_argument("--policy", default="oracle")
     ev.add_argument("--jobs", type=int, default=1)
-    ev.add_argument("--bins", default=None,
+    ev.add_argument("--bins", default=None, action=_StoreGiven,
                     help='comma list of lo-hi length ranges, e.g. "1-10,11-20"')
     ev.add_argument("--no-disruptions", action="store_true")
     ev.add_argument("--longjump", action="store_true",
                     help="sweep two-branch skip instructions by block length")
-    ev.add_argument("--block-min", type=int, default=1)
-    ev.add_argument("--block-max", type=int, default=40)
+    ev.add_argument("--block-min", type=int, default=1, action=_StoreGiven)
+    ev.add_argument("--block-max", type=int, default=40, action=_StoreGiven)
     ev.add_argument("--out", default="-")
     ev.set_defaults(func=cmd_eval)
 

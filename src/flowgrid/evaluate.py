@@ -83,6 +83,8 @@ def _summarize(lo: int, hi: int, outcomes: Sequence[Tuple[str, int]]) -> BinResu
 
 def _binned(policy: PolicySpec, bins: list, per_bin: int, base_seed: int, jobs: int):
     """Summarise ``per_bin`` episodes of each ((lo, hi), spec, seed tag) in ``bins``."""
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     tasks = [(spec, policy, derived_seed(base_seed, tag, f"ep{i}"))
              for _, spec, tag in bins for i in range(per_bin)]
     outcomes = list(map_episodes(_episode_outcome, tasks, jobs))
@@ -112,8 +114,6 @@ def evaluate(
     on scheduling; jobs > 1 runs the episodes of all bins on that many
     worker processes.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
     policy = parse_policy(policy, spec.domain)
     labelled = [((lo, hi), replace(spec, min_len=lo, max_len=hi), f"bin{k}")
                 for k, (lo, hi) in enumerate(bins)]

@@ -9,9 +9,10 @@ byte-identically and parallel execution cannot reorder randomness.
 from __future__ import annotations
 
 import json
+import math
 import operator
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import IO, List, Optional, Union
 
 import numpy as np
@@ -75,32 +76,6 @@ class EpisodeSpec:
             raise ValueError(f"need an integer max_depth >= 1, not {self.max_depth!r}")
         if type(self.disruptions) is not bool:
             raise ValueError(f"disruptions must be true or false, not {self.disruptions!r}")
-
-
-@dataclass
-class StepRecord:
-    t: int
-    command: dict
-    reward: int
-    done: bool
-    cause: Optional[str]
-    pc: Optional[int] = None
-    digest: Optional[str] = None
-    resolved: bool = True
-    noop: bool = False
-
-
-@dataclass
-class EpisodeTrace:
-    seed: int
-    domain: str
-    policy: str
-    spec: dict
-    instruction_text: list
-    instruction_encoded: list
-    outcome: str
-    reward: int
-    steps: List[StepRecord] = field(default_factory=list)
 
 
 # --- policies --------------------------------------------------------------------
@@ -390,24 +365,27 @@ _CHECKED_FIELDS = ("t", "reward", "done", "cause", "pc", "resolved", "noop")
 _recorded_fields = operator.itemgetter(*_CHECKED_FIELDS)
 
 
-def _step_fields(world, outcome) -> tuple:
-    """The _CHECKED_FIELDS of the step whose ``apply`` returned ``outcome``."""
-    resolved = outcome is not None
-    return (world.step_count, outcome.reward if resolved else 0, world.done, world.cause,
-            world.pc, resolved, resolved and outcome.noop)
+def _step_fields(world, noop: Optional[bool]) -> tuple:
+    """The _CHECKED_FIELDS of the step whose ``apply`` returned ``noop``."""
+    resolved = noop is not None
+    return (world.step_count, world.reward, world.done, world.cause, world.pc, resolved,
+            resolved and noop)
 
 
-def _step_record(world, action, outcome, digest: bool) -> StepRecord:
-    t, reward, done, cause, pc, resolved, noop = _step_fields(world, outcome)
-    return StepRecord(t, action.as_dict(), reward, done, cause, pc,
-                      world.digest() if digest and resolved else None, resolved, noop)
+def _step_record(world, action, noop: Optional[bool], digest: bool) -> dict:
+    """The trace's step record of the step whose ``apply`` returned ``noop``."""
+    t, reward, done, cause, pc, resolved, noop = _step_fields(world, noop)
+    return {"kind": "step", "t": t, "command": action.as_dict(), "reward": reward,
+            "done": done, "cause": cause, "pc": pc,
+            "digest": world.digest() if digest and resolved else None,
+            "resolved": resolved, "noop": noop}
 
 
-def drive_world(world, policy: Policy, record_digests: bool = True) -> List[StepRecord]:
-    """Run ``policy`` on ``world`` until the episode ends."""
+def drive_world(world, policy: Policy, record_digests: bool = True) -> List[dict]:
+    """Run ``policy`` on ``world`` until the episode ends; returns its step records."""
     policy.reset(world)
     reads_observation = policy.reads_observation
-    steps: List[StepRecord] = []
+    steps: List[dict] = []
     while not world.done:
         action = policy.act(world.observe() if reads_observation else None, world)
         steps.append(_step_record(world, action, world.apply(action), record_digests))
@@ -427,25 +405,22 @@ def run_episode(
     policy: Union[str, PolicySpec],
     seed: int,
     record_digests: bool = True,
-) -> EpisodeTrace:
+) -> dict:
     """Deterministically generate, spawn and play one episode.
 
     ``policy`` is a PolicySpec or a policy name (parsed on every call).
+    Returns the episode's trace records as ``{"header", "steps", "end"}``,
+    the shape ``split_episodes`` reads back, less the episode number that
+    ``write_traces`` adds; ``replay_episode`` verifies it as it is.
     """
     policy = parse_policy(policy, spec.domain)
     world = spawn_episode_world(spec, seed)
     steps = drive_world(world, policy.build(seed), record_digests)
-    return EpisodeTrace(
-        seed=seed,
-        domain=spec.domain,
-        policy=policy.name,
-        spec=dict(vars(spec)),
-        instruction_text=world.instruction.text(),
-        instruction_encoded=world.instruction.encoded(),
-        outcome=world.cause,
-        reward=world.reward,
-        steps=steps,
-    )
+    instruction = {"text": world.instruction.text(), "encoded": world.instruction.encoded()}
+    header = {"v": TRACE_VERSION, "kind": "header", "seed": seed, "domain": spec.domain,
+              "policy": policy.name, "spec": dict(vars(spec)), "instruction": instruction}
+    end = {"kind": "end", "outcome": world.cause, "reward": world.reward, "steps": len(steps)}
+    return {"header": header, "steps": steps, "end": end}
 
 
 def pool_workers(jobs: int, items: int) -> int:
@@ -510,43 +485,14 @@ def map_episodes(fn, items, jobs: int = 1):
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def write_traces(handle: IO, traces) -> None:
-    """Write episodes as JSON lines: header record, step records, end record."""
-    for index, trace in enumerate(traces):
-        handle.write(
-            _dumps(
-                {
-                    "v": TRACE_VERSION,
-                    "kind": "header",
-                    "episode": index,
-                    "seed": trace.seed,
-                    "domain": trace.domain,
-                    "policy": trace.policy,
-                    "spec": trace.spec,
-                    "instruction": {
-                        "text": trace.instruction_text,
-                        "encoded": trace.instruction_encoded,
-                    },
-                }
-            )
-            + "\n"
-        )
-        for step in trace.steps:
-            # the record is serialised at once, so it may share the step's
-            # field values; dataclasses.asdict would deep-copy them
-            handle.write(_dumps(dict(vars(step), kind="step")) + "\n")
-        handle.write(
-            _dumps(
-                {
-                    "kind": "end",
-                    "episode": index,
-                    "outcome": trace.outcome,
-                    "reward": trace.reward,
-                    "steps": len(trace.steps),
-                }
-            )
-            + "\n"
-        )
+def write_traces(handle: IO, episodes) -> None:
+    """Write ``run_episode`` results as JSON lines (header, steps, end), adding
+    each episode's position to its header and end records."""
+    for index, episode in enumerate(episodes):
+        handle.write(_dumps(dict(episode["header"], episode=index)) + "\n")
+        for step in episode["steps"]:
+            handle.write(_dumps(step) + "\n")
+        handle.write(_dumps(dict(episode["end"], episode=index)) + "\n")
 
 
 def read_trace_records(handle: IO):
@@ -642,13 +588,13 @@ def replay_episode(episode: dict, check_digests: bool = True):
             claimed = _recorded_fields(record)
         except (KeyError, TypeError, ValueError) as exc:
             raise TraceFormatError(f"step {position}: bad step record: {exc}") from None
-        outcome = world.apply(action)  # only starcraft leaves steps open (None)
-        fields = _step_fields(world, outcome)
+        noop = world.apply(action)  # only starcraft leaves steps open (None)
+        fields = _step_fields(world, noop)
         if fields != claimed:  # one tuple comparison while the steps agree
             for name, actual, wanted in zip(_CHECKED_FIELDS, fields, claimed):
                 if actual != wanted:
                     raise ReplayMismatch(f"step {position}: {name} {actual!r} != recorded {wanted!r}")
-        resolved = outcome is not None
+        resolved = noop is not None
         recorded = record.get("digest")
         if digested and resolved and recorded is None:
             raise ReplayMismatch(f"step {position}: resolved step has no digest")
@@ -686,8 +632,8 @@ class FailureBuffer:
     def __init__(self, beta: float = 0.01, scale: float = 1.0):
         if not 0.0 < beta <= 1.0:
             raise ValueError("beta must be in (0, 1]")
-        if scale < 0.0:
-            raise ValueError("scale must be non-negative")
+        if not (math.isfinite(scale) and scale >= 0.0):
+            raise ValueError("scale must be finite and non-negative")
         self.beta = beta
         self.scale = scale
         self.seeds: List[int] = []

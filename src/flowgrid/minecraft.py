@@ -56,18 +56,6 @@ class Command:
 
 
 @dataclass
-class StepOutcome:
-    """What either world's ``apply`` returns for a step that advanced world time."""
-
-    reward: int
-    done: bool
-    cause: Optional[str]
-    noop: bool = False
-    # set by the starcraft world's step_token; apply leaves it None
-    observation: object = None
-
-
-@dataclass
 class Observation:
     """Agent-visible state.  Carries no task-progress information."""
 
@@ -231,11 +219,13 @@ class MinecraftWorld:
         Returns (observation, reward, done, cause).  Raises EpisodeDone if
         the episode already ended.
         """
-        outcome = self.apply(command)
-        return self.observe(), outcome.reward, outcome.done, outcome.cause
+        self.apply(command)
+        return self.observe(), self.reward, self.done, self.cause
 
-    def apply(self, command: Command) -> StepOutcome:
-        """``step`` without building the observation."""
+    def apply(self, command: Command) -> bool:
+        """``step`` without building the observation; returns the no-op flag,
+        always False here.  The step's reward, done and cause are the world's:
+        ``reward`` stays 0 until the step that ends the episode in success."""
         if self.done:
             raise EpisodeDone("episode is over; build a new world")
         verb, target = command.verb, command.target
@@ -263,13 +253,12 @@ class MinecraftWorld:
                         interaction = fire
                 # unreachable or absent goal: the command stalls, time passes
         self.step_count += 1
-        reward = 0
         if interaction is not None:
-            reward = self._apply_interaction(*interaction)
+            self._apply_interaction(*interaction)
         if not self.done and self.step_count >= self.time_limit:
             self.done = True
             self.cause = "timeout"
-        return StepOutcome(reward, self.done, self.cause)
+        return False
 
     def _mine_here(self, resource: str) -> None:
         assert self.entities.get(self.worker) == resource
@@ -277,40 +266,36 @@ class MinecraftWorld:
         self.inventory[resource] += 1
         self._drop_route()
 
-    def _apply_interaction(self, kind: str, resource: str) -> int:
+    def _apply_interaction(self, kind: str, resource: str) -> None:
         required = self.instruction.lines[self.pc]
         self._drop_route()
         if kind == "mine":
             self._mine_here(resource)
             if required.verb == "mine" and required.target == resource:
-                return self._advance()
-            self._terminate("out_of_order")
-            return 0
-        if kind == "auto_mine":
+                self._advance()
+            else:
+                self._terminate("out_of_order")
+        elif kind == "auto_mine":
             # collection leg of a sell command; in order only while the
             # stream actually demands selling this resource
             self._mine_here(resource)
-            if required.verb == "sell" and required.target == resource:
-                return 0
-            self._terminate("out_of_order")
-            return 0
-        if kind == "sell":
+            if not (required.verb == "sell" and required.target == resource):
+                self._terminate("out_of_order")
+        elif kind == "sell":
             if self.inventory[resource] == 0:
-                return 0  # wood spent on bridging en route; retry next step
+                return  # wood spent on bridging en route; retry next step
             self.inventory[resource] -= 1
             if required.verb == "sell" and required.target == resource:
-                return self._advance()
-            self._terminate("out_of_order")
-            return 0
+                self._advance()
+            else:
+                self._terminate("out_of_order")
         # inspect: no mutation, never terminates, advances only when demanded
-        if required.verb == "inspect" and required.target == resource:
-            return self._advance()
-        return 0
+        elif required.verb == "inspect" and required.target == resource:
+            self._advance()
 
-    def _advance(self) -> int:
+    def _advance(self) -> None:
         self.pc += 1
         self.normalize()
-        return 1 if self.done else 0
 
     def _terminate(self, cause: str) -> None:
         self.done = True

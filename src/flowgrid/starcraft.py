@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from string import hexdigits
 from typing import Dict, List, Optional
@@ -33,7 +33,7 @@ from .instructions import (
     Instruction,
 )
 from .interpreter import sc_plan
-from .minecraft import CELL_INDEX, CELLS, GRID, TIME_LIMIT_FACTOR, StepOutcome
+from .minecraft import CELL_INDEX, CELLS, GRID, TIME_LIMIT_FACTOR
 
 N_PROBES = 3
 ATTACK_RATE = 0.1
@@ -131,6 +131,17 @@ class DisruptionReport:
 
 
 _CALM = DisruptionReport()  # the one report of every step without attack or ambush
+
+
+@dataclass
+class StepOutcome:
+    """What ``step_token`` returns for a step that advanced world time."""
+
+    reward: int
+    done: bool
+    cause: Optional[str]
+    noop: bool
+    observation: ScObservation
 
 
 @dataclass(eq=False)
@@ -245,11 +256,18 @@ class StarcraftWorld:
         token illegal in its context) applies the command, advances time
         one step, and returns the outcome with the new observation.
         """
-        outcome = self.apply(token)
-        return None if outcome is None else replace(outcome, observation=self.observe())
+        noop = self.apply(token)
+        if noop is None:
+            return None
+        return StepOutcome(self.reward, self.done, self.cause, noop, self.observe())
 
-    def apply(self, token: ActionToken) -> Optional[StepOutcome]:
-        """``step_token`` without building the observation."""
+    def apply(self, token: ActionToken) -> Optional[bool]:
+        """``step_token`` without building the observation.
+
+        Returns None while the assembly is open, else whether the step was
+        a no-op.  The step's reward, done and cause are the world's:
+        ``reward`` stays 0 until the step that ends the episode in success.
+        """
         if self.done:
             raise EpisodeDone("episode is over; build a new world")
         state, value = self.assembly, token.value
@@ -279,12 +297,7 @@ class StarcraftWorld:
             else:
                 step = None
         self._advance()
-        return StepOutcome(
-            reward=1 if (self.done and self.cause == "success") else 0,
-            done=self.done,
-            cause=self.cause,
-            noop=step is None,
-        )
+        return step is None
 
     def _advance(self) -> None:
         self.step_count += 1

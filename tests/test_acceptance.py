@@ -141,15 +141,15 @@ def test_c07_starcraft_oracle(capsys):
     for j in range(500):
         trace = run_episode(clean, "oracle", derived_seed(107, f"c{j}"),
                             record_digests=False)
-        wins += trace.outcome == "success"
+        wins += trace["end"]["outcome"] == "success"
     noisy = EpisodeSpec("starcraft", 1, 25, disruptions=True)
     outcomes = {}
     noops = 0
     for j in range(500):
         trace = run_episode(noisy, "oracle", derived_seed(107, f"n{j}"),
                             record_digests=False)
-        outcomes[trace.outcome] = outcomes.get(trace.outcome, 0) + 1
-        noops += sum(1 for step in trace.steps if step.noop)
+        outcomes[trace["end"]["outcome"]] = outcomes.get(trace["end"]["outcome"], 0) + 1
+        noops += sum(1 for step in trace["steps"] if step["noop"])
     timeout_rate = outcomes.get("timeout", 0) / 500
     ok = (
         wins == 500

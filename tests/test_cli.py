@@ -62,6 +62,28 @@ def test_bad_bins_are_usage_errors():
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("bins, part", [("abc", "'abc'"), ("1-", "'1-'"), (",", "''"),
+                                        ("1-3,x-4", "'x-4'")])
+def test_unparseable_bins_are_usage_errors_naming_the_part(bins, part):
+    code, _, err = run_cli("eval", "--domain", "minecraft", "--bins", bins,
+                           "--episodes-per-bin", "1")
+    assert code == EXIT_USAGE
+    assert f"bad bin {part}" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--buffer-beta", "0"), ("--buffer-beta", "2"), ("--buffer-beta", "nan"),
+    ("--buffer-scale", "-1"), ("--buffer-scale", "nan"), ("--buffer-scale", "inf"),
+])
+def test_bad_failure_buffer_flags_are_usage_errors_before_any_output(tmp_path, flag, value):
+    out = tmp_path / "trace.jsonl"
+    code, _, err = run_cli("run", "--domain", "minecraft", "--episodes", "2",
+                           "--failure-buffer", flag, value, "--out", str(out))
+    assert code == EXIT_USAGE
+    assert "failure buffer" in err
+    assert not out.exists()
+
+
 def test_longjump_requires_minecraft():
     code, _, _ = run_cli("eval", "--domain", "starcraft", "--longjump")
     assert code == EXIT_USAGE
@@ -176,6 +198,26 @@ def test_eval_longjump_length_flags_are_usage_errors(tmp_path, flag):
     assert code == EXIT_USAGE
     assert "--block-min/--block-max" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("longjump, flag, value", [
+    (True, "--bins", "1-3"), (True, "--flow", "multi"),
+    (False, "--block-min", "5"), (False, "--block-max", "9"),
+])
+def test_eval_flags_of_the_other_mode_are_usage_errors(tmp_path, longjump, flag, value):
+    out = tmp_path / "out.csv"
+    base = ["eval", "--domain", "minecraft", "--episodes-per-bin", "1", "--out", str(out)]
+    base += ["--longjump", "--block-max", "2"] if longjump else ["--bins", "1-3"]
+    code, _, err = run_cli(*base, flag, value)
+    assert code == EXIT_USAGE
+    assert flag in err
+    assert not out.exists()
+    # a config shared with the other mode may set it, as it may set --min-len
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({flag[2:].replace("-", "_"):
+                                  int(value) if value.isdigit() else value}))
+    assert run_cli("--config", str(config), *base)[0] == EXIT_OK
+    assert out.exists()
 
 
 def test_eval_lengths_from_config_are_not_refused(tmp_path):

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -65,7 +66,7 @@ def test_different_streams_are_isolated():
     # drawing policy randomness must not perturb the generated world
     a = run_episode(MC_SPEC, "oracle", 77)
     b = run_episode(MC_SPEC, "random", 77)
-    assert a.instruction_text == b.instruction_text
+    assert a["header"]["instruction"]["text"] == b["header"]["instruction"]["text"]
 
 
 def test_random_policy_is_seeded_by_policy_stream():
@@ -76,10 +77,10 @@ def test_random_policy_is_seeded_by_policy_stream():
 
 def test_outcomes_and_rewards_recorded():
     trace = run_episode(MC_SPEC, "oracle", 12)
-    assert trace.outcome == "success" and trace.reward == 1
-    if trace.steps:
-        assert trace.steps[-1].done
-        assert sum(s.reward for s in trace.steps) == 1
+    assert trace["end"]["outcome"] == "success" and trace["end"]["reward"] == 1
+    if trace["steps"]:
+        assert trace["steps"][-1]["done"]
+        assert sum(s["reward"] for s in trace["steps"]) == 1
 
 
 # --- episode runner ------------------------------------------------------------------
@@ -116,15 +117,45 @@ def test_map_episodes_yields_in_item_order(busy_thread):
 
 
 def test_trace_round_trip():
-    traces = [run_episode(MC_SPEC, "oracle", 21), run_episode(MC_SPEC, "oracle", 22)]
-    blob = trace_bytes(traces).decode("utf-8")
-    episodes = list(split_episodes(read_trace_records(io.StringIO(blob))))
-    assert len(episodes) == 2
-    for original, episode in zip(traces, episodes):
-        assert episode["header"]["seed"] == original.seed
-        assert episode["header"]["instruction"]["text"] == original.instruction_text
-        assert episode["end"]["outcome"] == original.outcome
-        assert len(episode["steps"]) == len(original.steps)
+    for spec in (MC_SPEC, SC_SPEC):
+        traces = [run_episode(spec, "oracle", 21), run_episode(spec, "random", 22)]
+        blob = trace_bytes(traces).decode("utf-8")
+        episodes = list(split_episodes(read_trace_records(io.StringIO(blob))))
+        assert len(episodes) == 2
+        for index, (original, episode) in enumerate(zip(traces, episodes)):
+            assert episode == dict(original, header=dict(original["header"], episode=index),
+                                   end=dict(original["end"], episode=index))
+            assert episode["header"]["seed"] == 21 + index
+            assert episode["end"]["outcome"] == original["end"]["outcome"]
+            assert len(episode["steps"]) == len(original["steps"])
+
+
+@pytest.mark.parametrize("spec, policy", [
+    (MC_SPEC, "oracle"), (MC_SPEC, "random"), (SC_SPEC, "oracle"), (SC_SPEC, "random"),
+    (MC_SPEC, PolicySpec("scripted:p.json", "minecraft", max_jump=2, walk=True)),
+])
+def test_run_episode_result_replays_in_memory(spec, policy):
+    stepped = 0
+    for seed in range(61, 65):
+        episode = run_episode(spec, policy, seed)
+        assert list(replay_episode(episode))
+        steps = episode["steps"]
+        if not steps:  # the instruction was done at spawn
+            continue
+        stepped += 1
+        last = len(steps) - 1
+        edits = [(0, "t", steps[0]["t"] + 1), (last, "done", not steps[last]["done"]),
+                 (last, "reward", 1 - steps[last]["reward"]),
+                 (0, "resolved", not steps[0]["resolved"]), (0, "noop", not steps[0]["noop"])]
+        if steps[last]["digest"] is not None:
+            edits.append((last, "digest", "0" * 16))
+        for position, key, value in edits:
+            edited = list(steps)
+            edited[position] = dict(steps[position], **{key: value})
+            with pytest.raises(ReplayMismatch):
+                list(replay_episode(dict(episode, steps=edited)))
+        assert list(replay_episode(episode))  # the edits copied, the original still holds
+    assert stepped >= 2
 
 
 def test_read_trace_reports_bad_line_number():
@@ -153,9 +184,9 @@ def test_replay_verifies_recorded_episodes():
 
 def test_replay_detects_tampering():
     trace = run_episode(MC_SPEC, "oracle", 33)
-    if not trace.steps:
+    if not trace["steps"]:
         trace = run_episode(MC_SPEC, "oracle", 34)
-    assert trace.steps
+    assert trace["steps"]
     blob = trace_bytes([trace]).decode("utf-8")
     lines = blob.splitlines()
     tampered = []
@@ -309,6 +340,11 @@ def test_scripted_policy_large_jump_succeeds_directly():
     assert results[0].success_rate == 1.0
 
 
+def test_longjump_sweep_refuses_jobs_below_one():
+    with pytest.raises(ValueError, match="jobs"):
+        longjump_sweep("oracle", block_lens=(1,), episodes_each=1, jobs=0)
+
+
 def _csv(results) -> str:
     buf = io.StringIO()
     write_csv(buf, results)
@@ -362,9 +398,9 @@ def test_play_world_ends_where_drive_world_does(domain, policy_name, max_jump, w
 
 def test_random_policies_emit_valid_actions():
     trace = run_episode(SC_SPEC, "random", 50)
-    assert trace.outcome in ("success", "timeout")
+    assert trace["end"]["outcome"] in ("success", "timeout")
     mc_trace = run_episode(MC_SPEC, "random", 51)
-    assert mc_trace.outcome in ("success", "timeout", "out_of_order")
+    assert mc_trace["end"]["outcome"] in ("success", "timeout", "out_of_order")
 
 
 def _assert_same_observation(got, expected):
@@ -398,7 +434,7 @@ def test_policy_observation_is_built_only_when_read(spec, oracle, reads):
         steps = drive_world(spawn_episode_world(spec, seed), policy)
         reference = run_episode(spec, "oracle", seed)
         assert policy.calls >= len(steps)
-        observed = dataclasses.replace(reference, steps=steps)
+        observed = dict(reference, steps=steps)
         assert trace_bytes([observed]) == trace_bytes([reference])
 
 
@@ -427,6 +463,12 @@ def test_digest_is_hash_of_sorted_snapshot_json(domain, policy_name, seed, steps
 
 
 # --- failure buffer -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("scale", [math.nan, math.inf])
+def test_failure_buffer_refuses_a_scale_that_is_not_finite(scale):
+    with pytest.raises(ValueError, match="finite"):
+        FailureBuffer(scale=scale)
 
 
 def test_failure_buffer_ema_closed_form():

@@ -561,8 +561,8 @@ def test_apply_matches_the_state_chain_on_random_token_streams(seed, disruptions
     for token in tokens:
         if world.done:
             break
-        outcome = world.apply(token)
-        assert (None if outcome is None else outcome.noop) == _chain_apply(chain, token)
+        noop = world.apply(token)
+        assert noop == _chain_apply(chain, token)
         assert _world_state(world) == _world_state(chain)
         assert (world.done, world.cause, world.reward) == (chain.done, chain.cause, chain.reward)
 
