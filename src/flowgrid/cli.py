@@ -200,6 +200,9 @@ def cmd_run(args) -> int:
     _require(args.jobs >= 1, "--jobs must be at least 1")
     if args.failure_buffer and args.jobs > 1:
         raise UsageError("--failure-buffer requires sequential execution (--jobs 1)")
+    given = getattr(args, "given", frozenset())  # as in eval, a config may set these flags
+    _require(args.failure_buffer or not given & {"buffer_beta", "buffer_scale"},
+             "--buffer-beta/--buffer-scale apply only with --failure-buffer")
     spec = _episode_spec(args, disruptions=not args.no_disruptions)
     policy = _parse_policy(args.policy, spec.domain)
     if args.failure_buffer:
@@ -383,8 +386,8 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
                      help="omit per-step world digests from the trace")
     run.add_argument("--failure-buffer", action="store_true",
                      help="retry failed seeds (sequential only)")
-    run.add_argument("--buffer-beta", type=float, default=0.01)
-    run.add_argument("--buffer-scale", type=float, default=1.0)
+    run.add_argument("--buffer-beta", type=float, default=0.01, action=_StoreGiven)
+    run.add_argument("--buffer-scale", type=float, default=1.0, action=_StoreGiven)
     run.add_argument("--out", default="-")
     run.set_defaults(func=cmd_run)
 

@@ -35,6 +35,7 @@ FLOW_FILTERS = ("any", "single", "multi", "longjump")
 MULTI_MIN_LINES = 6  # if, subtask, endif, while, subtask, endwhile
 LONGJUMP_FRAME_LINES = 3  # a long-jump block's opener and closer, and the final subtask
 LONGJUMP_MAX_BLOCK = 40
+MAX_ATTEMPTS = 1000  # draws one gen_minecraft or gen_starcraft call makes before GenerationError
 
 
 def _pick(rng: np.random.Generator, options):
@@ -112,7 +113,6 @@ def gen_minecraft(
     rng: np.random.Generator,
     length_range: Tuple[int, int],
     flow_filter: str = "any",
-    max_attempts: int = 1000,
 ) -> Instruction:
     """Sample a control-flow instruction with length in ``length_range``.
 
@@ -126,7 +126,7 @@ def gen_minecraft(
         raise ValueError(f"bad length range {length_range}")
     if flow_filter not in FLOW_FILTERS:
         raise ValueError(f"unknown flow filter {flow_filter!r}")
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         target = int(rng.integers(lo, hi + 1))
         if flow_filter == "longjump":
             return gen_longjump(rng, target - LONGJUMP_FRAME_LINES)
@@ -138,7 +138,7 @@ def gen_minecraft(
             continue
         return instruction
     raise GenerationError(
-        f"no instruction matching flow={flow_filter!r} in {max_attempts} attempts"
+        f"no instruction matching flow={flow_filter!r} in {MAX_ATTEMPTS} attempts"
     )
 
 
@@ -262,7 +262,6 @@ def gen_starcraft(
     rng: np.random.Generator,
     max_len: int,
     max_depth: Optional[int] = None,
-    max_attempts: int = 1000,
 ) -> Tuple[BuildTree, Instruction]:
     """Sample a tree plus an instruction of at most ``max_len`` lines.
 
@@ -272,9 +271,9 @@ def gen_starcraft(
     """
     if max_len < 1:
         raise ValueError("max_len must be positive")
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         tree = gen_build_tree(rng, max_depth)
         lines, _, _ = assemble_starcraft(rng, tree, max_len)
         if lines:
             return tree, Instruction(lines)
-    raise GenerationError(f"no instruction fit max_len={max_len} in {max_attempts} tries")
+    raise GenerationError(f"no instruction fit max_len={max_len} in {MAX_ATTEMPTS} tries")

@@ -58,18 +58,22 @@ class EpisodeSpec:
             raise ValueError(f"need integers 1 <= min_len <= max_len, not {lengths}")
         if self.flow not in FLOW_FILTERS:
             raise ValueError(f"unknown flow filter {self.flow!r}")
-        if self.domain == MINECRAFT and self.flow == "multi" and self.max_len < MULTI_MIN_LINES:
+        # each domain refuses the other's field, which its generator would ignore
+        if self.domain == STARCRAFT and self.flow != "any":
+            raise ValueError(f"flow={self.flow!r} applies to the minecraft domain only")
+        if self.domain == MINECRAFT and self.max_depth is not None:
+            raise ValueError(f"max_depth={self.max_depth!r} applies to the starcraft domain only")
+        if self.flow == "multi" and self.max_len < MULTI_MIN_LINES:
             raise ValueError(
                 f"no instruction matching flow='multi' fits in {self.max_len} lines; "
                 f"it needs at least {MULTI_MIN_LINES}"
             )
         longest = LONGJUMP_MAX_BLOCK + LONGJUMP_FRAME_LINES
         if self.flow == "longjump" and not (
-            self.domain == MINECRAFT and LONGJUMP_FRAME_LINES < self.min_len
-            and self.max_len <= longest
+            LONGJUMP_FRAME_LINES < self.min_len and self.max_len <= longest
         ):
             raise ValueError(
-                "flow='longjump' needs the minecraft domain and "
+                "flow='longjump' needs "
                 f"{LONGJUMP_FRAME_LINES + 1} <= min_len <= max_len <= {longest}"
             )
         if self.max_depth is not None and (type(self.max_depth) is not int or self.max_depth < 1):

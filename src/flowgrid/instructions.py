@@ -6,16 +6,18 @@ structure over count comparisons); the ``starcraft`` domain uses flat
 build-order lines naming a building or a unit type.
 
 Integer encodings are stable public interfaces: minecraft lines encode to
-``(kind, a, b)`` triples and starcraft lines to single integers.  See the
-tables in the module constants below.
+``(kind, a, b)`` triples and starcraft lines to single integers.  One
+table, ``VOCABULARY``, lists every line of both languages with its code
+and text forms; encoding, decoding, parsing and line validation all read it.
 """
 
 from __future__ import annotations
 
-import re
+import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import DecodeError
 
@@ -38,7 +40,6 @@ WHILE = "while"
 ENDWHILE = "endwhile"
 
 KIND_CODES = {SUBTASK: 0, IF: 1, ELSE: 2, ENDIF: 3, WHILE: 4, ENDWHILE: 5}
-CODE_KINDS = {v: k for k, v in KIND_CODES.items()}
 
 # --- starcraft vocabulary ---------------------------------------------------
 
@@ -80,10 +81,53 @@ NEXUS = 0
 N_BUILDINGS = len(BUILDING_NAMES)  # 14; codes 0..13
 N_UNITS = len(UNIT_NAMES)  # 16; codes 14..29 (offset by N_BUILDINGS)
 
+# --- the line vocabulary ----------------------------------------------------
 
-def _plural(comparand: str) -> str:
-    # only the non-resource comparand pluralises in the text form
-    return "merchants" if comparand == "merchant" else comparand
+
+class Word(NamedTuple):
+    """One line of a language: the fields that build it, its integer code and
+    every text form ``parse_text`` accepts, the canonical one first."""
+
+    domain: str
+    fields: tuple
+    code: object  # (kind, a, b) triple on minecraft, an int on starcraft
+    spellings: tuple
+
+
+def _words() -> Iterator[Word]:
+    for v, verb in enumerate(VERBS):
+        said = (verb, *(alias for alias, to in VERB_ALIASES.items() if to == verb))
+        for r, target in enumerate(RESOURCES):
+            yield Word(MINECRAFT, (SUBTASK, verb, target, None), (KIND_CODES[SUBTASK], v, r),
+                       tuple(f"{w} {target}" for w in said))
+    # a comparand may be written with or without a trailing "s"; the text form
+    # pluralises only the one that is not a resource
+    forms = [(c, c + "s") if c in RESOURCES else (c + "s", c) for c in COMPARANDS]
+    for kind in (IF, WHILE):
+        for a, b in itertools.permutations(range(len(COMPARANDS)), 2):
+            yield Word(MINECRAFT, (kind, None, None, (COMPARANDS[a], COMPARANDS[b])),
+                       (KIND_CODES[kind], a, b),
+                       tuple(f"{kind} more {x} than {y}" for x in forms[a] for y in forms[b]))
+    for kind in (ELSE, ENDIF, ENDWHILE):
+        yield Word(MINECRAFT, (kind, None, None, None), (KIND_CODES[kind], 0, 0), (kind,))
+    for b, name in enumerate(BUILDING_NAMES):
+        yield Word(STARCRAFT, ("building", b), b, (f"build {name}",))
+    for u, name in enumerate(UNIT_NAMES):
+        yield Word(STARCRAFT, ("unit", u), N_BUILDINGS + u, (f"train {name}",))
+
+
+VOCABULARY = tuple(_words())
+# the two languages' fields differ in length, so one dict holds both
+_BY_FIELDS = {word.fields: word for word in VOCABULARY}
+
+
+def _attach_word(line, fields: tuple) -> None:
+    """Set ``line.word`` to the entry listed under ``fields``; ValueError if none is."""
+    try:
+        word = _BY_FIELDS[fields]
+    except (KeyError, TypeError):  # TypeError: an unhashable payload, such as a list condition
+        raise ValueError(f"no such line: {line!r}") from None
+    object.__setattr__(line, "word", word)  # not a field, so == and hash() ignore it
 
 
 @dataclass(frozen=True)
@@ -92,7 +136,8 @@ class CfLine:
 
     ``condition`` is a ``(a, b)`` comparand pair meaning "count(a) > count(b)"
     over on-map entities; it is present exactly on if/while lines.  ``verb``
-    and ``target`` are present exactly on subtask lines.
+    and ``target`` are present exactly on subtask lines.  ``word`` is the
+    line's VOCABULARY entry.
     """
 
     kind: str
@@ -101,28 +146,7 @@ class CfLine:
     condition: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.kind not in KIND_CODES:
-            raise ValueError(f"unknown line kind {self.kind!r}")
-        if self.kind == SUBTASK:
-            if self.verb not in VERBS or self.target not in RESOURCES:
-                raise ValueError(f"bad subtask {self.verb!r} {self.target!r}")
-            if self.condition is not None:
-                raise ValueError("subtask lines carry no condition")
-        elif self.kind in (IF, WHILE):
-            cond = self.condition
-            if (
-                not isinstance(cond, tuple)
-                or len(cond) != 2
-                or cond[0] not in COMPARANDS
-                or cond[1] not in COMPARANDS
-                or cond[0] == cond[1]
-            ):
-                raise ValueError(f"bad condition {cond!r}")
-            if self.verb is not None or self.target is not None:
-                raise ValueError("flow lines carry no verb/target")
-        else:
-            if any(v is not None for v in (self.verb, self.target, self.condition)):
-                raise ValueError(f"{self.kind} lines carry no payload")
+        _attach_word(self, (self.kind, self.verb, self.target, self.condition))
 
     @classmethod
     def subtask(cls, verb: str, target: str) -> "CfLine":
@@ -149,39 +173,24 @@ class CfLine:
         return cls(ENDWHILE)
 
     def triple(self) -> tuple:
-        code = KIND_CODES[self.kind]
-        if self.kind == SUBTASK:
-            return (code, VERBS.index(self.verb), RESOURCES.index(self.target))
-        if self.kind in (IF, WHILE):
-            a, b = self.condition
-            return (code, COMPARANDS.index(a), COMPARANDS.index(b))
-        return (code, 0, 0)
+        return self.word.code
 
     def text(self) -> str:
-        if self.kind == SUBTASK:
-            return f"{self.verb} {self.target}"
-        if self.kind in (IF, WHILE):
-            a, b = self.condition
-            return f"{self.kind} more {_plural(a)} than {_plural(b)}"
-        return self.kind
+        return self.word.spellings[0]
 
 
 @dataclass(frozen=True)
 class ScLine:
-    """One line of a build-order instruction: a building or a unit."""
+    """One line of a build-order instruction: a building or a unit.
+
+    ``word`` is the line's VOCABULARY entry.
+    """
 
     kind: str  # "building" | "unit"
     ident: int
 
     def __post_init__(self):
-        if self.kind == "building":
-            if not 0 <= self.ident < N_BUILDINGS:
-                raise ValueError(f"building id out of range: {self.ident}")
-        elif self.kind == "unit":
-            if not 0 <= self.ident < N_UNITS:
-                raise ValueError(f"unit id out of range: {self.ident}")
-        else:
-            raise ValueError(f"unknown line kind {self.kind!r}")
+        _attach_word(self, (self.kind, self.ident))
 
     @classmethod
     def building(cls, ident: int) -> "ScLine":
@@ -196,12 +205,10 @@ class ScLine:
         return self.kind == "unit"
 
     def code(self) -> int:
-        return self.ident if self.kind == "building" else N_BUILDINGS + self.ident
+        return self.word.code
 
     def text(self) -> str:
-        if self.kind == "building":
-            return f"build {BUILDING_NAMES[self.ident]}"
-        return f"train {UNIT_NAMES[self.ident]}"
+        return self.word.spellings[0]
 
 
 Line = Union[CfLine, ScLine]
@@ -240,8 +247,8 @@ class Instruction:
 
     def encoded(self) -> list:
         if self.domain == MINECRAFT:
-            return [list(line.triple()) for line in self.lines]
-        return [line.code() for line in self.lines]
+            return [list(line.word.code) for line in self.lines]
+        return [line.word.code for line in self.lines]
 
     @cached_property
     def flow(self) -> "Flow":
@@ -400,111 +407,52 @@ class BuildTree:
         return max(self.depth(b) for b in buildings)
 
 
-# --- integer encode / decode -------------------------------------------------
+# --- decode and parse: inverse lookups in the vocabulary -------------------
+
+_LINE_TYPES = {MINECRAFT: CfLine, STARCRAFT: ScLine}
+# every line is built once here; decode and parse_text return these instances
+_LINES = [(word, _LINE_TYPES[word.domain](*word.fields)) for word in VOCABULARY]
+# domain -> code -> line, and domain -> spelling -> line
+_BY_CODE = {d: {w.code: line for w, line in _LINES if w.domain == d} for d in _LINE_TYPES}
+_BY_SPELLING = {
+    d: {s: line for w, line in _LINES if w.domain == d for s in w.spellings} for d in _LINE_TYPES
+}
+# how decode reads one line's payload: every number in it must be an integer
+_CODE_KEYS = {MINECRAFT: lambda item: tuple(map(operator.index, item)), STARCRAFT: operator.index}
 
 
-def decode_minecraft(triples: Sequence) -> Instruction:
+def _look_up(items: Sequence, domain: str, tables: dict, key) -> Instruction:
+    """The line ``tables[domain]`` holds under ``key(item)`` for each item."""
+    if domain not in tables:
+        raise ValueError(f"unknown domain {domain!r}")
     lines = []
-    for i, item in enumerate(triples):
+    for i, item in enumerate(items):
         try:
-            kind_code, a, b = (int(v) for v in item)
-        except (TypeError, ValueError) as exc:
-            raise DecodeError(f"line {i}: not an integer triple: {item!r}") from exc
-        kind = CODE_KINDS.get(kind_code)
-        if kind is None:
-            raise DecodeError(f"line {i}: unknown kind code {kind_code}")
-        try:
-            if kind == SUBTASK:
-                lines.append(CfLine.subtask(VERBS[a], RESOURCES[b]))
-            elif kind in (IF, WHILE):
-                line = CfLine(kind, condition=(COMPARANDS[a], COMPARANDS[b]))
-                lines.append(line)
-            else:
-                if (a, b) != (0, 0):
-                    raise DecodeError(f"line {i}: {kind} takes no arguments")
-                lines.append(CfLine(kind))
-        except (IndexError, ValueError) as exc:
-            raise DecodeError(f"line {i}: bad arguments ({a}, {b}) for {kind}") from exc
-    if not lines:
-        raise DecodeError("empty instruction")
-    return Instruction(tuple(lines))
-
-
-def decode_starcraft(codes: Sequence) -> Instruction:
-    lines = []
-    for i, code in enumerate(codes):
-        code = int(code)
-        if 0 <= code < N_BUILDINGS:
-            lines.append(ScLine.building(code))
-        elif N_BUILDINGS <= code < N_BUILDINGS + N_UNITS:
-            lines.append(ScLine.unit(code - N_BUILDINGS))
-        else:
-            raise DecodeError(f"line {i}: symbol code {code} out of range")
+            lines.append(tables[domain][key(item)])
+        except (AttributeError, KeyError, TypeError):  # AttributeError: text that is not a str
+            raise DecodeError(f"line {i}: no {domain} line {item!r}") from None
     if not lines:
         raise DecodeError("empty instruction")
     return Instruction(tuple(lines))
 
 
 def decode(payload: Sequence, domain: str) -> Instruction:
-    if domain == MINECRAFT:
-        return decode_minecraft(payload)
-    if domain == STARCRAFT:
-        return decode_starcraft(payload)
-    raise ValueError(f"unknown domain {domain!r}")
+    """Invert ``Instruction.encoded()``; a code that is not an integer
+    (``operator.index``), such as ``1.5`` or ``"3"``, is a DecodeError."""
+    return _look_up(payload, domain, _BY_CODE, _CODE_KEYS.get(domain))
 
 
-# --- text parse ---------------------------------------------------------------
+def decode_minecraft(triples: Sequence) -> Instruction:
+    return decode(triples, MINECRAFT)
 
-_COND_RE = re.compile(r"^(if|while) more (\w+) than (\w+)$")
 
-
-def _parse_comparand(word: str, line_no: int) -> str:
-    singular = word[:-1] if word.endswith("s") and word != "s" else word
-    for cand in (word, singular):
-        if cand in COMPARANDS:
-            return cand
-    raise DecodeError(f"line {line_no}: unknown comparand {word!r}")
+def decode_starcraft(codes: Sequence) -> Instruction:
+    return decode(codes, STARCRAFT)
 
 
 def parse_text(lines: Sequence, domain: str) -> Instruction:
-    """Parse the human-readable line format back into an Instruction."""
-    if domain == STARCRAFT:
-        out = []
-        for i, raw in enumerate(lines):
-            parts = raw.strip().lower().split()
-            if len(parts) == 2 and parts[0] == "build" and parts[1] in BUILDING_NAMES:
-                out.append(ScLine.building(BUILDING_NAMES.index(parts[1])))
-            elif len(parts) == 2 and parts[0] == "train" and parts[1] in UNIT_NAMES:
-                out.append(ScLine.unit(UNIT_NAMES.index(parts[1])))
-            else:
-                raise DecodeError(f"line {i}: cannot parse {raw!r}")
-        if not out:
-            raise DecodeError("empty instruction")
-        return Instruction(tuple(out))
-    if domain != MINECRAFT:
-        raise ValueError(f"unknown domain {domain!r}")
-    out = []
-    for i, raw in enumerate(lines):
-        textline = raw.strip().lower()
-        if textline in (ELSE, ENDIF, ENDWHILE):
-            out.append(CfLine(textline))
-            continue
-        match = _COND_RE.match(textline)
-        if match:
-            kind, a, b = match.groups()
-            a = _parse_comparand(a, i)
-            b = _parse_comparand(b, i)
-            if a == b:
-                raise DecodeError(f"line {i}: condition comparands must differ")
-            out.append(CfLine(kind, condition=(a, b)))
-            continue
-        parts = textline.split()
-        if len(parts) == 2:
-            verb = VERB_ALIASES.get(parts[0], parts[0])
-            if verb in VERBS and parts[1] in RESOURCES:
-                out.append(CfLine.subtask(verb, parts[1]))
-                continue
-        raise DecodeError(f"line {i}: cannot parse {raw!r}")
-    if not out:
-        raise DecodeError("empty instruction")
-    return Instruction(tuple(out))
+    """Parse the human-readable line format back into an Instruction.
+
+    Case is ignored, and so is whitespace around and between words.
+    """
+    return _look_up(lines, domain, _BY_SPELLING, lambda raw: " ".join(raw.lower().split()))

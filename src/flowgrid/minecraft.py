@@ -34,6 +34,7 @@ _CHANNEL_INDEX = {name: i for i, name in enumerate(CHANNELS)}
 # entity count leaves room for one
 WATER_MAX_ENTITIES = 30
 TIME_LIMIT_FACTOR = 30
+MAX_RESAMPLES = 50  # placements one spawn draws after its first, before SpawnInfeasible
 # a resource's RESOURCES index is also its COMPARANDS index
 _MERCHANT = COMPARANDS.index("merchant")
 
@@ -493,8 +494,6 @@ def _placed_world(
 def spawn(
     rng: np.random.Generator,
     instruction: Instruction,
-    max_resamples: int = 50,
-    feasibility_gate: bool = True,
     seed: Optional[int] = None,
 ) -> MinecraftWorld:
     """Populate a world for ``instruction``.
@@ -504,14 +503,14 @@ def spawn(
     scatters entities and the worker over unique open cells, removes the
     water again if it cuts the worker off from every wood cell, fills the
     even-even open cells with walls, and finally dry-runs the ground-truth
-    policy.  Any failed stage resamples, up to ``max_resamples`` times;
+    policy.  Any failed stage resamples, up to ``MAX_RESAMPLES`` times;
     exhaustion raises SpawnInfeasible so the caller can regenerate the
     instruction.
     """
     n = int(rng.integers(0, 37))
     attempts: List[SpawnAttempt] = []
     verdicts: Dict[tuple, bool] = {}  # static check per entity-type draw
-    for resample in range(max_resamples + 1):
+    for resample in range(MAX_RESAMPLES + 1):
         kinds = [ENTITY_TYPES[i] for i in rng.integers(0, len(ENTITY_TYPES), size=n).tolist()]
         type_counts = {kind: kinds.count(kind) for kind in ENTITY_TYPES}
         key = tuple(type_counts.values())
@@ -541,7 +540,7 @@ def spawn(
             water = set()
             water_removed = True
         world = _placed_world(instruction, entities, water, worker, seed)
-        if feasibility_gate and not oracle_completes(world):
+        if not oracle_completes(world):
             attempts.append(
                 SpawnAttempt(n, "gate_reject", water_placed, water_removed)
             )
@@ -556,7 +555,7 @@ def spawn(
         )
         return world
     raise SpawnInfeasible(
-        f"no feasible placement for n={n} in {max_resamples} resamples",
+        f"no feasible placement for n={n} in {MAX_RESAMPLES} resamples",
         attempts=attempts,
     )
 

@@ -39,6 +39,7 @@ N_PROBES = 3
 ATTACK_RATE = 0.1
 AMBUSH_RATE = 0.1
 MAX_ENDOWMENT = 36  # sampled upper bound; placement caps at the 35 free cells
+MAX_RESAMPLES = 50  # placements one spawn draws after its first, before SpawnInfeasible
 
 TOKEN_KINDS = ("select_probe", "select_coord", "select_building", "select_unit", "commit")
 TOKEN_LIMITS = {
@@ -391,7 +392,6 @@ def spawn(
     disruptions: bool = True,
     disruption_rng: Optional[np.random.Generator] = None,
     seed: Optional[int] = None,
-    max_resamples: int = 50,
 ) -> StarcraftWorld:
     """Place the root building, three probes and a random endowment.
 
@@ -401,7 +401,7 @@ def spawn(
     the ground-truth plan needs from a fresh start.
     """
     required = tuple(line.ident for line in instruction.lines if line.is_unit)
-    for _ in range(max_resamples + 1):
+    for _ in range(MAX_RESAMPLES + 1):
         nexus_cell = CELLS[int(rng.integers(len(CELLS)))]
         endowment = int(rng.integers(0, MAX_ENDOWMENT + 1))
         count = min(endowment, len(CELLS) - 1)

@@ -84,6 +84,41 @@ def test_bad_failure_buffer_flags_are_usage_errors_before_any_output(tmp_path, f
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--buffer-beta", "5"), ("--buffer-scale", "nan")])
+def test_buffer_flags_without_failure_buffer_are_usage_errors(tmp_path, flag, value):
+    out = tmp_path / "trace.jsonl"
+    base = ["run", "--domain", "minecraft", "--episodes", "2", "--out", str(out)]
+    code, _, err = run_cli(*base, flag, value)
+    assert code == EXIT_USAGE
+    assert flag in err
+    assert not out.exists()
+    # a config shared with buffered runs may set it
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({flag[2:].replace("-", "_"): 0.5}))
+    assert run_cli("--config", str(config), *base)[0] == EXIT_OK
+    assert out.exists()
+
+
+@pytest.mark.parametrize("domain, flag, value, recorded", [
+    ("starcraft", "--flow", "multi", ("flow", "multi")),
+    ("minecraft", "--max-depth", "3", ("max_depth", 3)),
+], ids=["starcraft-flow", "minecraft-max-depth"])
+def test_spec_fields_of_the_other_domain_are_refused(tmp_path, domain, flag, value, recorded):
+    # the domain's generator would ignore the field, yet the header would record it
+    out = tmp_path / "out"
+    for command in (["gen"], ["run", "--episodes", "2"], ["eval", "--episodes-per-bin", "1"]):
+        code, _, err = run_cli(*command, "--domain", domain, flag, value, "--out", str(out))
+        assert code == EXIT_USAGE
+        assert "applies to the" in err
+        assert not out.exists()
+    trace, records = _recorded_records(tmp_path, domain)
+    records[0]["spec"][recorded[0]] = recorded[1]
+    _rewrite(trace, records)
+    code, _, err = run_cli("replay", "--trace", str(trace), "--quiet")
+    assert code == EXIT_IO
+    assert "bad episode header" in err
+
+
 def test_longjump_requires_minecraft():
     code, _, _ = run_cli("eval", "--domain", "starcraft", "--longjump")
     assert code == EXIT_USAGE
@@ -386,6 +421,22 @@ PINNED_TRACES = [
     (("starcraft", "oracle", "1", "10", "any", "40"),
      "f7b352957fffb66248d2ba59a68ce58574a398f1022e757627adee149e5ae716"),
 ]
+
+
+# sha256 of `gen --count 200 --seed 11 --min-len 1 --max-len 20`, which
+# changes only with the generators or the text and integer encodings
+PINNED_GEN = [
+    ("minecraft", "7ee7104d21a6b243e1d180ec98c628f76fc12fa542cc807149d5d46b5c3a3dc7"),
+    ("starcraft", "3b76861ae6a340c8f12a2c4acafc35ce7644e13b5f769b57a209b69bc6919094"),
+]
+
+
+@pytest.mark.parametrize("domain, sha256", PINNED_GEN, ids=["minecraft", "starcraft"])
+def test_gen_bytes_are_pinned(domain, sha256):
+    code, out, _ = run_cli("gen", "--domain", domain, "--count", "200", "--seed", "11",
+                           "--min-len", "1", "--max-len", "20")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
 
 
 @pytest.mark.parametrize(

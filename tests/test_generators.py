@@ -72,7 +72,7 @@ def test_multi_filter_impossible_below_six_lines():
     # one if-block plus one while-block cannot fit in five lines
     rng = rng_for("toosmall")
     with pytest.raises(GenerationError):
-        gen_minecraft(rng, (1, 5), "multi", max_attempts=50)
+        gen_minecraft(rng, (1, 5), "multi")
 
 
 def test_bad_arguments_rejected():

@@ -536,6 +536,11 @@ def test_episode_spec_validation():
         EpisodeSpec(domain="chess")
     with pytest.raises(ValueError):
         EpisodeSpec(domain="minecraft", min_len=5, max_len=2)
+    # each domain's generator ignores the other's field
+    with pytest.raises(ValueError, match="minecraft domain only"):
+        EpisodeSpec(domain="starcraft", flow="single")
+    with pytest.raises(ValueError, match="starcraft domain only"):
+        EpisodeSpec(domain="minecraft", max_depth=2)
 
 
 @pytest.mark.parametrize(
