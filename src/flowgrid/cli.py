@@ -45,7 +45,7 @@ from .harness import (
     write_traces,
 )
 from .instructions import MINECRAFT, STARCRAFT
-from .rngtools import derived_seed, substream
+from .rngtools import derived_seed, draws, substream
 
 log = logging.getLogger("flowgrid")
 
@@ -145,7 +145,7 @@ def cmd_gen(args) -> int:
     _require(args.count >= 1, "--count must be at least 1")
     _require(1 <= args.min_len <= args.max_len, "need 1 <= --min-len <= --max-len")
     spec = _episode_spec(args)
-    rng = substream(args.seed, "generation")
+    rng = draws(args.seed, "generation")
     rows = []
     for index in range(args.count):
         try:
@@ -183,7 +183,7 @@ def _play(spec: EpisodeSpec, policy: PolicySpec, base_seed: int, record_digests:
 
 def _buffered_traces(args, spec: EpisodeSpec, policy: PolicySpec, buffer: FailureBuffer):
     """Episodes whose seeds ``buffer`` picks, one after another."""
-    buffer_rng = substream(args.seed, "buffer")
+    buffer_rng = draws(args.seed, "buffer")
     for index in range(args.episodes):
         seed = buffer.sample(buffer_rng)
         if seed is None:
@@ -246,6 +246,9 @@ def cmd_eval(args) -> int:
         if args.domain != MINECRAFT:
             raise UsageError("--longjump applies to the minecraft domain")
         _require(not given & {"bins", "flow"}, "--longjump takes neither --bins nor --flow")
+        # the sweep builds its own minecraft specs, which would drop these
+        _require(args.max_depth is None and not args.no_disruptions,
+                 "--longjump takes neither --max-depth nor --no-disruptions")
         _require(
             1 <= args.block_min <= args.block_max <= LONGJUMP_MAX_BLOCK,
             f"need 1 <= --block-min <= --block-max <= {LONGJUMP_MAX_BLOCK}",

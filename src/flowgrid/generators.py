@@ -1,14 +1,12 @@
 """Procedural instruction generators for both domains.
 
-All generators draw exclusively from the numpy Generator they are handed,
+All generators draw exclusively from the ``rngtools.Rng`` they are handed,
 so a fixed (seed, parameters) pair always yields the same output.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
-
-import numpy as np
 
 from .errors import GenerationError
 from .instructions import (
@@ -30,6 +28,7 @@ from .instructions import (
     ScLine,
     flow_kinds,
 )
+from .rngtools import Rng
 
 FLOW_FILTERS = ("any", "single", "multi", "longjump")
 MULTI_MIN_LINES = 6  # if, subtask, endif, while, subtask, endwhile
@@ -38,17 +37,17 @@ LONGJUMP_MAX_BLOCK = 40
 MAX_ATTEMPTS = 1000  # draws one gen_minecraft or gen_starcraft call makes before GenerationError
 
 
-def _pick(rng: np.random.Generator, options):
+def _pick(rng: Rng, options):
     return options[int(rng.integers(len(options)))]
 
 
-def _random_condition(rng: np.random.Generator) -> Tuple[str, str]:
+def _random_condition(rng: Rng) -> Tuple[str, str]:
     a = _pick(rng, COMPARANDS)
     rest = [c for c in COMPARANDS if c != a]
     return (a, _pick(rng, rest))
 
 
-def _random_subtask(rng: np.random.Generator) -> CfLine:
+def _random_subtask(rng: Rng) -> CfLine:
     return CfLine.subtask(_pick(rng, VERBS), _pick(rng, RESOURCES))
 
 
@@ -65,7 +64,7 @@ def _min_lines_to_close(depth: int, last_was_subtask: bool) -> int:
     return 2 * depth - (1 if last_was_subtask else 0)
 
 
-def _sample_minecraft(rng: np.random.Generator, target_len: int) -> Instruction:
+def _sample_minecraft(rng: Rng, target_len: int) -> Instruction:
     lines: List[CfLine] = []
     stack: List[List] = []  # [kind, has_else]
     while len(lines) < target_len:
@@ -110,7 +109,7 @@ def _sample_minecraft(rng: np.random.Generator, target_len: int) -> Instruction:
 
 
 def gen_minecraft(
-    rng: np.random.Generator,
+    rng: Rng,
     length_range: Tuple[int, int],
     flow_filter: str = "any",
 ) -> Instruction:
@@ -142,7 +141,7 @@ def gen_minecraft(
     )
 
 
-def gen_longjump(rng: np.random.Generator, block_len: int) -> Instruction:
+def gen_longjump(rng: Rng, block_len: int) -> Instruction:
     """A single never-taken block of ``block_len`` subtasks, then one subtask.
 
     The opening condition compares a comparand that the paired spawner
@@ -168,7 +167,7 @@ def gen_longjump(rng: np.random.Generator, block_len: int) -> Instruction:
 
 
 def gen_build_tree(
-    rng: np.random.Generator, max_depth: Optional[int] = None
+    rng: Rng, max_depth: Optional[int] = None
 ) -> BuildTree:
     """Sample a technology tree over all buildings and units.
 
@@ -201,7 +200,7 @@ def gen_build_tree(
 
 
 def assemble_starcraft(
-    rng: np.random.Generator, tree: BuildTree, max_len: int
+    rng: Rng, tree: BuildTree, max_len: int
 ) -> Tuple[tuple, BuildTree, list]:
     """Compose instruction lines for ``tree`` within a line budget.
 
@@ -259,7 +258,7 @@ def assemble_starcraft(
 
 
 def gen_starcraft(
-    rng: np.random.Generator,
+    rng: Rng,
     max_len: int,
     max_depth: Optional[int] = None,
 ) -> Tuple[BuildTree, Instruction]:

@@ -15,8 +15,6 @@ import os
 from dataclasses import dataclass, replace
 from typing import IO, List, Optional, Union
 
-import numpy as np
-
 from . import minecraft, starcraft
 from .errors import (
     GenerationError,
@@ -30,7 +28,7 @@ from .generators import gen_minecraft, gen_starcraft
 from .instructions import MINECRAFT, RESOURCES, STARCRAFT, VERBS
 from .interpreter import sc_plan
 from .minecraft import Command
-from .rngtools import substream
+from .rngtools import Rng, draws, substream
 from .starcraft import ActionToken
 
 TRACE_VERSION = 1
@@ -47,7 +45,7 @@ class EpisodeSpec:
     max_len: int = 10
     flow: str = "any"  # minecraft flow filter
     max_depth: Optional[int] = None  # starcraft tree depth cap
-    disruptions: bool = True  # starcraft only
+    disruptions: bool = True  # starcraft only; minecraft has none to turn off
 
     def __post_init__(self):
         if self.domain not in (MINECRAFT, STARCRAFT):
@@ -63,6 +61,8 @@ class EpisodeSpec:
             raise ValueError(f"flow={self.flow!r} applies to the minecraft domain only")
         if self.domain == MINECRAFT and self.max_depth is not None:
             raise ValueError(f"max_depth={self.max_depth!r} applies to the starcraft domain only")
+        if self.domain == MINECRAFT and self.disruptions is False:
+            raise ValueError("disruptions=False applies to the starcraft domain only")
         if self.flow == "multi" and self.max_len < MULTI_MIN_LINES:
             raise ValueError(
                 f"no instruction matching flow='multi' fits in {self.max_len} lines; "
@@ -177,7 +177,7 @@ class RandomMinecraftPolicy(Policy):
     name = "random"
     reads_observation = False
 
-    def __init__(self, rng: np.random.Generator):
+    def __init__(self, rng: Rng):
         self.rng = rng
 
     def act(self, observation, world) -> Command:
@@ -190,7 +190,7 @@ class RandomStarcraftPolicy(Policy):
     name = "random"
     reads_observation = False
 
-    def __init__(self, rng: np.random.Generator):
+    def __init__(self, rng: Rng):
         self.rng = rng
 
     def act(self, observation, world) -> ActionToken:
@@ -271,7 +271,7 @@ class PolicySpec:
         if self.name == "oracle":
             return OracleMinecraftPolicy() if self.domain == MINECRAFT else OracleStarcraftPolicy()
         if self.name == "random":
-            rng = substream(seed, "policy")
+            rng = draws(seed, "policy")
             return (
                 RandomMinecraftPolicy(rng)
                 if self.domain == MINECRAFT
@@ -321,7 +321,7 @@ def parse_policy(policy: Union[str, PolicySpec], domain: str) -> PolicySpec:
 # --- episode running -----------------------------------------------------------
 
 
-def generate_instructions(spec: EpisodeSpec, rng: np.random.Generator):
+def generate_instructions(spec: EpisodeSpec, rng: Rng):
     """Candidate instructions for ``spec``, as (tree, instruction) pairs.
 
     Makes at most MAX_REGENERATIONS draws from ``rng`` and yields those
@@ -341,10 +341,10 @@ def generate_instructions(spec: EpisodeSpec, rng: np.random.Generator):
 
 def spawn_episode_world(spec: EpisodeSpec, seed: int):
     """Instruction plus placed world for (spec, seed), after retries."""
-    gen_rng = substream(seed, "generation")
+    gen_rng = draws(seed, "generation")
     spawn_rng = substream(seed, "spawning")
     if spec.domain == STARCRAFT:
-        disruption_rng = substream(seed, "disruptions")
+        disruption_rng = draws(seed, "disruptions")
     for tree, instruction in generate_instructions(spec, gen_rng):
         try:
             if spec.flow == "longjump":
@@ -655,7 +655,7 @@ class FailureBuffer:
             return 0.0
         return min(1.0, self.scale * self.success_average)
 
-    def sample(self, rng: np.random.Generator) -> Optional[int]:
+    def sample(self, rng: Rng) -> Optional[int]:
         """A buffered seed to retry, or None to draw a fresh episode."""
         if self.seeds and float(rng.random()) < self.retry_probability():
             return self.seeds[int(rng.integers(len(self.seeds)))]

@@ -251,6 +251,11 @@ class Instruction:
         return [line.word.code for line in self.lines]
 
     @cached_property
+    def codes(self) -> tuple:
+        """``encoded()`` as the tuples an observation carries, built once."""
+        return tuple(line.word.code for line in self.lines)
+
+    @cached_property
     def flow(self) -> "Flow":
         """The compiled block structure, built once; pickling keeps it."""
         return compile_flow(self)

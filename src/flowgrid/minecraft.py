@@ -133,7 +133,7 @@ class MinecraftWorld:
         return Observation(
             channels=grid,
             inventory=inv,
-            instruction=tuple(tuple(t) for t in self.instruction.encoded()),
+            instruction=self.instruction.codes,
         )
 
     def _grid_rows(self) -> list:

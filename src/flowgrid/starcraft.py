@@ -34,6 +34,7 @@ from .instructions import (
 )
 from .interpreter import sc_plan
 from .minecraft import CELL_INDEX, CELLS, GRID, TIME_LIMIT_FACTOR
+from .rngtools import Rng
 
 N_PROBES = 3
 ATTACK_RATE = 0.1
@@ -152,7 +153,7 @@ class StarcraftWorld:
     grid: Dict[tuple, int]
     probes: List[tuple]
     disruptions_enabled: bool = True
-    rng: Optional[np.random.Generator] = None
+    rng: Optional[Rng] = None  # the disruption stream
     seed: Optional[int] = None
     probe_dest: List[Optional[tuple]] = field(default_factory=lambda: [None] * N_PROBES)
     pending_build: Dict[int, tuple] = field(default_factory=dict)
@@ -195,7 +196,7 @@ class StarcraftWorld:
             probes=tuple(self.probes),
             unit_counts=counts,
             ambush_message=self.ambush_message,
-            instruction=tuple(self.instruction.encoded()),
+            instruction=self.instruction.codes,
         )
 
     def _grid_rows(self) -> list:
@@ -390,7 +391,7 @@ def spawn(
     tree: BuildTree,
     instruction: Instruction,
     disruptions: bool = True,
-    disruption_rng: Optional[np.random.Generator] = None,
+    disruption_rng: Optional[Rng] = None,
     seed: Optional[int] = None,
 ) -> StarcraftWorld:
     """Place the root building, three probes and a random endowment.

@@ -420,6 +420,9 @@ PINNED_TRACES = [
      "ed45916af5dd25d80c4bbf71f0279428f1fa570e97bef83b49c6ac7f9fd186e2"),
     (("starcraft", "oracle", "1", "10", "any", "40"),
      "f7b352957fffb66248d2ba59a68ce58574a398f1022e757627adee149e5ae716"),
+    # disruptions on: the policy and disruption streams both reach the trace
+    (("starcraft", "random", "1", "10", "any", "20"),
+     "38e78162bd9fd51c1b0088918d7195e4edd13408b2273aed6d0cc4e320f22758"),
 ]
 
 
@@ -441,7 +444,7 @@ def test_gen_bytes_are_pinned(domain, sha256):
 
 @pytest.mark.parametrize(
     "config, sha256", PINNED_TRACES,
-    ids=["mc-oracle", "mc-oracle-multi", "mc-random", "mc-scripted", "sc-oracle"],
+    ids=["mc-oracle", "mc-oracle-multi", "mc-random", "mc-scripted", "sc-oracle", "sc-random"],
 )
 def test_run_trace_bytes_are_pinned(tmp_path, monkeypatch, config, sha256):
     domain, policy, min_len, max_len, flow, episodes = config
@@ -453,6 +456,23 @@ def test_run_trace_bytes_are_pinned(tmp_path, monkeypatch, config, sha256):
     )
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
+
+
+# sha256 of `run --failure-buffer` on a seed where buffered seeds are
+# retried, so the trace depends on every draw of the "buffer" stream
+PINNED_BUFFER_RUN = "4942b2d87ced1f319fd476d050b35031ce672e4be4abb62b3eef741ceac1fe68"
+
+
+def test_failure_buffer_trace_bytes_are_pinned():
+    code, out, _ = run_cli(
+        "run", "--domain", "minecraft", "--policy", "random", "--min-len", "1",
+        "--max-len", "3", "--episodes", "60", "--failure-buffer", "--buffer-beta", "0.5",
+        "--buffer-scale", "2", "--seed", "11",
+    )
+    assert code == EXIT_OK
+    seeds = [json.loads(line)["seed"] for line in out.splitlines() if '"header"' in line]
+    assert len(set(seeds)) < len(seeds)  # some episodes are retries
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_BUFFER_RUN
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -834,6 +854,56 @@ def test_eval_jobs_byte_identical(tmp_path):
     assert run_cli(*base, "--jobs", "1", "--out", str(solo))[0] == EXIT_OK
     assert run_cli(*base, "--jobs", "2", "--out", str(multi))[0] == EXIT_OK
     assert solo.read_bytes() == multi.read_bytes()
+
+
+# sha256 of the CSV of a random-policy starcraft eval, which runs every
+# episode to timeout through the policy and disruption streams
+PINNED_SC_RANDOM_EVAL = "ded86029ce55418af009e410186833faec1766dd79ba439928f307d8ea0c6e00"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_random_starcraft_eval_bytes_are_pinned(tmp_path, jobs):
+    out = tmp_path / "eval.csv"
+    code, _, _ = run_cli(
+        "eval", "--domain", "starcraft", "--policy", "random", "--bins", "1-10,11-20",
+        "--episodes-per-bin", "10", "--seed", "11", "--jobs", jobs, "--out", str(out),
+    )
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SC_RANDOM_EVAL
+
+
+@pytest.mark.parametrize("flag", [("--max-depth", "3"), ("--no-disruptions",)])
+def test_eval_longjump_refuses_flags_the_sweep_would_drop(tmp_path, flag):
+    out = tmp_path / "jump.csv"
+    code, _, err = run_cli(
+        "eval", "--domain", "minecraft", "--longjump", "--block-max", "2",
+        "--episodes-per-bin", "1", *flag, "--out", str(out),
+    )
+    assert code == EXIT_USAGE
+    assert flag[0] in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["run", "--episodes", "1"],
+                                     ["eval", "--bins", "1-3", "--episodes-per-bin", "1"]])
+def test_minecraft_refuses_no_disruptions(tmp_path, command):
+    # minecraft has no disruptions, yet the header would record them as off
+    out = tmp_path / "out"
+    code, _, err = run_cli(*command, "--domain", "minecraft", "--no-disruptions",
+                           "--out", str(out))
+    assert code == EXIT_USAGE
+    assert "applies to the starcraft domain" in err
+    assert not out.exists()
+
+
+def test_replay_refuses_a_minecraft_header_without_disruptions(tmp_path):
+    trace, records = _recorded_records(tmp_path, "minecraft")
+    assert records[0]["spec"]["disruptions"] is True
+    records[0]["spec"]["disruptions"] = False
+    _rewrite(trace, records)
+    code, _, err = run_cli("replay", "--trace", str(trace), "--quiet")
+    assert code == EXIT_IO
+    assert "bad episode header" in err
 
 
 def test_eval_longjump_block_columns(tmp_path):

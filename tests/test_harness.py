@@ -561,6 +561,13 @@ def test_episode_spec_takes_longjump_lengths_4_to_43():
     assert EpisodeSpec("minecraft", 4, 43, flow="longjump").max_len == 43
 
 
+def test_episode_spec_refuses_disruptions_off_on_minecraft():
+    # minecraft has no disruptions to turn off; its headers record them on
+    with pytest.raises(ValueError, match="starcraft domain only"):
+        EpisodeSpec("minecraft", disruptions=False)
+    assert EpisodeSpec("starcraft", disruptions=False).disruptions is False
+
+
 @pytest.mark.parametrize(
     "fields",
     [dict(min_len=True), dict(min_len=2.0), dict(max_len=10.0), dict(max_depth=True),
@@ -581,3 +588,20 @@ def test_longjump_spec_draws_what_its_two_substreams_give(block_len):
         reference = spawn_longjump(substream(seed, "spawning"), instruction, seed=seed)
         assert world.instruction.text() == instruction.text()
         assert (world.digest(), world.pc) == (reference.digest(), reference.pc)
+
+
+@pytest.mark.parametrize("domain", ["minecraft", "starcraft"])
+@pytest.mark.parametrize("policy", ["oracle", "random"])
+def test_observed_instruction_is_the_encoded_instruction_on_every_step(domain, policy):
+    spec = EpisodeSpec(domain, 3, 12)
+    for seed in range(3):
+        world = spawn_episode_world(spec, seed)
+        player = PolicySpec(policy, domain).build(seed)
+        player.reset(world)
+        while True:
+            observed = world.observe().instruction
+            as_lists = [list(t) for t in observed] if domain == "minecraft" else list(observed)
+            assert as_lists == world.instruction.encoded()
+            if world.done:
+                break
+            world.apply(player.act(None, world))
