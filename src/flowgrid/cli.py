@@ -143,7 +143,6 @@ def _parse_policy(name: str, domain: str) -> PolicySpec:
 
 def cmd_gen(args) -> int:
     _require(args.count >= 1, "--count must be at least 1")
-    _require(1 <= args.min_len <= args.max_len, "need 1 <= --min-len <= --max-len")
     spec = _episode_spec(args)
     rng = draws(args.seed, "generation")
     rows = []

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import os
 from dataclasses import dataclass, replace
 from typing import IO, List, Optional, Union
@@ -364,36 +363,38 @@ def spawn_episode_world(spec: EpisodeSpec, seed: int):
     raise GenerationError("no feasible (instruction, world) pair for this seed")
 
 
-# the step record fields that replay recomputes, in _step_fields order
-_CHECKED_FIELDS = ("t", "reward", "done", "cause", "pc", "resolved", "noop")
-_recorded_fields = operator.itemgetter(*_CHECKED_FIELDS)
-
-
-def _step_fields(world, noop: Optional[bool]) -> tuple:
-    """The _CHECKED_FIELDS of the step whose ``apply`` returned ``noop``."""
-    resolved = noop is not None
-    return (world.step_count, world.reward, world.done, world.cause, world.pc, resolved,
-            resolved and noop)
-
-
 def _step_record(world, action, noop: Optional[bool], digest: bool) -> dict:
-    """The trace's step record of the step whose ``apply`` returned ``noop``."""
-    t, reward, done, cause, pc, resolved, noop = _step_fields(world, noop)
-    return {"kind": "step", "t": t, "command": action.as_dict(), "reward": reward,
-            "done": done, "cause": cause, "pc": pc,
-            "digest": world.digest() if digest and resolved else None,
-            "resolved": resolved, "noop": noop}
+    """The step record of the step whose ``apply`` returned ``noop``; ``digest``
+    is last, as replay names the first key that differs."""
+    resolved = noop is not None
+    return {"kind": "step", "t": world.step_count, "command": action.as_dict(),
+            "reward": world.reward, "done": world.done, "cause": world.cause, "pc": world.pc,
+            "resolved": resolved, "noop": resolved and noop,
+            "digest": world.digest() if digest and resolved else None}
+
+
+def _header_record(spec: EpisodeSpec, policy: str, seed: int, world) -> dict:
+    instruction = {"text": world.instruction.text(), "encoded": world.instruction.encoded()}
+    return {"v": TRACE_VERSION, "kind": "header", "seed": seed, "domain": spec.domain,
+            "policy": policy, "spec": dict(vars(spec)), "instruction": instruction}
+
+
+def _end_record(world, steps: int) -> dict:
+    return {"kind": "end", "outcome": world.cause, "reward": world.reward, "steps": steps}
+
+
+def _step_records(world, policy: Policy, record_digests: bool):
+    """Run ``policy`` on ``world`` until the episode ends, yielding each step record."""
+    policy.reset(world)
+    reads_observation = policy.reads_observation
+    while not world.done:
+        action = policy.act(world.observe() if reads_observation else None, world)
+        yield _step_record(world, action, world.apply(action), record_digests)
 
 
 def drive_world(world, policy: Policy, record_digests: bool = True) -> List[dict]:
     """Run ``policy`` on ``world`` until the episode ends; returns its step records."""
-    policy.reset(world)
-    reads_observation = policy.reads_observation
-    steps: List[dict] = []
-    while not world.done:
-        action = policy.act(world.observe() if reads_observation else None, world)
-        steps.append(_step_record(world, action, world.apply(action), record_digests))
-    return steps
+    return list(_step_records(world, policy, record_digests))
 
 
 def play_world(world, policy: Policy) -> None:
@@ -404,12 +405,8 @@ def play_world(world, policy: Policy) -> None:
         world.apply(policy.act(world.observe() if reads_observation else None, world))
 
 
-def run_episode(
-    spec: EpisodeSpec,
-    policy: Union[str, PolicySpec],
-    seed: int,
-    record_digests: bool = True,
-) -> dict:
+def run_episode(spec: EpisodeSpec, policy: Union[str, PolicySpec], seed: int,
+                record_digests: bool = True) -> dict:
     """Deterministically generate, spawn and play one episode.
 
     ``policy`` is a PolicySpec or a policy name (parsed on every call).
@@ -420,11 +417,8 @@ def run_episode(
     policy = parse_policy(policy, spec.domain)
     world = spawn_episode_world(spec, seed)
     steps = drive_world(world, policy.build(seed), record_digests)
-    instruction = {"text": world.instruction.text(), "encoded": world.instruction.encoded()}
-    header = {"v": TRACE_VERSION, "kind": "header", "seed": seed, "domain": spec.domain,
-              "policy": policy.name, "spec": dict(vars(spec)), "instruction": instruction}
-    end = {"kind": "end", "outcome": world.cause, "reward": world.reward, "steps": len(steps)}
-    return {"header": header, "steps": steps, "end": end}
+    return {"header": _header_record(spec, policy.name, seed, world), "steps": steps,
+            "end": _end_record(world, len(steps))}
 
 
 def pool_workers(jobs: int, items: int) -> int:
@@ -552,72 +546,77 @@ def split_episodes(records):
         raise TraceFormatError(f"episode {number} has no end record")
 
 
+class _RecordedCommands(Policy):
+    """Plays the commands of recorded step records in order."""
+
+    reads_observation = False
+
+    def __init__(self, action_type, steps: List[dict]):
+        self.action_type, self.steps, self.played = action_type, steps, 0
+
+    def act(self, observation, world):
+        position, self.played = self.played, self.played + 1
+        if position == len(self.steps):
+            raise ReplayMismatch(f"world still running after {position} steps at the end record")
+        try:
+            return self.action_type(**self.steps[position]["command"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TraceFormatError(f"step {position}: bad step record: {exc}") from None
+
+
+def _compare(where: str, actual: dict, recorded: dict) -> None:
+    """Raise TraceFormatError when the two records' keys differ, else ReplayMismatch
+    on the first differing value; return when they are equal."""
+    if actual == recorded:
+        return
+    odd = actual.keys() ^ recorded.keys()
+    if odd:
+        raise TraceFormatError(f"{where}: keys {sorted(odd)} are not in both records")
+    key = next(key for key, value in actual.items() if recorded[key] != value)
+    if key == "instruction":
+        raise ReplayMismatch("header instruction differs from the one its seed generates")
+    if key == "digest" and recorded[key] is None:  # replay digests resolved steps only
+        raise ReplayMismatch(f"{where}: resolved step has no digest")
+    raise ReplayMismatch(f"{where}: {key} {actual[key]!r} != recorded {recorded[key]!r}")
+
+
 def replay_episode(episode: dict, check_digests: bool = True):
-    """Re-simulate a recorded episode, yielding the live world as it goes.
+    """Re-play a recorded episode's commands, yielding the live world once after
+    spawn and again after each resolved step, for a caller to ``render()``.
 
-    Yields the world once after spawn and again after each resolved step,
-    so a caller can ``render()`` the frames it shows and skip the rest.
-
-    Raises ReplayMismatch when the recorded run and this build disagree:
-    the header instruction is not the one the seed regenerates, a step's
-    ``t``, ``reward``, ``done``, ``cause``, ``pc``, ``resolved`` or ``noop``
-    or its digest differs, a resolved step lacks the digest that other
-    steps of its episode carry, or the end record's outcome, reward, step
-    count or episode number (its header's) is not what the replay reached
-    (or the replayed world is not done).
+    Each record that ``run_episode``'s loop and builders make must equal the
+    recorded one, given the header's policy name and episode number: a key in
+    only one is a TraceFormatError, any other difference a ReplayMismatch.
+    Digests count when ``check_digests`` is set and the episode records any.
     """
     header = episode["header"]
     try:
         spec = EpisodeSpec(**header["spec"])
         seed = header["seed"]
-        recorded_text = header["instruction"]["text"]
-        recorded_encoded = header["instruction"]["encoded"]
-    except (KeyError, TypeError, ValueError) as exc:
+        PolicySpec(header["policy"], spec.domain)  # AttributeError: not a string
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise TraceFormatError(f"bad episode header: {exc}") from None
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise TraceFormatError(f"bad episode header: seed {seed!r} is not an integer")
     world = spawn_episode_world(spec, seed)
-    if (recorded_text, recorded_encoded) != (
-        world.instruction.text(),
-        world.instruction.encoded(),
-    ):
-        raise ReplayMismatch("header instruction differs from the one its seed generates")
-    action_type = Command if spec.domain == MINECRAFT else ActionToken
+    numbered = {"episode": header["episode"]} if "episode" in header else {}
+    _compare("header", dict(_header_record(spec, header["policy"], seed, world), **numbered),
+             header)
     steps = episode["steps"]
     digested = check_digests and any(r.get("digest") is not None for r in steps)
+    commands = _RecordedCommands(Command if spec.domain == MINECRAFT else ActionToken, steps)
     yield world
-    for position, record in enumerate(steps):
-        try:
-            action = action_type(**record["command"])
-            claimed = _recorded_fields(record)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TraceFormatError(f"step {position}: bad step record: {exc}") from None
-        noop = world.apply(action)  # only starcraft leaves steps open (None)
-        fields = _step_fields(world, noop)
-        if fields != claimed:  # one tuple comparison while the steps agree
-            for name, actual, wanted in zip(_CHECKED_FIELDS, fields, claimed):
-                if actual != wanted:
-                    raise ReplayMismatch(f"step {position}: {name} {actual!r} != recorded {wanted!r}")
-        resolved = noop is not None
-        recorded = record.get("digest")
-        if digested and resolved and recorded is None:
-            raise ReplayMismatch(f"step {position}: resolved step has no digest")
-        if check_digests and recorded is not None:
-            actual = world.digest()
-            if actual != recorded:
-                raise ReplayMismatch(
-                    f"step {position}: digest {actual} != recorded {recorded}"
-                )
-        if resolved:
+    for position, record in enumerate(_step_records(world, commands, digested)):
+        recorded = steps[position]
+        if not check_digests:
+            record["digest"] = recorded.get("digest")
+        if record != recorded:
+            _compare(f"step {position}", record, recorded)
+        if record["resolved"]:
             yield world
-    if not world.done:
-        raise ReplayMismatch(f"world still running after {len(steps)} steps at the end record")
-    end = episode["end"]
-    replayed = {"outcome": world.cause, "reward": world.reward, "steps": len(steps),
-                "episode": header.get("episode")}
-    for key, actual in replayed.items():
-        if end.get(key) != actual:
-            raise ReplayMismatch(f"{key} {actual!r} != recorded {end.get(key)!r}")
+    if commands.played < len(steps):
+        raise ReplayMismatch(f"step {commands.played}: recorded after the episode ended")
+    _compare("end", dict(_end_record(world, len(steps)), **numbered), episode["end"])
 
 
 # --- failure buffer ------------------------------------------------------------------

@@ -564,23 +564,34 @@ _DELETE = object()
 
 
 @pytest.mark.parametrize(
-    "domain, key, value",
+    "domain, where, key, value",
     [
-        ("minecraft", "domain", _DELETE),
-        ("minecraft", "flow", "bogus"),
-        ("starcraft", "max_depth", 0),
-        ("minecraft", "seed", None),
-        ("starcraft", "seed", "0"),
+        ("minecraft", "spec", "domain", _DELETE),
+        ("minecraft", "spec", "flow", "bogus"),
+        ("starcraft", "spec", "max_depth", 0),
+        ("minecraft", "header", "seed", None),
+        ("starcraft", "header", "seed", "0"),
+        ("minecraft", "header", "policy", "clairvoyant"),
+        ("minecraft", "header", "policy", None),
+        ("starcraft", "header", "policy", "scripted:p.json"),
+        ("minecraft", "header", "unknown", 0),
+        ("starcraft", "step", "unknown", 0),
+        ("minecraft", "end", "unknown", 0),
+        ("starcraft", "end", "outcome", _DELETE),
     ],
-    ids=["no-domain", "bad-flow", "zero-max-depth", "null-seed", "string-seed"],
+    ids=["no-domain", "bad-flow", "zero-max-depth", "null-seed", "string-seed",
+         "unknown-policy", "null-policy", "starcraft-scripted-policy", "header-unknown-key",
+         "step-unknown-key", "end-unknown-key", "end-missing-key"],
 )
-def test_replay_bad_header_is_io_error(tmp_path, domain, key, value):
+def test_replay_bad_header_is_io_error(tmp_path, domain, where, key, value):
+    """A bad header, or a record whose keys are not the ones replay builds."""
     trace, records = _recorded_records(tmp_path, domain)
-    header = records[0] if key == "seed" else records[0]["spec"]
+    record = {"header": records[0], "spec": records[0]["spec"], "step": records[1],
+              "end": records[-1]}[where]
     if value is _DELETE:
-        del header[key]
+        del record[key]
     else:
-        header[key] = value
+        record[key] = value
     _rewrite(trace, records)
     code, _, err = run_cli("replay", "--trace", str(trace), "--quiet")
     assert code == EXIT_IO
@@ -664,10 +675,13 @@ def _cut_last_step(records):
         ("starcraft", lambda rs: rs[-2].update(done=False), "done True != recorded False"),
         ("starcraft", lambda rs: rs[1].update(noop=True), "step 0: noop False != recorded True"),
         ("minecraft", lambda rs: rs[-1].update(episode=1), "episode 0 != recorded 1"),
+        ("minecraft", lambda rs: rs[0].update(domain="starcraft"),
+         "header: domain 'minecraft' != recorded 'starcraft'"),
+        ("starcraft", lambda rs: rs.insert(-1, rs[-2]), "step 11: recorded after the episode ended"),
     ],
     ids=["end-steps", "end-reward", "minecraft-text", "starcraft-text", "not-done",
          "step-pc", "starcraft-step-pc", "step-reward", "step-cause", "step-t", "step-done",
-         "step-noop", "end-episode"],
+         "step-noop", "end-episode", "header-domain", "step-after-end"],
 )
 def test_replay_rejects_header_or_end_the_replay_disagrees_with(tmp_path, domain, tamper, reason):
     trace, records = _recorded_records(tmp_path, domain)

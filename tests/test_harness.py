@@ -257,6 +257,10 @@ def test_replay_round_trips_and_rejects_any_one_field_edit(spec_policy, seed, di
     trace = run_episode(spec, policy, seed, record_digests=digests)
     records = [json.loads(line) for line in trace_bytes([trace]).decode("utf-8").splitlines()]
     _replay_records(records)
+    unknown = [dict(r) for r in records]  # one record gains a key no record of its kind has
+    data.draw(st.sampled_from(unknown))["unknown"] = 0
+    with pytest.raises(TraceFormatError):
+        _replay_records(unknown)
     steps = [r for r in records if r["kind"] == "step"]
     if not steps:  # the world was done at spawn
         return
