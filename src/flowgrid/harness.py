@@ -12,6 +12,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import IO, List, Optional, Union
 
 from . import minecraft, starcraft
@@ -138,29 +139,27 @@ class OracleStarcraftPolicy(Policy):
         return self.queue.pop(0)
 
     def _decide(self, world) -> List[ActionToken]:
-        tokens = starcraft.TOKENS
-        plan = sc_plan(
-            world.tree, world.required, set(world.grid.values()), world.units
-        )
+        tokens, grid = starcraft.TOKENS, world.grid
+        plan = sc_plan(world.tree, world.required, grid.values(), world.units)
         if plan:
             head = plan[0]
             if head.op == "build":
                 if not world.pending_build:
-                    empties = [i for i, cell in enumerate(starcraft.CELLS)
-                               if cell not in world.grid]
-                    if empties:
+                    empty = next((i for i, cell in enumerate(starcraft.CELLS)
+                                  if cell not in grid), None)
+                    if empty is not None:
                         return [
                             tokens["select_probe"][0],
                             tokens["select_building"][head.ident],
-                            tokens["select_coord"][empties[0]],
+                            tokens["select_coord"][empty],
                         ]
                 # construction in flight or no room: wait
             else:  # train
                 producer = world.tree.producer[head.ident]
-                cells = world.building_cells(producer)
-                if cells:
+                cell = min((cell for cell, b in grid.items() if b == producer), default=None)
+                if cell is not None:
                     return [
-                        tokens["select_coord"][starcraft.CELL_INDEX[cells[0]]],
+                        tokens["select_coord"][starcraft.CELL_INDEX[cell]],
                         tokens["select_unit"][head.ident],
                     ]
                 # producer still under construction: wait
@@ -259,6 +258,8 @@ class PolicySpec:
     def __post_init__(self):
         if self.domain not in (MINECRAFT, STARCRAFT):
             raise ValueError(f"unknown domain {self.domain!r}")
+        if not isinstance(self.name, str):
+            raise ValueError(f"policy name {self.name!r} is not a string")
         if self.name.startswith("scripted:"):
             if self.domain != MINECRAFT:
                 raise ValueError("scripted pointer policies drive the minecraft domain")
@@ -481,16 +482,46 @@ def map_episodes(fn, items, jobs: int = 1):
 
 
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_WORDS = {None: "null", True: "true", False: "false"}
+
+
+@lru_cache(maxsize=1024)  # one entry per command: starcraft.TOKENS and 9 minecraft commands
+def _command_json(items: tuple) -> str:
+    return _dumps(dict(items))
+
+
+# a step record's ten keys in sort order; its strings (kind, cause, hex digest)
+# need no JSON escapes, and its flags are bools
+_STEP_LINE = ('{"cause":%s,"command":%s,"digest":%s,"done":%s,"kind":"%s","noop":%s,"pc":%s,'
+              '"resolved":%s,"reward":%d,"t":%d}\n')
+
+
+def _step_line(step: dict) -> str:
+    """``_dumps(step) + "\\n"`` for a record with ``_step_record``'s keys and
+    values, laid out directly; other keys, or a flag not a bool, are a ValueError."""
+    try:
+        if len(step) == 10:
+            cause, digest, pc = step["cause"], step["digest"], step["pc"]
+            return _STEP_LINE % (
+                "null" if cause is None else '"%s"' % cause,
+                _command_json(tuple(step["command"].items())),
+                "null" if digest is None else '"%s"' % digest,
+                _WORDS[step["done"]], step["kind"], _WORDS[step["noop"]],
+                "null" if pc is None else pc, _WORDS[step["resolved"]], step["reward"], step["t"])
+    except KeyError:
+        pass
+    raise ValueError(f"not a step record of ten keys and bool flags: {step!r}")
 
 
 def write_traces(handle: IO, episodes) -> None:
     """Write ``run_episode`` results as JSON lines (header, steps, end), adding
-    each episode's position to its header and end records."""
+    each episode's position to its header and end records.  An episode is
+    laid out whole before it is written, so a bad record writes none of it."""
     for index, episode in enumerate(episodes):
-        handle.write(_dumps(dict(episode["header"], episode=index)) + "\n")
-        for step in episode["steps"]:
-            handle.write(_dumps(step) + "\n")
-        handle.write(_dumps(dict(episode["end"], episode=index)) + "\n")
+        handle.write("%s\n%s%s\n" % (
+            _dumps(dict(episode["header"], episode=index)),
+            "".join(map(_step_line, episode["steps"])),
+            _dumps(dict(episode["end"], episode=index))))
 
 
 def read_trace_records(handle: IO):
@@ -593,8 +624,8 @@ def replay_episode(episode: dict, check_digests: bool = True):
     try:
         spec = EpisodeSpec(**header["spec"])
         seed = header["seed"]
-        PolicySpec(header["policy"], spec.domain)  # AttributeError: not a string
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        PolicySpec(header["policy"], spec.domain)
+    except (KeyError, TypeError, ValueError) as exc:
         raise TraceFormatError(f"bad episode header: {exc}") from None
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise TraceFormatError(f"bad episode header: seed {seed!r} is not an integer")

@@ -379,17 +379,25 @@ class BuildTree:
 
     def chain(self, building: int) -> list:
         """Prerequisite chain from the root down to ``building`` inclusive."""
-        out = [building]
-        seen = {building}
-        node = building
-        while node in self.prerequisite:
-            node = self.prerequisite[node]
-            if node in seen:
-                raise ValueError("prerequisite cycle")
-            seen.add(node)
-            out.append(node)
-        out.reverse()
-        return out
+        return list(self.root_chain(building))
+
+    @cached_property
+    def _chains(self) -> dict:
+        return {}  # building -> root_chain(building); at most one entry per building
+
+    def root_chain(self, building: int) -> tuple:
+        """``chain(building)`` as a tuple, walked once per tree and building."""
+        chain = self._chains.get(building)
+        if chain is None:
+            out = [building]
+            node = building
+            while node in self.prerequisite:
+                node = self.prerequisite[node]
+                if node in out:
+                    raise ValueError("prerequisite cycle")
+                out.append(node)
+            chain = self._chains[building] = tuple(reversed(out))
+        return chain
 
     def as_dict(self) -> dict:
         """Both maps with string keys in ascending order, as ``gen`` and snapshots lay them out."""

@@ -168,6 +168,7 @@ class StarcraftWorld:
     last_disruption: Optional[DisruptionReport] = None
     endowment: int = 0
     pc = None  # a build order has no program counter
+    _digest_grid = None  # the grid items that digest() last laid out, as _digest_rows
 
     def __post_init__(self):
         self.required = tuple(
@@ -180,9 +181,6 @@ class StarcraftWorld:
 
     def alive(self, building: int) -> bool:
         return building in self.grid.values()
-
-    def building_cells(self, building: int) -> list:
-        return sorted(cell for cell, b in self.grid.items() if b == building)
 
     def observe(self) -> ScObservation:
         grid = np.full((GRID, GRID), -1, dtype=np.int8)
@@ -229,10 +227,15 @@ class StarcraftWorld:
 
     def digest(self) -> str:
         """sha256 of snapshot() as sort_keys JSON, laid out here key by key."""
+        grid = tuple(self.grid.items())  # the grid rows are joined again only when this moves
+        if grid != self._digest_grid:
+            self._digest_grid, self._digest_rows = grid, '","'.join(self._grid_rows())
         units = ",".join('"%s":%d' % pair for pair in sorted(
             (UNIT_NAMES[u], n) for u, n in self.units.items() if n > 0))
-        blob = '{"grid":["%s"],"probes":[%s],"seed":%s,"step":%d,"tree":%s,"units":{%s}}' % (
-            '","'.join(self._grid_rows()), ",".join("[%d,%d]" % p for p in self.probes),
+        (r0, c0), (r1, c1), (r2, c2) = self.probes
+        blob = ('{"grid":["%s"],"probes":[[%d,%d],[%d,%d],[%d,%d]],"seed":%s,"step":%d,'
+                '"tree":%s,"units":{%s}}') % (
+            self._digest_rows, r0, c0, r1, c1, r2, c2,
             "null" if self.seed is None else self.seed, self.step_count, self._tree_json, units)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 

@@ -423,6 +423,13 @@ PINNED_TRACES = [
     # disruptions on: the policy and disruption streams both reach the trace
     (("starcraft", "random", "1", "10", "any", "20"),
      "38e78162bd9fd51c1b0088918d7195e4edd13408b2273aed6d0cc4e320f22758"),
+    # the same runs with --no-digests, whose resolved steps record a null digest
+    (("minecraft", "oracle", "1", "10", "any", "60", "--no-digests"),
+     "459a114da172f6df5cfb034d42988401c750f288b9675bc4b7f9ebaf7b8477fa"),
+    (("starcraft", "oracle", "1", "10", "any", "40", "--no-digests"),
+     "389bbd7b265098c989d14bbefdf9d2554a641ec471032b5a376cfc8949ce83a5"),
+    (("starcraft", "random", "1", "10", "any", "20", "--no-digests"),
+     "8ae69d14213ac2134983607189e9b75a51798809344405f7d194a3bbb29e0fa4"),
 ]
 
 
@@ -444,15 +451,16 @@ def test_gen_bytes_are_pinned(domain, sha256):
 
 @pytest.mark.parametrize(
     "config, sha256", PINNED_TRACES,
-    ids=["mc-oracle", "mc-oracle-multi", "mc-random", "mc-scripted", "sc-oracle", "sc-random"],
+    ids=["mc-oracle", "mc-oracle-multi", "mc-random", "mc-scripted", "sc-oracle", "sc-random",
+         "mc-oracle-no-digests", "sc-oracle-no-digests", "sc-random-no-digests"],
 )
 def test_run_trace_bytes_are_pinned(tmp_path, monkeypatch, config, sha256):
-    domain, policy, min_len, max_len, flow, episodes = config
+    domain, policy, min_len, max_len, flow, episodes, *flags = config
     monkeypatch.chdir(tmp_path)  # the header records the policy's relative path
     (tmp_path / "p.json").write_text('{"max_jump": 2}')
     code, out, _ = run_cli(
         "run", "--domain", domain, "--policy", policy, "--min-len", min_len,
-        "--max-len", max_len, "--flow", flow, "--episodes", episodes, "--seed", "11",
+        "--max-len", max_len, "--flow", flow, "--episodes", episodes, "--seed", "11", *flags,
     )
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256

@@ -38,14 +38,20 @@ from flowgrid.harness import (
 from flowgrid import harness
 from flowgrid.evaluate import evaluate, longjump_sweep, write_csv
 from flowgrid.generators import gen_longjump
-from flowgrid.minecraft import spawn_longjump
+from flowgrid.instructions import RESOURCES, VERBS
+from flowgrid.minecraft import Command, spawn_longjump
 from flowgrid.rngtools import substream
+from flowgrid.starcraft import TOKENS
 
 
 def trace_bytes(traces) -> bytes:
     buf = io.StringIO()
     write_traces(buf, traces)
     return buf.getvalue().encode("utf-8")
+
+
+def sorted_json_line(record) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 MC_SPEC = EpisodeSpec(domain="minecraft", min_len=2, max_len=8)
@@ -128,6 +134,48 @@ def test_trace_round_trip():
             assert episode["header"]["seed"] == 21 + index
             assert episode["end"]["outcome"] == original["end"]["outcome"]
             assert len(episode["steps"]) == len(original["steps"])
+
+
+# every command a step record can hold: each starcraft token and minecraft command
+COMMANDS = [token.as_dict() for tokens in TOKENS.values() for token in tokens] + [
+    Command(verb, target).as_dict() for verb in VERBS for target in RESOURCES]
+STEP_RECORDS = st.fixed_dictionaries({
+    "kind": st.just("step"),
+    "t": st.integers(0, 10**6),
+    "command": st.sampled_from(COMMANDS),
+    "reward": st.sampled_from([0, 1]),
+    "done": st.booleans(),
+    "cause": st.sampled_from([None, "success", "timeout", "out_of_order"]),
+    "pc": st.none() | st.integers(0, 10**3),
+    "resolved": st.booleans(),
+    "noop": st.booleans(),
+    "digest": st.none() | st.text("0123456789abcdef", min_size=16, max_size=16),
+})
+HEADER = {"kind": "header", "v": 1, "seed": 5, "policy": "oracle"}
+END = {"kind": "end", "outcome": None, "reward": 0}
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=st.lists(STEP_RECORDS, max_size=6))
+def test_written_step_lines_are_sorted_json(steps):
+    written = trace_bytes([{"header": HEADER, "steps": steps, "end": END}]).decode("utf-8")
+    assert written == "".join([sorted_json_line(dict(HEADER, episode=0)),
+                               *map(sorted_json_line, steps),
+                               sorted_json_line(dict(END, episode=0))])
+
+
+@settings(max_examples=100, deadline=None)
+@given(step=STEP_RECORDS, edit=st.sampled_from(["missing", "extra", "renamed"]), data=st.data())
+def test_a_step_record_with_other_keys_is_refused_and_nothing_written(step, edit, data):
+    step = dict(step)
+    if edit != "extra":
+        value = step.pop(data.draw(st.sampled_from(sorted(step))))
+    if edit != "missing":
+        step["step" if edit == "extra" else "time"] = value if edit == "renamed" else 0
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match="not a step record"):
+        write_traces(buf, [{"header": HEADER, "steps": [step], "end": END}])
+    assert buf.getvalue() == ""
 
 
 @pytest.mark.parametrize("spec, policy", [
@@ -298,7 +346,10 @@ def test_make_policy_names():
         parse_policy("clairvoyant", "minecraft").build(0)
 
 
-@pytest.mark.parametrize("name, domain", [("oracel", "starcraft"), ("scripted:p.json", "starcraft")])
+@pytest.mark.parametrize("name, domain", [
+    ("oracel", "starcraft"), ("scripted:p.json", "starcraft"),
+    (None, "minecraft"), (3, "minecraft"), (["oracle"], "minecraft"),  # not a string
+])
 def test_policy_spec_refuses_what_parse_policy_refuses(name, domain):
     with pytest.raises(ValueError):
         PolicySpec(name, domain)

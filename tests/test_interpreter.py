@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from flowgrid.errors import DecodeError, StructuralError, TraceExhausted
 from flowgrid.generators import gen_minecraft, gen_starcraft
-from flowgrid.instructions import BuildTree, CfLine, Instruction, ScLine
+from flowgrid.instructions import N_BUILDINGS, N_UNITS, BuildTree, CfLine, Instruction, ScLine
 from flowgrid.interpreter import (
     ScCommand,
     cf_step,
@@ -322,6 +322,36 @@ def test_plan_fixed_example():
         ScCommand("build", 2),
         ScCommand("train", 10),
     ]
+
+
+@given(seed=st.integers(0, 100_000), decoded=st.booleans(), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_plans_on_a_tree_that_has_planned_equal_plans_on_a_fresh_tree(seed, decoded, data):
+    tree, ins = gen_starcraft(substream(seed, "chain-cache"), max_len=14)
+    required = [line.ident for line in ins.lines if line.is_unit]
+    if decoded:
+        tree, required = sc_decode(ins)
+    states = data.draw(st.lists(st.tuples(
+        st.sets(st.integers(0, N_BUILDINGS - 1)),
+        st.dictionaries(st.integers(0, N_UNITS - 1), st.integers(0, 2)),
+    ), min_size=1, max_size=4))
+
+    def fresh():
+        return BuildTree(dict(tree.prerequisite), dict(tree.producer))
+
+    for alive, units in states:
+        assert sc_plan(tree, required, alive, units) == sc_plan(fresh(), required, alive, units)
+    # a caller that edits a chain it was handed leaves the tree's plans alone
+    for building in set(tree.producer.values()):
+        chain = tree.chain(building)
+        chain.reverse()
+        chain.append(N_BUILDINGS)
+        walked = [building]
+        while walked[-1] in tree.prerequisite:
+            walked.append(tree.prerequisite[walked[-1]])
+        assert tree.chain(building) == fresh().chain(building) == walked[::-1]
+    for alive, units in states:
+        assert sc_plan(tree, required, alive, units) == sc_plan(fresh(), required, alive, units)
 
 
 def test_plan_requires_known_producer():

@@ -646,6 +646,24 @@ def test_digest_is_hash_of_sorted_snapshot_json_on_any_state(
     assert world.digest() == hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
+def test_digest_follows_in_place_grid_edits():
+    world = simple_world()
+
+    def snapshot_digest():
+        blob = json.dumps(world.snapshot(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+    digests = [world.digest()]
+    for edit in ("add", "replace", "delete"):
+        if edit == "delete":
+            del world.grid[(3, 4)]
+        else:
+            world.grid[(3, 4)] = 1 if edit == "add" else 2
+        digests.append(world.digest())
+        assert digests[-1] == snapshot_digest()
+    assert len(set(digests)) == 3 and digests[0] == digests[-1]
+
+
 def _snapshot_render(world):
     """``render`` as it was when it drew from the snapshot's state dict."""
     snap = world.snapshot()
