@@ -107,8 +107,6 @@ def _parse_bins(text: str) -> List[Tuple[int, int]]:
         if not 1 <= lo <= hi:
             raise UsageError(f"bad bin {part!r}: need 1 <= lo <= hi")
         bins.append((lo, hi))
-    if not bins:
-        raise UsageError("no bins given")
     return bins
 
 
@@ -260,7 +258,9 @@ def cmd_eval(args) -> int:
     else:
         _require(not given & {"block_min", "block_max"},
                  "--block-min/--block-max apply only with --longjump")
-        bins = _parse_bins(args.bins) if args.bins else list(evaluate_mod.DEFAULT_BINS)
+        # an empty --bins is a bad bin, not a request for the default bins
+        bins = (list(evaluate_mod.DEFAULT_BINS) if args.bins is None
+                else _parse_bins(args.bins))
         # each bin's spec is checked here, before any episode runs
         specs = [
             _episode_spec(args, min_len=lo, max_len=hi, disruptions=not args.no_disruptions)
@@ -302,6 +302,8 @@ def _write_dict_rows(path: str, fields: Sequence[str], rows) -> None:
 def cmd_scan_check(args) -> int:
     _require(args.trials >= 1, "--trials must be at least 1")
     _require(args.max_len >= 1, "--max-len must be at least 1")
+    # each gradient trial builds two (2L, 2L) jacobians; L=1000 peaks near 280 MB
+    _require(args.max_len <= 1000, "--max-len must be at most 1000")
     _require(args.grad_trials >= 0, "--grad-trials must be non-negative")
     rng = substream(args.seed, "scan-check")
     oracle = pointer.oracle_sweep(rng, args.trials, args.max_len, args.mode)
@@ -314,12 +316,10 @@ def cmd_scan_check(args) -> int:
         oracle["max_abs_diff"] < pointer.ORACLE_TOL
         and oracle["max_norm_err"] < pointer.ORACLE_TOL
     )
+    gradient = None
     if args.mode == pointer.STOP_PROCESS:
         report.append(f"residual max error       : {oracle['max_residual_err']:.3e}")
         ok = ok and oracle["max_residual_err"] < pointer.ORACLE_TOL
-
-    gradient = None
-    if args.mode == pointer.STOP_PROCESS:
         gradient = pointer.gradient_sweep(rng, args.grad_trials, args.max_len)
         report.append(
             f"gradient max rel err     : {gradient['max_rel_err']:.3e} (tolerance {pointer.GRADIENT_TOL:.0e})"

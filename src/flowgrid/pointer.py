@@ -26,7 +26,6 @@ import numpy as np
 
 STOP_PROCESS = "stop-process"
 PRINTED_FORMULA = "printed-formula"
-MODES = (STOP_PROCESS, PRINTED_FORMULA)
 
 # self-test acceptance thresholds
 ORACLE_TOL = 1e-12
@@ -95,23 +94,40 @@ def _stop_process(s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return probs, before[..., -1] * (1.0 - so[..., -1])
 
 
+def _printed_formula(s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Exactly-one-heads probabilities and residuals along the last axis of ``s``.
+
+    Each exclusion product is a forward prefix times a backward suffix of
+    the tails, with no division.
+    """
+    comp = 1.0 - s
+    forward = np.ones_like(s)
+    np.cumprod(comp[..., :-1], axis=-1, out=forward[..., 1:])
+    backward = np.ones_like(s)
+    np.cumprod(comp[..., :0:-1], axis=-1, out=backward[..., -2::-1])
+    probs = s * forward * backward
+    return probs, 1.0 - probs.sum(axis=-1)
+
+
+_RULES = {STOP_PROCESS: _stop_process, PRINTED_FORMULA: _printed_formula}
+MODES = tuple(_RULES)
+
+
+def _rule(mode: str):
+    """The batch core of movement rule ``mode``."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    return _RULES[mode]
+
+
 def scan_column(sigmas, mode: str = STOP_PROCESS) -> Tuple[np.ndarray, float]:
     """Delta distribution for one column of heads-probabilities.
 
     Returns (probabilities indexed by row, residual no-move mass).
     """
     s = _check_sigmas(sigmas)
-    if mode == STOP_PROCESS:
-        probs, residual = _stop_process(s)
-        return probs, float(residual)
-    if mode == PRINTED_FORMULA:
-        comp = 1.0 - s
-        # exclusion products without division: forward/backward prefixes
-        forward = np.concatenate(([1.0], np.cumprod(comp)[:-1]))
-        backward = np.concatenate((np.cumprod(comp[::-1])[-2::-1], [1.0]))
-        probs = s * forward * backward
-        return probs, float(1.0 - probs.sum())
-    raise ValueError(f"unknown mode {mode!r}")
+    probs, residual = _rule(mode)(s)
+    return probs, float(residual)
 
 
 def brute_force_oracle(sigmas) -> Tuple[np.ndarray, float]:
@@ -174,6 +190,8 @@ class MovementDistribution:
         r = np.asarray(self.residual, dtype=np.float64)
         if p.ndim != 2 or r.shape != (p.shape[1],):
             raise ValueError("shape mismatch between probs and residual")
+        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(r))):
+            raise ValueError("probabilities must be finite")
         if np.any(p < -1e-12) or np.any(r < -1e-12):
             raise ValueError("negative probability mass")
         if np.any(np.abs(p.sum(axis=0) + r - 1.0) > 1e-9):
@@ -190,20 +208,10 @@ def scan_matrix(logits: ScanLogits, mode: str = STOP_PROCESS) -> MovementDistrib
     """Column-wise delta distributions for a full logit matrix."""
     if not isinstance(logits, ScanLogits):
         logits = ScanLogits(np.asarray(logits))
-    s = sigmoid(logits.values)
-    if mode == STOP_PROCESS:
-        probs, residual = _stop_process(s.T)
-        probs = np.ascontiguousarray(probs.T)
-    elif mode == PRINTED_FORMULA:
-        comp = 1.0 - s
-        forward = np.vstack([np.ones((1, s.shape[1])), np.cumprod(comp, axis=0)[:-1, :]])
-        backward = np.vstack(
-            [np.cumprod(comp[::-1, :], axis=0)[-2::-1, :], np.ones((1, s.shape[1]))]
-        )
-        probs = s * forward * backward
-        residual = 1.0 - probs.sum(axis=0)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    # the cores run along the last axis; a contiguous copy makes each column
+    # a contiguous row, summed as scan_column sums it
+    probs, residual = _rule(mode)(np.ascontiguousarray(sigmoid(logits.values).T))
+    probs = np.ascontiguousarray(probs.T)
     return MovementDistribution(probs=probs, residual=residual)
 
 
@@ -282,10 +290,9 @@ def scan_jacobian(logits) -> np.ndarray:
     """
     h = _check_logits(logits)
     order = scan_order(h.size // 2)
-    so = sigmoid(h)[order]
-    tails = np.cumprod(1.0 - so)
-    before = np.concatenate(([1.0], tails[:-1]))
-    p = so * before
+    s = sigmoid(h)
+    so = s[order]
+    p = _stop_process(s)[0][order]
     jac = np.tril(-np.outer(p, so), -1)
     np.fill_diagonal(jac, (1.0 - so) * p)
     out = np.empty((h.size, h.size))
@@ -307,19 +314,6 @@ def finite_difference_jacobian(logits, step: float = 1e-6) -> np.ndarray:
     return (high.T - low.T) / (2.0 * step)
 
 
-def baseline_support(kind: str, length: int) -> tuple:
-    """Movement supports for the reference pointer baselines."""
-    if length < 1:
-        raise ValueError("length must be positive")
-    if kind == "olsk":
-        return (-1, 0, 1)
-    if kind == "olsk_extended":
-        return tuple(range(-length, length + 1))
-    if kind == "ablation":
-        return tuple(d for d in range(-length, length + 1) if d != 0)
-    raise ValueError(f"unknown baseline {kind!r}")
-
-
 # --- verification sweeps ------------------------------------------------------------
 
 
@@ -333,9 +327,6 @@ def oracle_sweep(
     """
     oracle = brute_force_oracle if mode == STOP_PROCESS else product_rule_oracle
     rows = []
-    max_prob_diff = 0.0
-    max_norm_err = 0.0
-    max_residual_err = 0.0
     for trial in range(trials):
         length = int(rng.integers(1, max_len + 1))
         sigmas = rng.random(2 * length)
@@ -357,15 +348,12 @@ def oracle_sweep(
                 "residual_err": residual_err,
             }
         )
-        max_prob_diff = max(max_prob_diff, prob_diff)
-        max_norm_err = max(max_norm_err, norm_err)
-        max_residual_err = max(max_residual_err, residual_err)
     return {
         "mode": mode,
         "rows": rows,
-        "max_abs_diff": max_prob_diff,
-        "max_norm_err": max_norm_err,
-        "max_residual_err": max_residual_err,
+        "max_abs_diff": max((row["max_abs_diff"] for row in rows), default=0.0),
+        "max_norm_err": max((row["norm_err"] for row in rows), default=0.0),
+        "max_residual_err": max((row["residual_err"] for row in rows), default=0.0),
     }
 
 
@@ -382,7 +370,6 @@ def gradient_sweep(
     well conditioned; entries below ``floor`` in both jacobians are skipped.
     """
     rows = []
-    worst = 0.0
     for trial in range(trials):
         length = int(rng.integers(1, max_len + 1))
         logits = rng.uniform(-4.0, 4.0, size=2 * length)
@@ -397,5 +384,5 @@ def gradient_sweep(
         else:
             rel = 0.0
         rows.append({"trial": trial, "length": length, "max_rel_err": rel})
-        worst = max(worst, rel)
+    worst = max((row["max_rel_err"] for row in rows), default=0.0)
     return {"rows": rows, "max_rel_err": worst}

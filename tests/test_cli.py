@@ -5,6 +5,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -63,12 +66,23 @@ def test_bad_bins_are_usage_errors():
 
 
 @pytest.mark.parametrize("bins, part", [("abc", "'abc'"), ("1-", "'1-'"), (",", "''"),
-                                        ("1-3,x-4", "'x-4'")])
+                                        ("", "''"), ("1-3,x-4", "'x-4'")])
 def test_unparseable_bins_are_usage_errors_naming_the_part(bins, part):
     code, _, err = run_cli("eval", "--domain", "minecraft", "--bins", bins,
                            "--episodes-per-bin", "1")
     assert code == EXIT_USAGE
     assert f"bad bin {part}" in err
+
+
+def test_empty_bins_from_config_are_a_usage_error_not_the_default_bins(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"bins": ""}))
+    out = tmp_path / "eval.csv"
+    code, _, err = run_cli("--config", str(config), "eval", "--domain", "minecraft",
+                           "--episodes-per-bin", "1", "--out", str(out))
+    assert code == EXIT_USAGE
+    assert "bad bin ''" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -968,6 +982,21 @@ def test_scan_check_passes_and_writes_tables(tmp_path):
     assert len(gradients) == 16
 
 
+def test_scan_check_max_len_is_bounded_before_any_trial(tmp_path):
+    # the jacobians are O(L^2): an unbounded --max-len ends in a MemoryError
+    out_dir = tmp_path / "scan"
+    code, out, err = run_cli(
+        "scan-check", "--max-len", "1001", "--trials", "1", "--grad-trials", "3",
+        "--out-dir", str(out_dir),
+    )
+    assert code == EXIT_USAGE
+    assert "--max-len" in err and out == ""
+    assert not out_dir.exists()
+    code, out, _ = run_cli("scan-check", "--max-len", "1000", "--trials", "1",
+                           "--grad-trials", "0")
+    assert code == EXIT_OK and "PASS" in out
+
+
 def test_scan_check_printed_formula_mode():
     code, out, _ = run_cli(
         "scan-check", "--trials", "40", "--max-len", "5", "--mode", "printed-formula"
@@ -1004,6 +1033,21 @@ def test_scan_check_bytes_are_pinned(tmp_path, monkeypatch, mode, sha256):
     for table in sorted(p.name for p in (tmp_path / "out").iterdir()):
         digests[table] = hashlib.sha256((tmp_path / "out" / table).read_bytes()).hexdigest()
     assert digests == sha256
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    """``map_episodes`` imports the process pool lazily: loading it at import
+    would add about 17 ms to every CLI start."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    probe = ("import sys, flowgrid.cli; "
+             "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 # --- config file --------------------------------------------------------------------
