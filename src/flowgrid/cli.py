@@ -352,9 +352,9 @@ def cmd_scan_check(args) -> int:
 # --- parser -----------------------------------------------------------------------
 
 
-def _add_instruction_opts(sub, domain_required=True):
-    sub.add_argument("--domain", choices=(MINECRAFT, STARCRAFT),
-                     required=domain_required, help="instruction domain")
+def _add_instruction_opts(sub):
+    sub.add_argument("--domain", choices=(MINECRAFT, STARCRAFT), required=True,
+                     help="instruction domain")
     sub.add_argument("--min-len", type=int, default=1, action=_StoreGiven)
     sub.add_argument("--max-len", type=int, default=10, action=_StoreGiven)
     sub.add_argument("--flow", choices=FLOW_FILTERS, default="any", action=_StoreGiven,
@@ -439,8 +439,9 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
 def _check_config(defaults: dict, actions) -> None:
     """Raise ValueError unless each key of ``defaults`` is the dest of options
     in ``actions`` and its value suits each of them: one of its choices, a
-    bool for a flag, else a string (parsed as on the command line), a value
-    of its type, or null where null is its default.
+    bool for a flag, else a string that its type parses (as the command line
+    would), an int for a float option, a value of its type, or null where
+    null is its default.
     """
     for key, value in defaults.items():
         options = [a for a in actions if a.dest == key and a.default is not argparse.SUPPRESS]
@@ -451,8 +452,15 @@ def _check_config(defaults: dict, actions) -> None:
                 ok = value in action.choices
             elif action.nargs == 0:  # store_true
                 ok = type(value) is bool
+            elif type(value) is str or (type(value) is int and action.type is float):
+                try:  # as the command line would parse it
+                    (action.type or str)(value)
+                except (OverflowError, ValueError):  # OverflowError: an int too large for a float
+                    ok = False
+                else:
+                    ok = True
             else:
-                ok = type(value) in (str, action.type, type(action.default))
+                ok = type(value) in (action.type, type(action.default))
             if not ok:
                 raise ValueError(f"{key!r} cannot be {value!r}")
 

@@ -221,14 +221,13 @@ def assemble_starcraft(
     required: List[int] = []
     chosen = set()
     remaining = max_len
-    chains = {building: tree.chain(building) for building in set(tree.producer.values())}
     while remaining > 0 and len(chosen) < N_UNITS:
         candidates = []
         for unit in range(N_UNITS):
             if unit in chosen:
                 continue
             producer = tree.producer[unit]
-            unlisted = [b for b in chains[producer] if b not in listed]
+            unlisted = [b for b in tree.chain(producer) if b not in listed]
             if unlisted:
                 cost = len(unlisted) + 1
             else:

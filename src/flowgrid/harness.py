@@ -95,7 +95,6 @@ class Policy:
     the observation, which then is never built.
     """
 
-    name = "policy"
     reads_observation = True
 
     def reset(self, world) -> None:  # pragma: no cover - trivial default
@@ -108,7 +107,6 @@ class Policy:
 class OracleMinecraftPolicy(Policy):
     """Issues exactly the subtask the instruction currently demands."""
 
-    name = "oracle"
     reads_observation = False
 
     def act(self, observation, world) -> Command:
@@ -124,7 +122,6 @@ class OracleStarcraftPolicy(Policy):
     runs as soon as the producer is alive.
     """
 
-    name = "oracle"
     reads_observation = False
 
     def __init__(self):
@@ -171,32 +168,27 @@ class OracleStarcraftPolicy(Policy):
         ]
 
 
-class RandomMinecraftPolicy(Policy):
-    name = "random"
+class _RandomPolicy(Policy):
+    """Draws one of ``GROUPS`` uniformly, then one option of that group."""
+
     reads_observation = False
+    GROUPS: tuple  # of option tuples, set by each domain's subclass
 
     def __init__(self, rng: Rng):
         self.rng = rng
 
-    def act(self, observation, world) -> Command:
-        verb = VERBS[int(self.rng.integers(len(VERBS)))]
-        target = RESOURCES[int(self.rng.integers(len(RESOURCES)))]
-        return Command(verb, target)
+    def act(self, observation, world):
+        group = self.GROUPS[int(self.rng.integers(len(self.GROUPS)))]
+        # a group of one (commit) draws nothing: ``integers(1)`` is 0 without a draw
+        return group[int(self.rng.integers(len(group)))]
 
 
-class RandomStarcraftPolicy(Policy):
-    name = "random"
-    reads_observation = False
+class RandomMinecraftPolicy(_RandomPolicy):
+    GROUPS = tuple(tuple(Command(verb, target) for target in RESOURCES) for verb in VERBS)
 
-    def __init__(self, rng: Rng):
-        self.rng = rng
 
-    def act(self, observation, world) -> ActionToken:
-        kind = starcraft.TOKEN_KINDS[int(self.rng.integers(len(starcraft.TOKEN_KINDS)))]
-        tokens = starcraft.TOKENS[kind]
-        if kind == "commit":
-            return tokens[0]
-        return tokens[int(self.rng.integers(len(tokens)))]
+class RandomStarcraftPolicy(_RandomPolicy):
+    GROUPS = tuple(starcraft.TOKENS[kind] for kind in starcraft.TOKEN_KINDS)
 
 
 class ScriptedPointerPolicy(Policy):
@@ -210,7 +202,6 @@ class ScriptedPointerPolicy(Policy):
     steps issue an inspect that cannot complete the demanded subtask.
     """
 
-    name = "scripted"
     reads_observation = False
 
     def __init__(self, max_jump: int = 1, walk: bool = False):

@@ -377,16 +377,13 @@ class BuildTree:
     prerequisite: dict
     producer: dict
 
-    def chain(self, building: int) -> list:
-        """Prerequisite chain from the root down to ``building`` inclusive."""
-        return list(self.root_chain(building))
-
     @cached_property
     def _chains(self) -> dict:
-        return {}  # building -> root_chain(building); at most one entry per building
+        return {}  # building -> chain(building); at most one entry per building
 
-    def root_chain(self, building: int) -> tuple:
-        """``chain(building)`` as a tuple, walked once per tree and building."""
+    def chain(self, building: int) -> tuple:
+        """Prerequisite chain from the root down to ``building`` inclusive,
+        walked once per tree and building."""
         chain = self._chains.get(building)
         if chain is None:
             out = [building]
@@ -406,9 +403,6 @@ class BuildTree:
             "producer": {str(k): v for k, v in sorted(self.producer.items())},
         }
 
-    def depth(self, building: int) -> int:
-        return len(self.chain(building))
-
     def max_depth(self) -> int:
         buildings = (
             set(self.prerequisite)
@@ -417,7 +411,7 @@ class BuildTree:
         )
         if not buildings:
             return 0
-        return max(self.depth(b) for b in buildings)
+        return max(len(self.chain(b)) for b in buildings)
 
 
 # --- decode and parse: inverse lookups in the vocabulary -------------------
@@ -453,14 +447,6 @@ def decode(payload: Sequence, domain: str) -> Instruction:
     """Invert ``Instruction.encoded()``; a code that is not an integer
     (``operator.index``), such as ``1.5`` or ``"3"``, is a DecodeError."""
     return _look_up(payload, domain, _BY_CODE, _CODE_KEYS.get(domain))
-
-
-def decode_minecraft(triples: Sequence) -> Instruction:
-    return decode(triples, MINECRAFT)
-
-
-def decode_starcraft(codes: Sequence) -> Instruction:
-    return decode(codes, STARCRAFT)
 
 
 def parse_text(lines: Sequence, domain: str) -> Instruction:

@@ -183,7 +183,7 @@ def sc_plan(
         producer = tree.producer.get(unit)
         if producer is None:
             raise DecodeError(f"no producer known for unit {unit}")
-        for building in tree.root_chain(producer):
+        for building in tree.chain(producer):
             if building not in have:
                 plan.append(_command("build", building))
                 have.add(building)

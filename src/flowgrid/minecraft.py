@@ -64,8 +64,6 @@ class Observation:
     inventory: Tuple[int, int, int]  # iron, gold, wood
     instruction: tuple  # encoded instruction triples
 
-    channel_names = CHANNELS
-
 
 @dataclass
 class SpawnAttempt:
@@ -265,7 +263,6 @@ class MinecraftWorld:
         assert self.entities.get(self.worker) == resource
         del self.entities[self.worker]
         self.inventory[resource] += 1
-        self._drop_route()
 
     def _apply_interaction(self, kind: str, resource: str) -> None:
         required = self.instruction.lines[self.pc]

@@ -30,6 +30,8 @@ PRINTED_FORMULA = "printed-formula"
 # self-test acceptance thresholds
 ORACLE_TOL = 1e-12
 GRADIENT_TOL = 1e-4
+FD_STEP = 1e-6  # logit bump of the central finite differences
+REL_ERR_FLOOR = 1e-8  # gradient_sweep skips jacobian entries below this in both forms
 
 
 def deltas(length: int) -> np.ndarray:
@@ -300,7 +302,7 @@ def scan_jacobian(logits) -> np.ndarray:
     return out
 
 
-def finite_difference_jacobian(logits, step: float = 1e-6) -> np.ndarray:
+def finite_difference_jacobian(logits) -> np.ndarray:
     """Central finite differences of the stop process wrt each logit.
 
     Row k of each batch bumps logit k alone, so column k of the result is
@@ -308,10 +310,10 @@ def finite_difference_jacobian(logits, step: float = 1e-6) -> np.ndarray:
     jacobian itself does.
     """
     h = _check_logits(logits)
-    bump = np.eye(h.size) * step
+    bump = np.eye(h.size) * FD_STEP
     high, _ = _stop_process(sigmoid(h + bump))
     low, _ = _stop_process(sigmoid(h - bump))
-    return (high.T - low.T) / (2.0 * step)
+    return (high.T - low.T) / (2.0 * FD_STEP)
 
 
 # --- verification sweeps ------------------------------------------------------------
@@ -349,7 +351,6 @@ def oracle_sweep(
             }
         )
     return {
-        "mode": mode,
         "rows": rows,
         "max_abs_diff": max((row["max_abs_diff"] for row in rows), default=0.0),
         "max_norm_err": max((row["norm_err"] for row in rows), default=0.0),
@@ -357,26 +358,21 @@ def oracle_sweep(
     }
 
 
-def gradient_sweep(
-    rng: np.random.Generator,
-    trials: int,
-    max_len: int,
-    step: float = 1e-6,
-    floor: float = 1e-8,
-) -> dict:
+def gradient_sweep(rng: np.random.Generator, trials: int, max_len: int) -> dict:
     """Analytic-versus-numeric jacobian errors on random logit columns.
 
     Logits are drawn from a moderate range so the finite differences stay
-    well conditioned; entries below ``floor`` in both jacobians are skipped.
+    well conditioned; entries below ``REL_ERR_FLOOR`` in both jacobians are
+    skipped.
     """
     rows = []
     for trial in range(trials):
         length = int(rng.integers(1, max_len + 1))
         logits = rng.uniform(-4.0, 4.0, size=2 * length)
         analytic = scan_jacobian(logits)
-        numeric = finite_difference_jacobian(logits, step)
+        numeric = finite_difference_jacobian(logits)
         scale = np.maximum(np.abs(analytic), np.abs(numeric))
-        mask = scale > floor
+        mask = scale > REL_ERR_FLOOR
         if mask.any():
             rel = float(
                 np.max(np.abs(analytic[mask] - numeric[mask]) / scale[mask])

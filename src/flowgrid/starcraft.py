@@ -33,14 +33,13 @@ from .instructions import (
     Instruction,
 )
 from .interpreter import sc_plan
-from .minecraft import CELL_INDEX, CELLS, GRID, TIME_LIMIT_FACTOR
+from .minecraft import CELL_INDEX, CELLS, GRID, MAX_RESAMPLES, TIME_LIMIT_FACTOR
 from .rngtools import Rng
 
 N_PROBES = 3
 ATTACK_RATE = 0.1
 AMBUSH_RATE = 0.1
 MAX_ENDOWMENT = 36  # sampled upper bound; placement caps at the 35 free cells
-MAX_RESAMPLES = 50  # placements one spawn draws after its first, before SpawnInfeasible
 
 TOKEN_KINDS = ("select_probe", "select_coord", "select_building", "select_unit", "commit")
 TOKEN_LIMITS = {
@@ -179,9 +178,6 @@ class StarcraftWorld:
 
     # -- queries -----------------------------------------------------------
 
-    def alive(self, building: int) -> bool:
-        return building in self.grid.values()
-
     def observe(self) -> ScObservation:
         grid = np.full((GRID, GRID), -1, dtype=np.int8)
         for (r, c), b in self.grid.items():
@@ -290,7 +286,7 @@ class StarcraftWorld:
         elif step == "build":
             _, i, b = state
             cell, prereq = CELLS[value], self.tree.prerequisite.get(b)
-            if cell in self.grid or (prereq is not None and not self.alive(prereq)):
+            if cell in self.grid or (prereq is not None and prereq not in self.grid.values()):
                 step = None
             else:
                 self.pending_build[i] = (b, cell)

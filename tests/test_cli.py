@@ -1105,9 +1105,14 @@ def test_unreadable_config_is_io_error(tmp_path):
         ({"func": 1}, ["gen", "--domain", "minecraft", "--out"]),
         ({"given": ["min_len"]}, ["eval", "--domain", "minecraft", "--out"]),
         ([1, 2], ["gen", "--domain", "minecraft", "--out"]),
+        ({"episodes": "two"}, ["run", "--domain", "minecraft", "--out"]),
+        ({"buffer_beta": "half"}, ["run", "--domain", "minecraft", "--out"]),
+        ({"buffer_beta": True}, ["run", "--domain", "minecraft", "--out"]),
+        ({"buffer_scale": 10**400}, ["run", "--domain", "minecraft", "--out"]),
     ],
     ids=["string-flag", "string-buffer-flag", "float-int", "bool-int", "mode-choice",
-         "flow-choice", "func", "given", "not-object"],
+         "flow-choice", "func", "given", "not-object", "unparsed-int", "unparsed-float",
+         "bool-float", "int-too-large-for-float"],
 )
 def test_bad_config_is_io_error_naming_the_file(tmp_path, config, argv):
     path = tmp_path / "config.json"
@@ -1118,6 +1123,22 @@ def test_bad_config_is_io_error_naming_the_file(tmp_path, config, argv):
     assert str(path) in err
     assert stdout == ""
     assert not out.exists()
+
+
+def test_config_int_for_a_float_option_runs_as_the_command_line_float(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"buffer_beta": 1, "buffer_scale": 2}))
+    common = ("run", "--domain", "minecraft", "--policy", "random", "--max-len", "3",
+              "--episodes", "20", "--failure-buffer", "--seed", "5", "--out")
+    from_config, from_flags = tmp_path / "config.jsonl", tmp_path / "flags.jsonl"
+    code, _, err = run_cli("--config", str(config), *common, str(from_config))
+    assert code == EXIT_OK, err
+    code, _, err = run_cli(*common, str(from_flags), "--buffer-beta", "1", "--buffer-scale", "2")
+    assert code == EXIT_OK, err
+    assert from_config.read_bytes() == from_flags.read_bytes()
+    code, _, _ = run_cli(*common, str(from_flags))  # the defaults retry other seeds
+    assert code == EXIT_OK
+    assert from_config.read_bytes() != from_flags.read_bytes()
 
 
 def test_config_values_of_each_kind_are_taken(tmp_path):

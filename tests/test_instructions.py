@@ -29,8 +29,6 @@ from flowgrid.instructions import (
     Instruction,
     ScLine,
     decode,
-    decode_minecraft,
-    decode_starcraft,
     flow_kinds,
     parse_text,
     validate,
@@ -162,13 +160,12 @@ def test_minecraft_encode_decode_round_trip():
         S("sell", "gold"),
         CfLine.endif(),
     )
-    assert decode_minecraft(ins.encoded()).lines == ins.lines
     assert decode(ins.encoded(), "minecraft").lines == ins.lines
 
 
 def test_starcraft_encode_decode_round_trip():
     ins = Instruction((ScLine.building(4), ScLine.unit(15), ScLine.unit(0)))
-    assert decode_starcraft(ins.encoded()).lines == ins.lines
+    assert decode(ins.encoded(), STARCRAFT).lines == ins.lines
 
 
 def test_encoded_returns_a_fresh_list_each_call():
@@ -204,20 +201,20 @@ def test_encoded_returns_a_fresh_list_each_call():
 )
 def test_minecraft_decode_rejects(payload):
     with pytest.raises(DecodeError):
-        decode_minecraft(payload)
+        decode(payload, MINECRAFT)
 
 
 def test_starcraft_decode_rejects_out_of_range():
     with pytest.raises(DecodeError):
-        decode_starcraft([30])
+        decode([30], STARCRAFT)
     with pytest.raises(DecodeError):
-        decode_starcraft([-1])
+        decode([-1], STARCRAFT)
     with pytest.raises(DecodeError):
-        decode_starcraft([])
+        decode([], STARCRAFT)
     # codes must be integers: none of these escapes as another error or decodes
     for code in ("x", None, [1, 2], 1.5, "3", 2.0):
         with pytest.raises(DecodeError, match="line 1"):
-            decode_starcraft([0, code])
+            decode([0, code], STARCRAFT)
 
 
 # --- text round trips -------------------------------------------------------------
@@ -274,9 +271,8 @@ def test_parse_text_rejects(lines):
 
 def test_chain_runs_root_first():
     tree = BuildTree(prerequisite={3: 1, 1: 0}, producer={0: 3})
-    assert tree.chain(3) == [0, 1, 3]
-    assert tree.chain(0) == [0]
-    assert tree.depth(3) == 3
+    assert tree.chain(3) == (0, 1, 3)
+    assert tree.chain(0) == (0,)
     assert tree.max_depth() == 3
 
 
@@ -299,7 +295,7 @@ def test_generated_minecraft_round_trips(seed):
     rng = substream(seed, "test-roundtrip")
     ins = gen_minecraft(rng, (1, 12))
     assert validate(ins)
-    assert decode_minecraft(ins.encoded()).lines == ins.lines
+    assert decode(ins.encoded(), MINECRAFT).lines == ins.lines
     assert parse_text(ins.text(), "minecraft").lines == ins.lines
 
 
@@ -308,7 +304,7 @@ def test_generated_minecraft_round_trips(seed):
 def test_generated_starcraft_round_trips(seed):
     rng = substream(seed, "test-roundtrip")
     _, ins = gen_starcraft(rng, max_len=10)
-    assert decode_starcraft(ins.encoded()).lines == ins.lines
+    assert decode(ins.encoded(), STARCRAFT).lines == ins.lines
     assert parse_text(ins.text(), "starcraft").lines == ins.lines
     assert NEXUS == 0 and len(BUILDING_NAMES) == 14 and len(UNIT_NAMES) == 16
 
@@ -477,13 +473,13 @@ def test_every_table_line_reads_as_the_old_codec_reads_it():
 
 def test_decode_matches_the_old_codec_on_every_small_code():
     for triple in itertools.product(range(-1, 7), range(-5, 6), range(-5, 6)):
-        new = _outcome(decode_minecraft, [triple])
+        new = _outcome(decode, [triple], MINECRAFT)
         if _old_decode_holds(MINECRAFT, triple):
             assert _agree(new, _outcome(_old_decode_minecraft, [triple])), triple
         else:
             assert new is DecodeError, triple
     for code in range(-5, 40):
-        assert _agree(_outcome(decode_starcraft, [code]), _outcome(_old_decode_starcraft, [code]))
+        assert _agree(_outcome(decode, [code], STARCRAFT), _outcome(_old_decode_starcraft, [code]))
 
 
 _numbers = st.one_of(

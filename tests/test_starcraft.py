@@ -502,7 +502,7 @@ def _chain_apply(world, token):
             prereq = world.tree.prerequisite.get(b)
             if cell in world.grid:
                 resolved = ("noop", "target cell occupied")
-            elif prereq is not None and not world.alive(prereq):
+            elif prereq is not None and prereq not in world.grid.values():
                 resolved = ("noop", "prerequisite not alive")
             else:
                 resolved = ("build", i, b, cell)
