@@ -41,7 +41,7 @@ from .instructions import (
 from .interpreter import cf_step, required_sequence, sc_decode, sc_plan
 from .minecraft import Command, MinecraftWorld
 from .minecraft import spawn as spawn_minecraft
-from .rngtools import derived_seed, substream
+from .rngtools import derived_seed, draws, substream
 from .starcraft import ActionToken, StarcraftWorld
 from .starcraft import spawn as spawn_starcraft
 
@@ -75,6 +75,7 @@ __all__ = [
     "cf_step",
     "decode",
     "derived_seed",
+    "draws",
     "gen_build_tree",
     "gen_longjump",
     "gen_minecraft",

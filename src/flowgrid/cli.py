@@ -31,7 +31,6 @@ from .errors import (
 )
 from .generators import FLOW_FILTERS, LONGJUMP_MAX_BLOCK
 from .harness import (
-    MAX_REGENERATIONS,
     EpisodeSpec,
     FailureBuffer,
     PolicySpec,
@@ -56,7 +55,11 @@ EXIT_IO = 3
 
 
 class UsageError(Exception):
-    pass
+    """A bad flag value; ``dests`` names the options whose values the check read."""
+
+    def __init__(self, message: str, *dests: str):
+        super().__init__(message)
+        self.dests = dests
 
 
 class _StoreGiven(argparse.Action):
@@ -122,9 +125,18 @@ def _episode_spec(args, **extra) -> EpisodeSpec:
 # --- subcommands ------------------------------------------------------------------
 
 
-def _require(condition: bool, message: str) -> None:
+def _require(condition: bool, message: str, *dests: str) -> None:
     if not condition:
-        raise UsageError(message)
+        raise UsageError(message, *dests)
+
+
+@contextlib.contextmanager
+def _generation_errors_are_usage():
+    """Turn a GenerationError (no instruction fits the flags) into a usage error."""
+    try:
+        yield
+    except GenerationError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _parse_policy(name: str, domain: str) -> PolicySpec:
@@ -140,21 +152,13 @@ def _parse_policy(name: str, domain: str) -> PolicySpec:
 
 
 def cmd_gen(args) -> int:
-    _require(args.count >= 1, "--count must be at least 1")
+    _require(args.count >= 1, "--count must be at least 1", "count")
     spec = _episode_spec(args)
     rng = draws(args.seed, "generation")
     rows = []
     for index in range(args.count):
-        try:
-            candidate = next(generate_instructions(spec, rng), None)
-        except GenerationError as exc:  # no draw can meet the flags
-            raise UsageError(str(exc)) from None
-        if candidate is None:
-            raise UsageError(
-                f"no {args.domain} instruction of {args.min_len}-{args.max_len} lines "
-                f"in {MAX_REGENERATIONS} draws; lower --min-len"
-            )
-        tree, instruction = candidate
+        with _generation_errors_are_usage():
+            tree, instruction = next(generate_instructions(spec, rng))
         row = {
             "domain": args.domain,
             "index": index,
@@ -193,8 +197,8 @@ def _buffered_traces(args, spec: EpisodeSpec, policy: PolicySpec, buffer: Failur
 
 
 def cmd_run(args) -> int:
-    _require(args.episodes >= 1, "--episodes must be at least 1")
-    _require(args.jobs >= 1, "--jobs must be at least 1")
+    _require(args.episodes >= 1, "--episodes must be at least 1", "episodes")
+    _require(args.jobs >= 1, "--jobs must be at least 1", "jobs")
     if args.failure_buffer and args.jobs > 1:
         raise UsageError("--failure-buffer requires sequential execution (--jobs 1)")
     given = getattr(args, "given", frozenset())  # as in eval, a config may set these flags
@@ -206,7 +210,7 @@ def cmd_run(args) -> int:
         try:
             buffer = FailureBuffer(beta=args.buffer_beta, scale=args.buffer_scale)
         except ValueError as exc:
-            raise UsageError(f"failure buffer: {exc}") from None
+            raise UsageError(f"failure buffer: {exc}", "buffer_beta", "buffer_scale") from None
         traces = _buffered_traces(args, spec, policy, buffer)
     else:
         play = functools.partial(_play, spec, policy, args.seed, not args.no_digests)
@@ -219,7 +223,7 @@ def cmd_run(args) -> int:
             yield episode
 
     # each trace is written as it arrives; none is held until the end
-    with _open_out(args.out) as handle:
+    with _generation_errors_are_usage(), _open_out(args.out) as handle:
         write_traces(handle, tallied())
     wins = sum(successes)
     print(f"episodes={len(successes)} successes={wins} rate={wins / len(successes):.4f}",
@@ -228,8 +232,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _require(args.episodes_per_bin >= 1, "--episodes-per-bin must be at least 1")
-    _require(args.jobs >= 1, "--jobs must be at least 1")
+    _require(args.episodes_per_bin >= 1, "--episodes-per-bin must be at least 1",
+             "episodes_per_bin")
+    _require(args.jobs >= 1, "--jobs must be at least 1", "jobs")
     # bins or block lengths set the lengths, and each mode refuses the other's
     # flags; only flags from the command line are in ``given``, so a config
     # shared with run/gen or with the other mode may still set them
@@ -252,9 +257,10 @@ def cmd_eval(args) -> int:
         )
         policy = _parse_policy(args.policy, MINECRAFT)
         blocks = range(args.block_min, args.block_max + 1)
-        results = evaluate_mod.longjump_sweep(
-            policy, blocks, args.episodes_per_bin, args.seed, args.jobs
-        )
+        with _generation_errors_are_usage():
+            results = evaluate_mod.longjump_sweep(
+                policy, blocks, args.episodes_per_bin, args.seed, args.jobs
+            )
     else:
         _require(not given & {"block_min", "block_max"},
                  "--block-min/--block-max apply only with --longjump")
@@ -267,9 +273,10 @@ def cmd_eval(args) -> int:
             for lo, hi in bins
         ]
         policy = _parse_policy(args.policy, args.domain)
-        results = evaluate_mod.evaluate(
-            specs[0], policy, bins, args.episodes_per_bin, args.seed, args.jobs
-        )
+        with _generation_errors_are_usage():
+            results = evaluate_mod.evaluate(
+                specs[0], policy, bins, args.episodes_per_bin, args.seed, args.jobs
+            )
     with _open_out(args.out) as handle:
         evaluate_mod.write_csv(handle, results)
     return EXIT_OK
@@ -300,11 +307,11 @@ def _write_dict_rows(path: str, fields: Sequence[str], rows) -> None:
 
 
 def cmd_scan_check(args) -> int:
-    _require(args.trials >= 1, "--trials must be at least 1")
-    _require(args.max_len >= 1, "--max-len must be at least 1")
+    _require(args.trials >= 1, "--trials must be at least 1", "trials")
+    _require(args.max_len >= 1, "--max-len must be at least 1", "max_len")
     # each gradient trial builds two (2L, 2L) jacobians; L=1000 peaks near 280 MB
-    _require(args.max_len <= 1000, "--max-len must be at most 1000")
-    _require(args.grad_trials >= 0, "--grad-trials must be non-negative")
+    _require(args.max_len <= 1000, "--max-len must be at most 1000", "max_len")
+    _require(args.grad_trials >= 0, "--grad-trials must be non-negative", "grad_trials")
     rng = substream(args.seed, "scan-check")
     oracle = pointer.oracle_sweep(rng, args.trials, args.max_len, args.mode)
     report = [
@@ -371,18 +378,18 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
 
     gen = commands.add_parser("gen", parents=[], help="sample instructions to JSONL")
     _add_instruction_opts(gen)
-    gen.add_argument("--count", type=int, default=10)
+    gen.add_argument("--count", type=int, default=10, action=_StoreGiven)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", default="-")
     gen.set_defaults(func=cmd_gen)
 
     run = commands.add_parser("run", help="play episodes, write a JSONL trace")
     _add_instruction_opts(run)
-    run.add_argument("--episodes", type=int, default=10)
+    run.add_argument("--episodes", type=int, default=10, action=_StoreGiven)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--policy", default="oracle",
                      help="oracle | random | scripted:<params.json>")
-    run.add_argument("--jobs", type=int, default=1)
+    run.add_argument("--jobs", type=int, default=1, action=_StoreGiven)
     run.add_argument("--no-disruptions", action="store_true")
     run.add_argument("--no-digests", action="store_true",
                      help="omit per-step world digests from the trace")
@@ -395,10 +402,10 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
 
     ev = commands.add_parser("eval", help="binned success rates to CSV")
     _add_instruction_opts(ev)
-    ev.add_argument("--episodes-per-bin", type=int, default=100)
+    ev.add_argument("--episodes-per-bin", type=int, default=100, action=_StoreGiven)
     ev.add_argument("--seed", type=int, default=0)
     ev.add_argument("--policy", default="oracle")
-    ev.add_argument("--jobs", type=int, default=1)
+    ev.add_argument("--jobs", type=int, default=1, action=_StoreGiven)
     ev.add_argument("--bins", default=None, action=_StoreGiven,
                     help='comma list of lo-hi length ranges, e.g. "1-10,11-20"')
     ev.add_argument("--no-disruptions", action="store_true")
@@ -416,9 +423,9 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     rp.set_defaults(func=cmd_replay)
 
     sc = commands.add_parser("scan-check", help="verify the movement kernel")
-    sc.add_argument("--trials", type=int, default=1000)
-    sc.add_argument("--max-len", type=int, default=25)
-    sc.add_argument("--grad-trials", type=int, default=100)
+    sc.add_argument("--trials", type=int, default=1000, action=_StoreGiven)
+    sc.add_argument("--max-len", type=int, default=25, action=_StoreGiven)
+    sc.add_argument("--grad-trials", type=int, default=100, action=_StoreGiven)
     sc.add_argument("--mode", choices=pointer.MODES, default=pointer.STOP_PROCESS)
     sc.add_argument("--seed", type=int, default=0)
     sc.add_argument("--out-dir", default=None,
@@ -467,11 +474,11 @@ def _check_config(defaults: dict, actions) -> None:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     _setup_logging()
+    defaults, given = {}, frozenset()
     try:
         pre = argparse.ArgumentParser(add_help=False)
         pre.add_argument("--config", default=None)
         known, _ = pre.parse_known_args(argv)
-        defaults = {}
         if known.config:
             try:
                 with open(known.config, "r", encoding="utf-8") as handle:
@@ -487,11 +494,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"error: config {known.config}: {exc}", file=sys.stderr)
             return EXIT_IO
         args = parser.parse_args(argv)
+        given = getattr(args, "given", frozenset())
         if not getattr(args, "command", None):
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
         return args.func(args)
     except UsageError as exc:
+        # a check that read only config values, none from the command line, blames the file
+        if not given.intersection(exc.dests) and defaults.keys() & set(exc.dests):
+            values = ", ".join(f"{d!r} to {defaults[d]!r}" for d in exc.dests if d in defaults)
+            print(f"error: config {known.config} sets {values}: {exc}", file=sys.stderr)
+            return EXIT_IO
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TraceFormatError as exc:

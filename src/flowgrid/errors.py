@@ -16,7 +16,9 @@ class GenerationError(FlowgridError):
 class SpawnInfeasible(FlowgridError):
     """World placement failed repeatedly for the given instruction.
 
-    Callers are expected to regenerate the instruction and try again.
+    Callers are expected to regenerate the instruction and try again;
+    ``harness.spawn_episode_world`` raises it once every instruction it
+    drew has failed.
     """
 
     def __init__(self, message, attempts=None):

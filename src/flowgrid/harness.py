@@ -28,8 +28,12 @@ from .generators import gen_minecraft, gen_starcraft
 from .instructions import MINECRAFT, RESOURCES, STARCRAFT, VERBS
 from .interpreter import sc_plan
 from .minecraft import Command
-from .rngtools import Rng, draws, substream
+from .rngtools import Rng, draws
 from .starcraft import ActionToken
+
+# unused: every stream the harness opens is a Draws reader, but
+# bench/spans.py still patches this name
+from .rngtools import substream  # noqa: F401
 
 TRACE_VERSION = 1
 MAX_REGENERATIONS = 1000
@@ -318,22 +322,35 @@ def generate_instructions(spec: EpisodeSpec, rng: Rng):
     Makes at most MAX_REGENERATIONS draws from ``rng`` and yields those
     that fit the spec.  ``tree`` is the starcraft technology tree, None on
     minecraft.  Starcraft build orders are drawn for a length budget and
-    may come out shorter than ``spec.min_len``; those are skipped.
+    may come out shorter than ``spec.min_len``; those are skipped, and a
+    GenerationError follows when every draw was skipped.
     """
+    yielded = False
     for _ in range(MAX_REGENERATIONS):
         if spec.domain == MINECRAFT:
+            yielded = True
             yield None, gen_minecraft(rng, (spec.min_len, spec.max_len), spec.flow)
             continue
         target = int(rng.integers(spec.min_len, spec.max_len + 1))
         tree, instruction = gen_starcraft(rng, target, spec.max_depth)
         if len(instruction) >= spec.min_len:
+            yielded = True
             yield tree, instruction
+    if not yielded:
+        raise GenerationError(
+            f"no {spec.domain} instruction of {spec.min_len}-{spec.max_len} lines "
+            f"in {MAX_REGENERATIONS} draws; lower --min-len"
+        )
 
 
 def spawn_episode_world(spec: EpisodeSpec, seed: int):
-    """Instruction plus placed world for (spec, seed), after retries."""
+    """Instruction plus placed world for (spec, seed), after retries.
+
+    Raises GenerationError when no instruction of the spec's lengths was
+    drawn, and SpawnInfeasible when no drawn instruction got a world.
+    """
     gen_rng = draws(seed, "generation")
-    spawn_rng = substream(seed, "spawning")
+    spawn_rng = draws(seed, "spawning")
     if spec.domain == STARCRAFT:
         disruption_rng = draws(seed, "disruptions")
     for tree, instruction in generate_instructions(spec, gen_rng):
@@ -352,7 +369,7 @@ def spawn_episode_world(spec: EpisodeSpec, seed: int):
             )
         except SpawnInfeasible:
             continue
-    raise GenerationError("no feasible (instruction, world) pair for this seed")
+    raise SpawnInfeasible("no feasible (instruction, world) pair for this seed")
 
 
 def _step_record(world, action, noop: Optional[bool], digest: bool) -> dict:

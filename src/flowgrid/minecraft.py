@@ -21,6 +21,7 @@ import numpy as np
 from .errors import EpisodeDone, SpawnInfeasible
 from .instructions import COMPARANDS, RESOURCES, VERBS, CfLine, Instruction
 from .interpreter import cf_step, checked_flow, eval_condition
+from .rngtools import Draws
 
 # the grid and the time limit are shared with the starcraft world
 GRID = 6
@@ -489,14 +490,15 @@ def _placed_world(
 
 
 def spawn(
-    rng: np.random.Generator,
+    rng: Draws,
     instruction: Instruction,
     seed: Optional[int] = None,
 ) -> MinecraftWorld:
-    """Populate a world for ``instruction``.
+    """Populate a world for ``instruction`` from the "spawning" reader ``rng``.
 
     Entity count n is drawn once per call (uniform 0..36).  Each attempt
-    draws entity types, places a water line when n leaves room for one,
+    draws entity types in one sized draw, names them only once the counts
+    pass the static check, places a water line when n leaves room for one,
     scatters entities and the worker over unique open cells, removes the
     water again if it cuts the worker off from every wood cell, fills the
     even-even open cells with walls, and finally dry-runs the ground-truth
@@ -504,23 +506,23 @@ def spawn(
     exhaustion raises SpawnInfeasible so the caller can regenerate the
     instruction.
     """
-    n = int(rng.integers(0, 37))
+    n = rng.integers(0, 37)
     attempts: List[SpawnAttempt] = []
-    verdicts: Dict[tuple, bool] = {}  # static check per entity-type draw
+    verdicts: Dict[tuple, bool] = {}  # static check per count of each entity type
     for resample in range(MAX_RESAMPLES + 1):
-        kinds = [ENTITY_TYPES[i] for i in rng.integers(0, len(ENTITY_TYPES), size=n).tolist()]
-        type_counts = {kind: kinds.count(kind) for kind in ENTITY_TYPES}
-        key = tuple(type_counts.values())
+        types = rng.integers(0, len(ENTITY_TYPES), size=n)
+        key = tuple(map(types.count, range(len(ENTITY_TYPES))))
         if key not in verdicts:
-            verdicts[key] = required_stream_feasible(instruction, type_counts)
+            verdicts[key] = required_stream_feasible(instruction, dict(zip(ENTITY_TYPES, key)))
         if not verdicts[key]:
             attempts.append(SpawnAttempt(n, "static_reject"))
             continue
+        kinds = [ENTITY_TYPES[i] for i in types]
         water_placed = n <= WATER_MAX_ENTITIES
         water: Set[tuple] = set()
         if water_placed:
-            index = int(rng.integers(GRID))
-            if int(rng.integers(2)) == 0:
+            index = rng.integers(GRID)
+            if rng.integers(2) == 0:
                 water = {(index, c) for c in range(GRID)}
             else:
                 water = {(r, index) for r in range(GRID)}
@@ -558,9 +560,11 @@ def spawn(
 
 
 def spawn_longjump(
-    rng: np.random.Generator, instruction: Instruction, seed: Optional[int] = None
+    rng: Draws, instruction: Instruction, seed: Optional[int] = None
 ) -> MinecraftWorld:
     """World for a long-jump instruction: the guard comparand stays absent.
+
+    ``rng`` is the "spawning" reader; one permutation of the cells places all.
 
     Places one entity of the guard's right-hand comparand, one of the final
     subtask's target, and a merchant when the final subtask sells; no water.

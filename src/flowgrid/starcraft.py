@@ -34,7 +34,7 @@ from .instructions import (
 )
 from .interpreter import sc_plan
 from .minecraft import CELL_INDEX, CELLS, GRID, MAX_RESAMPLES, TIME_LIMIT_FACTOR
-from .rngtools import Rng
+from .rngtools import Draws, Rng
 
 N_PROBES = 3
 ATTACK_RATE = 0.1
@@ -386,7 +386,7 @@ def _step_toward(cell: tuple, dest: tuple) -> tuple:
 
 
 def spawn(
-    rng: np.random.Generator,
+    rng: Draws,
     tree: BuildTree,
     instruction: Instruction,
     disruptions: bool = True,
@@ -398,18 +398,20 @@ def spawn(
     The endowment count is uniform on 0..36 with uniform building types on
     unique free cells (capped by the 35 cells the root leaves open).  A
     placement is resampled when the free cells could not hold the builds
-    the ground-truth plan needs from a fresh start.
+    the ground-truth plan needs from a fresh start.  ``rng`` is the
+    "spawning" reader; it also rolls the disruptions when ``disruption_rng``
+    is None.
     """
     required = tuple(line.ident for line in instruction.lines if line.is_unit)
     for _ in range(MAX_RESAMPLES + 1):
-        nexus_cell = CELLS[int(rng.integers(len(CELLS)))]
-        endowment = int(rng.integers(0, MAX_ENDOWMENT + 1))
+        nexus_cell = CELLS[rng.integers(len(CELLS))]
+        endowment = rng.integers(0, MAX_ENDOWMENT + 1)
         count = min(endowment, len(CELLS) - 1)
         others = [cell for cell in CELLS if cell != nexus_cell]
         order = rng.permutation(len(others))
         grid = {nexus_cell: NEXUS}
         for slot in range(count):
-            grid[others[order[slot]]] = int(rng.integers(N_BUILDINGS))
+            grid[others[order[slot]]] = rng.integers(N_BUILDINGS)
         plan = sc_plan(tree, required, set(grid.values()), {})
         builds_needed = sum(1 for cmd in plan if cmd.op == "build")
         if len(CELLS) - len(grid) < builds_needed:

@@ -18,6 +18,7 @@ from flowgrid.evaluate import DEFAULT_BINS, evaluate, longjump_sweep
 from flowgrid.generators import gen_minecraft, gen_starcraft
 from flowgrid.harness import EpisodeSpec, FailureBuffer, run_episode
 from flowgrid.instructions import flow_kinds, validate
+from flowgrid import rngtools
 from flowgrid.rngtools import derived_seed, substream
 from flowgrid.starcraft import enumerate_command_space, legal_train_commands
 from flowgrid.starcraft import spawn as spawn_starcraft
@@ -167,7 +168,7 @@ def test_c07_starcraft_oracle(capsys):
 
 
 def test_c08_disruption_rates(capsys):
-    rng = substream(108, "acceptance", "rates")
+    rng = rngtools.draws(108, "acceptance", "rates")
     tree, instruction = gen_starcraft(rng, 8)
     world = spawn_starcraft(rng, tree, instruction, disruptions=True,
                             disruption_rng=substream(108, "rolls"))
@@ -189,7 +190,7 @@ def test_c08_disruption_rates(capsys):
 
 def test_c09_action_space_audit(capsys):
     counts = enumerate_command_space()
-    rng = substream(109, "acceptance", "audit")
+    rng = rngtools.draws(109, "acceptance", "audit")
     tree, instruction = gen_starcraft(rng, 10)
     world = spawn_starcraft(rng, tree, instruction, disruptions=False)
     trainable = legal_train_commands(world)
@@ -231,7 +232,7 @@ def test_c10_grammar_conformance(capsys):
 
 
 def test_c11_spawning_rules(capsys):
-    rng = substream(111, "acceptance", "spawn")
+    rng = rngtools.draws(111, "acceptance", "spawn")
     violations = 0
     infeasible = 0
     for call in range(10_000):

@@ -507,8 +507,28 @@ def test_failure_buffer_trace_bytes_are_pinned():
     ids=["run", "eval"],
 )
 def test_episode_error_exits_alike_in_process_and_in_workers(argv, jobs):
-    # no starcraft build order of 60 lines fits the tree: every episode fails
+    # no starcraft build order of 60 lines fits the tree: no instruction is drawn
     code, _, err = run_cli(*argv, "--domain", "starcraft", "--jobs", jobs)
+    assert code == EXIT_USAGE
+    assert err == "error: no starcraft instruction of 60-60 lines in 1000 draws; lower --min-len\n"
+
+
+@pytest.mark.parametrize("command", ["gen", "run"])
+def test_unreachable_starcraft_lengths_are_a_usage_error_like_gen(tmp_path, command):
+    count = "--count" if command == "gen" else "--episodes"
+    out = tmp_path / "out"
+    code, _, err = run_cli(command, "--domain", "starcraft", "--min-len", "41", "--max-len", "50",
+                           count, "1", "--out", str(out))
+    assert code == EXIT_USAGE
+    assert err == "error: no starcraft instruction of 41-50 lines in 1000 draws; lower --min-len\n"
+
+
+def test_no_world_for_any_drawn_instruction_still_fails_verification(monkeypatch):
+    def infeasible(*args, **kwargs):
+        raise harness.SpawnInfeasible("no placement")
+
+    monkeypatch.setattr(harness.minecraft, "spawn", infeasible)
+    code, _, err = run_cli("run", "--domain", "minecraft", "--episodes", "1")
     assert code == EXIT_VERIFY
     assert err == "error: no feasible (instruction, world) pair for this seed\n"
 
@@ -1123,6 +1143,30 @@ def test_bad_config_is_io_error_naming_the_file(tmp_path, config, argv):
     assert str(path) in err
     assert stdout == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, argv",
+    [
+        ("buffer_beta", "nan", ["run", "--domain", "minecraft", "--failure-buffer"]),
+        ("buffer_scale", -1.0, ["run", "--domain", "minecraft", "--failure-buffer"]),
+        ("episodes", 0, ["run", "--domain", "minecraft"]),
+        ("jobs", 0, ["run", "--domain", "minecraft"]),
+        ("episodes_per_bin", 0, ["eval", "--domain", "minecraft"]),
+        ("count", 0, ["gen", "--domain", "minecraft"]),
+        ("trials", 0, ["scan-check"]),
+    ],
+)
+def test_out_of_range_config_value_is_io_error_naming_the_file(tmp_path, key, value, argv):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: value}))
+    code, stdout, err = run_cli("--config", str(path), *argv)
+    assert (code, stdout) == (EXIT_IO, "")
+    assert err.startswith(f"error: config {path} sets {key!r} to {value!r}: ")
+    # the same value on the command line is the flag's fault
+    code, _, err = run_cli(*argv, "--" + key.replace("_", "-"), str(value))
+    assert code == EXIT_USAGE
+    assert str(path) not in err
 
 
 def test_config_int_for_a_float_option_runs_as_the_command_line_float(tmp_path):

@@ -41,7 +41,7 @@ from flowgrid.evaluate import evaluate, longjump_sweep, write_csv
 from flowgrid.generators import gen_longjump
 from flowgrid.instructions import RESOURCES, VERBS
 from flowgrid.minecraft import Command, spawn_longjump
-from flowgrid.rngtools import substream
+from flowgrid.rngtools import draws, substream
 from flowgrid.starcraft import TOKENS
 
 
@@ -410,7 +410,7 @@ def test_parsed_policy_builds_fresh_instances(tmp_path):
 
 
 def test_scripted_policy_stuck_beyond_reach():
-    rng = substream(41, "scripted")
+    rng = draws(41, "scripted")
     instruction = gen_longjump(rng, block_len=12)
     world = spawn_longjump(rng, instruction, seed=41)
     policy = ScriptedPointerPolicy(max_jump=3, walk=False)
@@ -419,7 +419,7 @@ def test_scripted_policy_stuck_beyond_reach():
 
 
 def test_scripted_policy_walks_into_reach():
-    rng = substream(42, "scripted-walk")
+    rng = draws(42, "scripted-walk")
     instruction = gen_longjump(rng, block_len=12)
     world = spawn_longjump(rng, instruction, seed=42)
     policy = ScriptedPointerPolicy(max_jump=3, walk=True)
@@ -677,7 +677,7 @@ def test_longjump_spec_draws_what_its_two_substreams_give(block_len):
     for seed in range(4):
         world = spawn_episode_world(spec, seed)
         instruction = gen_longjump(substream(seed, "generation"), block_len)
-        reference = spawn_longjump(substream(seed, "spawning"), instruction, seed=seed)
+        reference = spawn_longjump(draws(seed, "spawning"), instruction, seed=seed)
         assert world.instruction.text() == instruction.text()
         assert (world.digest(), world.pc) == (reference.digest(), reference.pc)
 

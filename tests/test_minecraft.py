@@ -30,7 +30,7 @@ from flowgrid.minecraft import (
     spawn,
     spawn_longjump,
 )
-from flowgrid.rngtools import substream
+from flowgrid.rngtools import draws, substream
 
 S = CfLine.subtask
 
@@ -434,7 +434,7 @@ def apply_calls(monkeypatch):
 @given(seed=st.integers(0, 1_000_000), max_len=st.integers(1, 20))
 @settings(max_examples=200, deadline=None)
 def test_gate_matches_full_dry_run(seed, max_len):
-    rng = substream(seed, "gate-oracle")
+    rng = draws(seed, "gate-oracle")
     ins = gen_minecraft(rng, (1, max_len))
     try:
         # the gate passes every placement, so a world it would reject is tested too
@@ -477,7 +477,7 @@ def test_gate_does_not_stop_on_steps_that_keep_the_pc(apply_calls):
 
 
 def test_entity_conservation_under_oracle():
-    rng = substream(99, "conserve")
+    rng = draws(99, "conserve")
     for trial in range(20):
         ins = gen_minecraft(rng, (1, 8))
         try:
@@ -555,7 +555,7 @@ def test_clone_is_independent():
 
 
 def test_spawn_statistics_and_invariants():
-    rng = substream(5, "spawn-props")
+    rng = draws(5, "spawn-props")
     seen_water = False
     for trial in range(120):
         ins = gen_minecraft(rng, (1, 6))
@@ -585,7 +585,7 @@ def test_spawn_statistics_and_invariants():
 
 
 def test_spawn_longjump_leaves_guard_comparand_absent():
-    rng = substream(8, "longjump-spawn")
+    rng = draws(8, "longjump-spawn")
     for block in (1, 7, 40):
         ins = gen_longjump(rng, block)
         world = spawn_longjump(rng, ins, seed=block)

@@ -13,7 +13,7 @@ from flowgrid.errors import EpisodeDone, SpawnInfeasible
 from flowgrid.generators import gen_build_tree, gen_starcraft
 from flowgrid.harness import EpisodeSpec, RandomStarcraftPolicy, spawn_episode_world
 from flowgrid.instructions import N_BUILDINGS, N_UNITS, BuildTree, Instruction, ScLine
-from flowgrid.rngtools import substream
+from flowgrid.rngtools import draws, substream
 from flowgrid.starcraft import (
     CELL_INDEX,
     CELLS,
@@ -568,7 +568,7 @@ def test_apply_matches_the_state_chain_on_random_token_streams(seed, disruptions
 
 
 def test_legal_train_pairs_bounded_by_grammar():
-    rng = substream(6, "train-audit")
+    rng = draws(6, "train-audit")
     for trial in range(30):
         tree, ins = gen_starcraft(rng, max_len=10)
         try:
@@ -584,7 +584,7 @@ def test_legal_train_pairs_bounded_by_grammar():
 
 
 def test_spawn_places_root_probes_and_endowment():
-    rng = substream(7, "sc-spawn")
+    rng = draws(7, "sc-spawn")
     for trial in range(40):
         tree, ins = gen_starcraft(rng, max_len=8)
         world = spawn(rng, tree, ins, disruptions=False, seed=trial)
