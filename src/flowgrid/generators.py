@@ -35,75 +35,71 @@ MULTI_MIN_LINES = 6  # if, subtask, endif, while, subtask, endwhile
 LONGJUMP_FRAME_LINES = 3  # a long-jump block's opener and closer, and the final subtask
 LONGJUMP_MAX_BLOCK = 40
 MAX_ATTEMPTS = 1000  # draws one gen_minecraft or gen_starcraft call makes before GenerationError
+MAX_LINES = 100  # the longest instruction an EpisodeSpec may ask for; README derives it
 
 
 def _pick(rng: Rng, options):
     return options[int(rng.integers(len(options)))]
 
 
-def _random_condition(rng: Rng) -> Tuple[str, str]:
-    a = _pick(rng, COMPARANDS)
-    rest = [c for c in COMPARANDS if c != a]
-    return (a, _pick(rng, rest))
+# every line the minecraft generator writes, built once: CfLine is frozen, so
+# instructions share them.  A subtask is drawn as its verb, then its resource;
+# an opener as its left comparand, then its right one among the other three.
+_SUBTASKS = tuple(tuple(CfLine.subtask(verb, target) for target in RESOURCES) for verb in VERBS)
+_OPENERS = {
+    kind: tuple(tuple(CfLine(kind, condition=(a, b)) for b in COMPARANDS if b != a)
+                for a in COMPARANDS)
+    for kind in (IF, WHILE)
+}
+_ELSE_LINE = CfLine.else_()
+_CLOSERS = {IF: CfLine.endif(), ELSE: CfLine.endif(), WHILE: CfLine.endwhile()}
 
 
-def _random_subtask(rng: Rng) -> CfLine:
-    return CfLine.subtask(_pick(rng, VERBS), _pick(rng, RESOURCES))
+def _menu(slack: int, top: Optional[str]) -> tuple:
+    """The line kinds offered when ``slack`` lines are spare and ``top`` is open.
 
-
-def _min_lines_to_close(depth: int, last_was_subtask: bool) -> int:
-    """Fewest further lines that can close all open blocks.
-
-    Each open block needs a closer, and a closer is only offered right
-    after a subtask, so a block whose previous line is structural needs a
-    filler subtask first.  Two lines per open block, minus one if the very
-    next line could already be a closer.
+    ``slack`` is the lines left after this one, less two per open block (its
+    filler subtask and its closer); ``top`` is the last if, else or while line
+    of the innermost block when the previous line was a subtask, else None,
+    since a closer or an else follows only a subtask.  A subtask fits when the
+    blocks can still close after it, an opener when its own block can too.
     """
-    if depth == 0:
-        return 0
-    return 2 * depth - (1 if last_was_subtask else 0)
+    menu = (SUBTASK,) if slack >= -1 else ()
+    if slack >= 2:
+        menu += (IF, WHILE)
+    if top == IF and slack >= 0:
+        menu += (ELSE,)
+    if top is not None:
+        menu += (ENDWHILE if top == WHILE else ENDIF,)
+    return menu
+
+
+# _MENUS[top][min(slack, 2) + 2]; slack never falls below -2, where only a closer fits
+_MENUS = {top: tuple(_menu(slack, top) for slack in range(-2, 3))
+          for top in (None, IF, ELSE, WHILE)}
 
 
 def _sample_minecraft(rng: Rng, target_len: int) -> Instruction:
     lines: List[CfLine] = []
-    stack: List[List] = []  # [kind, has_else]
-    while len(lines) < target_len:
-        remaining = target_len - len(lines)
-        last_sub = bool(lines) and lines[-1].kind == SUBTASK
-        depth = len(stack)
-        menu = []
-        # a subtask is viable when the open blocks can still close afterwards
-        if _min_lines_to_close(depth, True) <= remaining - 1:
-            menu.append(SUBTASK)
-        # an opener adds a block that itself must close
-        if _min_lines_to_close(depth + 1, False) <= remaining - 1:
-            menu.append(IF)
-            menu.append(WHILE)
-        if last_sub and stack:
-            kind, has_else = stack[-1]
-            if kind == IF and not has_else:
-                if _min_lines_to_close(depth, False) <= remaining - 1:
-                    menu.append(ELSE)
-                menu.append(ENDIF)
-            elif kind == IF and has_else:
-                menu.append(ENDIF)
-            else:
-                menu.append(ENDWHILE)
-        choice = _pick(rng, menu)
+    stack: List[str] = []  # the last if, else or while line of each open block
+    top = None
+    for remaining in range(target_len, 0, -1):
+        slack = remaining - 1 - 2 * len(stack)
+        menu = _MENUS[top][slack + 2 if slack < 2 else 4]
+        choice = menu[rng.integers(len(menu))]
+        top = None
         if choice == SUBTASK:
-            lines.append(_random_subtask(rng))
-        elif choice in (IF, WHILE):
-            lines.append(CfLine(choice, condition=_random_condition(rng)))
-            stack.append([choice, False])
+            lines.append(_SUBTASKS[rng.integers(3)][rng.integers(3)])
+            if stack:
+                top = stack[-1]
+        elif choice == IF or choice == WHILE:
+            lines.append(_OPENERS[choice][rng.integers(4)][rng.integers(3)])
+            stack.append(choice)
         elif choice == ELSE:
-            lines.append(CfLine.else_())
-            stack[-1][1] = True
-        elif choice == ENDIF:
-            lines.append(CfLine.endif())
-            stack.pop()
+            lines.append(_ELSE_LINE)
+            stack[-1] = ELSE
         else:
-            lines.append(CfLine.endwhile())
-            stack.pop()
+            lines.append(_CLOSERS[stack.pop()])
     assert not stack, "length accounting must close every block"
     return Instruction(tuple(lines))
 
@@ -130,12 +126,9 @@ def gen_minecraft(
         if flow_filter == "longjump":
             return gen_longjump(rng, target - LONGJUMP_FRAME_LINES)
         instruction = _sample_minecraft(rng, target)
-        used = flow_kinds(instruction)
-        if flow_filter == "single" and len(used) > 1:
-            continue
-        if flow_filter == "multi" and len(used) < 2:
-            continue
-        return instruction
+        # "single" keeps instructions with at most one kind of block, "multi" those with both
+        if flow_filter == "any" or (len(flow_kinds(instruction)) > 1) == (flow_filter == "multi"):
+            return instruction
     raise GenerationError(
         f"no instruction matching flow={flow_filter!r} in {MAX_ATTEMPTS} attempts"
     )
@@ -150,17 +143,19 @@ def gen_longjump(rng: Rng, block_len: int) -> Instruction:
     """
     if not 1 <= block_len <= LONGJUMP_MAX_BLOCK:
         raise ValueError(f"block_len must be in 1..{LONGJUMP_MAX_BLOCK}, got {block_len}")
-    final = _random_subtask(rng)
-    b = _pick(rng, COMPARANDS)
-    banned = {b, final.target}
+    verb, target = int(rng.integers(3)), int(rng.integers(3))
+    final = _SUBTASKS[verb][target]
+    # comparands by COMPARANDS index, which is a resource's RESOURCES index
+    b = int(rng.integers(len(COMPARANDS)))
+    banned = {b, target}
     if final.verb == "sell":
-        banned.add("merchant")
-    a = _pick(rng, [c for c in COMPARANDS if c not in banned])
+        banned.add(COMPARANDS.index("merchant"))
+    a = _pick(rng, [c for c in range(len(COMPARANDS)) if c not in banned])
     opener = _pick(rng, (IF, WHILE))
-    closer = CfLine.endif() if opener == IF else CfLine.endwhile()
-    body = tuple(_random_subtask(rng) for _ in range(block_len))
-    lines = (CfLine(opener, condition=(a, b)),) + body + (closer, final)
-    return Instruction(lines)
+    body = tuple(_SUBTASKS[rng.integers(3)][rng.integers(3)] for _ in range(block_len))
+    # b's place among the comparands other than a
+    guard = _OPENERS[opener][a][b - (b > a)]
+    return Instruction((guard,) + body + (_CLOSERS[opener], final))
 
 
 # --- build-order domain ---------------------------------------------------------

@@ -23,7 +23,8 @@ from .errors import (
     TraceFormatError,
     ReplayMismatch,
 )
-from .generators import FLOW_FILTERS, LONGJUMP_FRAME_LINES, LONGJUMP_MAX_BLOCK, MULTI_MIN_LINES
+from .generators import (FLOW_FILTERS, LONGJUMP_FRAME_LINES, LONGJUMP_MAX_BLOCK, MAX_LINES,
+                         MULTI_MIN_LINES)
 from .generators import gen_minecraft, gen_starcraft
 from .instructions import MINECRAFT, RESOURCES, STARCRAFT, VERBS
 from .interpreter import sc_plan
@@ -58,6 +59,9 @@ class EpisodeSpec:
         lengths = (self.min_len, self.max_len)
         if any(type(x) is not int for x in lengths) or not 1 <= self.min_len <= self.max_len:
             raise ValueError(f"need integers 1 <= min_len <= max_len, not {lengths}")
+        if self.max_len > MAX_LINES:
+            raise ValueError(f"max_len {self.max_len} is above {MAX_LINES}, the longest "
+                             "instruction an episode may have")
         if self.flow not in FLOW_FILTERS:
             raise ValueError(f"unknown flow filter {self.flow!r}")
         # each domain refuses the other's field, which its generator would ignore
@@ -490,7 +494,6 @@ def map_episodes(fn, items, jobs: int = 1):
 
 
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-_WORDS = {None: "null", True: "true", False: "false"}
 
 
 @lru_cache(maxsize=1024)  # one entry per command: starcraft.TOKENS and 9 minecraft commands
@@ -499,26 +502,33 @@ def _command_json(items: tuple) -> str:
 
 
 # a step record's ten keys in sort order; its strings (kind, cause, hex digest)
-# need no JSON escapes, and its flags are bools
+# need no JSON escapes, its flags are bools, and t, reward and pc are ints
 _STEP_LINE = ('{"cause":%s,"command":%s,"digest":%s,"done":%s,"kind":"%s","noop":%s,"pc":%s,'
               '"resolved":%s,"reward":%d,"t":%d}\n')
 
 
 def _step_line(step: dict) -> str:
     """``_dumps(step) + "\\n"`` for a record with ``_step_record``'s keys and
-    values, laid out directly; other keys, or a flag not a bool, are a ValueError."""
+    values, laid out directly; other keys, a flag that is not a bool, or a
+    ``t``, ``reward`` or non-null ``pc`` that is not an int are a ValueError."""
     try:
         if len(step) == 10:
             cause, digest, pc = step["cause"], step["digest"], step["pc"]
-            return _STEP_LINE % (
-                "null" if cause is None else '"%s"' % cause,
-                _command_json(tuple(step["command"].items())),
-                "null" if digest is None else '"%s"' % digest,
-                _WORDS[step["done"]], step["kind"], _WORDS[step["noop"]],
-                "null" if pc is None else pc, _WORDS[step["resolved"]], step["reward"], step["t"])
+            done, noop, resolved = step["done"], step["noop"], step["resolved"]
+            reward, t = step["reward"], step["t"]
+            # type(), not isinstance: True is an int, and %d would write it as 1
+            if (type(done) is bool and type(noop) is bool and type(resolved) is bool
+                    and type(reward) is int and type(t) is int
+                    and (pc is None or type(pc) is int)):
+                return _STEP_LINE % (
+                    "null" if cause is None else '"%s"' % cause,
+                    _command_json(tuple(step["command"].items())),
+                    "null" if digest is None else '"%s"' % digest,
+                    "true" if done else "false", step["kind"], "true" if noop else "false",
+                    "null" if pc is None else pc, "true" if resolved else "false", reward, t)
     except KeyError:
         pass
-    raise ValueError(f"not a step record of ten keys and bool flags: {step!r}")
+    raise ValueError(f"not a step record of ten keys, bool flags and int counts: {step!r}")
 
 
 def write_traces(handle: IO, episodes) -> None:

@@ -496,17 +496,27 @@ def spawn(
 ) -> MinecraftWorld:
     """Populate a world for ``instruction`` from the "spawning" reader ``rng``.
 
-    Entity count n is drawn once per call (uniform 0..36).  Each attempt
+    Entity count n is drawn once per call (uniform 0..36).  Room is judged
+    first: n entities and the worker need n + 1 of the grid's cells, so at
+    n = 36 every attempt is a placement_reject, and the call skips the draws
+    its attempts would make and raises at once.  Otherwise each attempt
     draws entity types in one sized draw, names them only once the counts
     pass the static check, places a water line when n leaves room for one,
-    scatters entities and the worker over unique open cells, removes the
-    water again if it cuts the worker off from every wood cell, fills the
-    even-even open cells with walls, and finally dry-runs the ground-truth
-    policy.  Any failed stage resamples, up to ``MAX_RESAMPLES`` times;
-    exhaustion raises SpawnInfeasible so the caller can regenerate the
-    instruction.
+    scatters entities and the worker over unique open cells (n = 30 finds
+    too few once the water is placed), removes the water again if it cuts
+    the worker off from every wood cell, fills the even-even open cells with
+    walls, and finally dry-runs the ground-truth policy.  Any failed stage
+    resamples, up to ``MAX_RESAMPLES`` times; exhaustion raises
+    SpawnInfeasible so the caller can regenerate the instruction.
     """
     n = rng.integers(0, 37)
+    if n >= len(CELLS):
+        # no water is drawn for such n, so each attempt reads only its n kinds
+        rng.skip((MAX_RESAMPLES + 1) * n)
+        raise SpawnInfeasible(
+            f"no feasible placement for n={n} in {MAX_RESAMPLES} resamples",
+            attempts=[SpawnAttempt(n, "placement_reject") for _ in range(MAX_RESAMPLES + 1)],
+        )
     attempts: List[SpawnAttempt] = []
     verdicts: Dict[tuple, bool] = {}  # static check per count of each entity type
     for resample in range(MAX_RESAMPLES + 1):

@@ -147,6 +147,29 @@ class Draws:
             self._half = word >> 32
         return out
 
+    def skip(self, halves: int) -> None:
+        """Leave the reader where ``halves`` calls of ``integers(2**32)`` would:
+        the saved half first, then whole words, then an odd word's lower half.
+        Blocks that those calls would read whole are jumped, not read."""
+        if halves < 0:
+            raise ValueError(f"cannot skip {halves} draws")
+        if halves and self._half is not None:
+            self._half = None
+            halves -= 1
+        words, odd = divmod(halves, 2)
+        held = len(self._words)
+        if words <= held:
+            del self._words[held - words:]
+        else:
+            self._block += (words - held) // BLOCK
+            self._words = []
+            words = (words - held) % BLOCK
+            if words:
+                self._words = _block(self._key, self._block)[:BLOCK - words]
+                self._block += 1
+        if odd:
+            self._half = self._word() >> 32
+
     def random(self) -> float:
         words = self._words
         return ((words.pop() if words else self._word()) >> 11) * 2.0 ** -53

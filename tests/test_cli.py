@@ -11,8 +11,9 @@ import sys
 
 import pytest
 
-from flowgrid import harness
+from flowgrid import evaluate, harness
 from flowgrid.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from flowgrid.generators import MAX_LINES
 from flowgrid.instructions import COMPARANDS, decode, parse_text
 from flowgrid.interpreter import cf_step, eval_condition
 from flowgrid.minecraft import MinecraftWorld
@@ -660,6 +661,40 @@ def test_replay_header_spec_of_the_wrong_type_is_io_error(tmp_path, domain, key,
     code, _, err = run_cli("replay", "--trace", str(trace), "--quiet")
     assert code == EXIT_IO
     assert "bad episode header" in err
+
+
+@pytest.mark.parametrize("domain", ["minecraft", "starcraft"])
+def test_replay_header_longer_than_max_lines_is_io_error(tmp_path, domain):
+    # such a header once hung replay, which drew an instruction of up to 2**70 lines
+    trace, records = _recorded_records(tmp_path, domain)
+    records[0]["spec"]["max_len"] = 2**70
+    _rewrite(trace, records)
+    code, _, err = run_cli("replay", "--trace", str(trace), "--quiet")
+    assert code == EXIT_IO
+    assert f"bad episode header: max_len {2**70} is above {MAX_LINES}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "--count", "1"),
+    ("run", "--episodes", "1"),
+    ("eval", "--episodes-per-bin", "1", "--bins", f"1-10,{MAX_LINES + 1}"),
+], ids=["gen", "run", "eval"])
+def test_lengths_above_max_lines_are_a_usage_error(tmp_path, argv):
+    lengths = () if argv[0] == "eval" else ("--max-len", str(MAX_LINES + 1))
+    out = tmp_path / "out"
+    for domain in ("minecraft", "starcraft"):
+        code, _, err = run_cli(*argv, *lengths, "--domain", domain, "--out", str(out))
+        assert code == EXIT_USAGE
+        assert f"max_len {MAX_LINES + 1} is above {MAX_LINES}" in err
+        assert not out.exists()  # refused before any output is opened
+
+
+def test_max_lines_covers_every_default_bin_and_runs():
+    assert evaluate.DEFAULT_BINS[-1][1] <= MAX_LINES
+    code, _, err = run_cli("run", "--domain", "minecraft", "--min-len", str(MAX_LINES),
+                           "--max-len", str(MAX_LINES), "--episodes", "2", "--no-digests")
+    assert code == EXIT_OK
+    assert "episodes=2" in err
 
 
 @pytest.mark.parametrize(

@@ -4,8 +4,9 @@
 tables once; ``validate``, ``cf_step``, ``required_stream_feasible`` and
 ``spawn`` read those tables.  The functions below are the earlier
 implementations, which rebuilt a peer map and dispatched on line kinds on
-every call, and ``spawn`` without its per-call static-check memo.  They
-stay here as the oracles the property tests compare against.
+every call, and ``spawn`` without its per-call static-check memo or its
+early exit at n = 36: it makes every draw through numpy.  They stay here as
+the oracles the property tests compare against.
 """
 
 from typing import List, Set
@@ -202,6 +203,9 @@ def _old_spawn(rng, instruction, max_resamples=50, feasibility_gate=True, seed=N
     attempts: List[SpawnAttempt] = []
     for resample in range(max_resamples + 1):
         kinds = [ENTITY_TYPES[i] for i in rng.integers(0, len(ENTITY_TYPES), size=n)]
+        if n + 1 > len(CELLS):  # room is judged before kinds: no cell for the worker
+            attempts.append(SpawnAttempt(n, "placement_reject"))
+            continue
         type_counts = {kind: kinds.count(kind) for kind in ENTITY_TYPES}
         if not _old_required_stream_feasible(instruction, type_counts):
             attempts.append(SpawnAttempt(n, "static_reject"))
@@ -475,3 +479,37 @@ def test_spawn_matches_spawn_without_memo(seed, max_len):
 @settings(max_examples=150, deadline=None)
 def test_spawn_matches_spawn_without_memo_on_any_program(seed, ins):
     _same_spawn(lambda: ins, seed)
+
+
+def _seed_drawing(n: int) -> int:
+    """The first seed whose "stage" stream draws ``n`` entities."""
+    return next(seed for seed in range(10_000) if draws(seed, "stage").integers(0, 37) == n)
+
+
+def test_spawn_without_room_for_the_worker_records_distinct_placement_rejects():
+    # n = 36 fills every cell, so room fails before kinds are judged, on every
+    # attempt: no 36 kinds could mine 37 iron, yet no attempt is a static_reject
+    ins = Instruction((CfLine.subtask("mine", "iron"),) * 37)
+    seed = _seed_drawing(36)
+    new_rng, old_rng = draws(seed, "stage"), substream(seed, "stage")
+    with pytest.raises(SpawnInfeasible) as caught:
+        spawn(new_rng, ins, seed=seed)
+    attempts = caught.value.attempts
+    assert attempts == [SpawnAttempt(36, "placement_reject")] * 51
+    assert len({id(attempt) for attempt in attempts}) == 51  # SpawnAttempt is mutable
+    int(old_rng.integers(0, 37))
+    for _ in range(51):
+        old_rng.integers(0, len(ENTITY_TYPES), size=36)
+    assert new_rng.random() == old_rng.random()  # the skipped draws are the sized ones
+
+
+def test_spawn_with_room_only_before_water_judges_kinds_first():
+    # n = 30 leaves room until the water line takes six cells, which is drawn
+    # only for kinds that pass the static check: nine iron of thirty pass about
+    # a third of the time
+    ins = Instruction((CfLine.subtask("mine", "iron"),) * 9)
+    seed = _seed_drawing(30)
+    with pytest.raises(SpawnInfeasible) as caught:
+        spawn(draws(seed, "stage"), ins, seed=seed)
+    stages = {(a.stage, a.water_placed) for a in caught.value.attempts}
+    assert stages == {("static_reject", False), ("placement_reject", True)}

@@ -1,13 +1,19 @@
 """Instruction generators: lengths, filters, budgets, and determinism."""
 
 from typing import List
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowgrid import generators
 from flowgrid.errors import GenerationError
 from flowgrid.generators import (
+    FLOW_FILTERS,
+    LONGJUMP_FRAME_LINES,
+    LONGJUMP_MAX_BLOCK,
+    MAX_LINES,
     assemble_starcraft,
     gen_build_tree,
     gen_longjump,
@@ -15,21 +21,26 @@ from flowgrid.generators import (
     gen_starcraft,
 )
 from flowgrid.instructions import (
+    COMPARANDS,
+    ELSE,
     ENDIF,
     ENDWHILE,
     IF,
     NEXUS,
     N_UNITS,
+    RESOURCES,
     SUBTASK,
+    VERBS,
     WHILE,
     BuildTree,
+    CfLine,
     Instruction,
     ScLine,
     flow_kinds,
     validate,
 )
 from flowgrid.interpreter import sc_decode
-from flowgrid.rngtools import substream
+from flowgrid.rngtools import draws, substream
 
 
 def rng_for(name, seed=0):
@@ -91,6 +102,144 @@ def test_generation_is_a_pure_function_of_the_stream(seed):
     a = gen_minecraft(substream(seed, "g"), (1, 10))
     b = gen_minecraft(substream(seed, "g"), (1, 10))
     assert a.lines == b.lines
+
+
+# --- the line-by-line generator, kept as the reference of the table-driven one -----
+
+
+def _old_pick(rng, options):
+    return options[int(rng.integers(len(options)))]
+
+
+def _old_random_subtask(rng):
+    return CfLine.subtask(_old_pick(rng, VERBS), _old_pick(rng, RESOURCES))
+
+
+def _old_min_lines_to_close(depth, last_was_subtask):
+    if depth == 0:
+        return 0
+    return 2 * depth - (1 if last_was_subtask else 0)
+
+
+def _old_sample_minecraft(rng, target_len):
+    """``_sample_minecraft`` as it was before its lines and menus were tables:
+    each line builds its menu, its comparand list and a new CfLine."""
+    lines = []
+    stack = []  # [kind, has_else]
+    while len(lines) < target_len:
+        remaining = target_len - len(lines)
+        last_sub = bool(lines) and lines[-1].kind == SUBTASK
+        depth = len(stack)
+        menu = []
+        if _old_min_lines_to_close(depth, True) <= remaining - 1:
+            menu.append(SUBTASK)
+        if _old_min_lines_to_close(depth + 1, False) <= remaining - 1:
+            menu.append(IF)
+            menu.append(WHILE)
+        if last_sub and stack:
+            kind, has_else = stack[-1]
+            if kind == IF and not has_else:
+                if _old_min_lines_to_close(depth, False) <= remaining - 1:
+                    menu.append(ELSE)
+                menu.append(ENDIF)
+            elif kind == IF and has_else:
+                menu.append(ENDIF)
+            else:
+                menu.append(ENDWHILE)
+        choice = _old_pick(rng, menu)
+        if choice == SUBTASK:
+            lines.append(_old_random_subtask(rng))
+        elif choice in (IF, WHILE):
+            a = _old_pick(rng, COMPARANDS)
+            b = _old_pick(rng, [c for c in COMPARANDS if c != a])
+            lines.append(CfLine(choice, condition=(a, b)))
+            stack.append([choice, False])
+        elif choice == ELSE:
+            lines.append(CfLine.else_())
+            stack[-1][1] = True
+        elif choice == ENDIF:
+            lines.append(CfLine.endif())
+            stack.pop()
+        else:
+            lines.append(CfLine.endwhile())
+            stack.pop()
+    assert not stack
+    return Instruction(tuple(lines))
+
+
+def _old_gen_longjump(rng, block_len):
+    final = _old_random_subtask(rng)
+    b = _old_pick(rng, COMPARANDS)
+    banned = {b, final.target}
+    if final.verb == "sell":
+        banned.add("merchant")
+    a = _old_pick(rng, [c for c in COMPARANDS if c not in banned])
+    opener = _old_pick(rng, (IF, WHILE))
+    closer = CfLine.endif() if opener == IF else CfLine.endwhile()
+    body = tuple(_old_random_subtask(rng) for _ in range(block_len))
+    return Instruction((CfLine(opener, condition=(a, b)),) + body + (closer, final))
+
+
+def _old_gen_minecraft(rng, length_range, flow_filter, attempts):
+    lo, hi = length_range
+    for _ in range(attempts):
+        target = int(rng.integers(lo, hi + 1))
+        if flow_filter == "longjump":
+            return _old_gen_longjump(rng, target - LONGJUMP_FRAME_LINES)
+        instruction = _old_sample_minecraft(rng, target)
+        used = flow_kinds(instruction)
+        if flow_filter == "single" and len(used) > 1:
+            continue
+        if flow_filter == "multi" and len(used) < 2:
+            continue
+        return instruction
+    raise GenerationError("budget spent")
+
+
+@st.composite
+def length_ranges(draw, flow_filter):
+    if flow_filter == "longjump":
+        lo = draw(st.integers(LONGJUMP_FRAME_LINES + 1, LONGJUMP_FRAME_LINES + LONGJUMP_MAX_BLOCK))
+        hi = draw(st.integers(lo, LONGJUMP_FRAME_LINES + LONGJUMP_MAX_BLOCK))
+    else:
+        lo = draw(st.integers(1, MAX_LINES))
+        hi = draw(st.integers(lo, MAX_LINES))
+    return lo, hi
+
+
+@st.composite
+def generator_calls(draw):
+    flow_filter = draw(st.sampled_from(FLOW_FILTERS))
+    return flow_filter, draw(length_ranges(flow_filter))
+
+
+# a budget of 30 draws: long "single" and short "multi" ranges spend it, so the
+# exhausted path is compared too, at a thirtieth of the full budget's time
+@given(seed=st.integers(0, 2**40), call=generator_calls())
+@settings(max_examples=300, deadline=None)
+def test_table_driven_generation_equals_the_line_by_line_reference(seed, call):
+    flow_filter, length_range = call
+    new_rng, old_rng = draws(seed, "reference"), draws(seed, "reference")
+    with mock.patch.object(generators, "MAX_ATTEMPTS", 30):
+        try:
+            new = gen_minecraft(new_rng, length_range, flow_filter)
+        except GenerationError:
+            new = None
+    try:
+        old = _old_gen_minecraft(old_rng, length_range, flow_filter, 30)
+    except GenerationError:
+        old = None
+    assert new == old
+    assert new_rng.integers(2**30) == old_rng.integers(2**30)  # the same draws were made
+
+
+@given(seed=st.integers(0, 2**40), block_len=st.integers(1, LONGJUMP_MAX_BLOCK))
+@settings(max_examples=100, deadline=None)
+def test_table_driven_longjump_equals_the_line_by_line_reference(seed, block_len):
+    # numpy's Generator as the stream too: its draws are numpy integers, not ints
+    new_rng, old_rng = substream(seed, "jump"), substream(seed, "jump")
+    assert gen_longjump(new_rng, block_len) == _old_gen_longjump(old_rng, block_len)
+    assert new_rng.integers(2**30) == old_rng.integers(2**30)
 
 
 # --- longjump -----------------------------------------------------------------------

@@ -179,6 +179,23 @@ def test_a_step_record_with_other_keys_is_refused_and_nothing_written(step, edit
     assert buf.getvalue() == ""
 
 
+# values of another JSON type that equal a right one in Python: 1 == True, 0 == False
+@pytest.mark.parametrize("key, value", [
+    *((flag, value) for flag in ("done", "noop", "resolved") for value in (0, 1, None, "true")),
+    *((count, value) for count in ("t", "reward") for value in (True, False, 1.0, None, "1")),
+    ("pc", True), ("pc", 2.0), ("pc", "2"),
+])
+def test_a_step_value_of_another_type_is_refused_and_nothing_written(key, value):
+    step = {"kind": "step", "t": 1, "command": COMMANDS[0], "reward": 0, "done": False,
+            "cause": None, "pc": 0, "resolved": True, "noop": False, "digest": None}
+    write_traces(io.StringIO(), [{"header": HEADER, "steps": [step], "end": END}])  # as written
+    step[key] = value
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match="not a step record"):
+        write_traces(buf, [{"header": HEADER, "steps": [step], "end": END}])
+    assert buf.getvalue() == ""
+
+
 @pytest.mark.parametrize("spec, policy", [
     (MC_SPEC, "oracle"), (MC_SPEC, "random"), (SC_SPEC, "oracle"), (SC_SPEC, "random"),
     (MC_SPEC, PolicySpec("scripted:p.json", "minecraft", max_jump=2, walk=True)),

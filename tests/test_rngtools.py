@@ -1,7 +1,10 @@
 """rngtools: the Draws reader gives numpy's scalar results, value for value.
 
 numpy's own Generator on the same Philox key is the oracle.  If numpy ever
-changes one of these algorithms, this file fails before any trace does.
+changes one of these algorithms, this file fails before any trace does.  The
+raw stream beneath them has an oracle of its own here: Philox4x64-10 in pure
+Python, after Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3"
+(SC 2011), which any host can check ``rngtools._block`` against.
 """
 
 import threading
@@ -142,3 +145,95 @@ def test_stream_key_is_pinned_little_endian_words_of_the_hash():
     key = substream(0, "spawning").bit_generator.state["state"]["key"]
     assert [int(word) for word in key] == [0xD975816646A3297F, 0x31792873DE09420D]
     assert key.dtype == np.uint64
+
+
+# --- skipping draws ---------------------------------------------------------------
+
+
+def _draw(reader, op):
+    kind, *args = op
+    if kind == "integers":
+        return reader.integers(args[0])
+    if kind == "between":
+        return reader.integers(args[0], args[0] + args[1])
+    if kind == "random":
+        return reader.random()
+    return reader.permutation(args[0])
+
+
+# ``before`` draws of 32 bits leave a carried half when odd; 8 * BLOCK halves
+# span four blocks, so a skip starts and ends anywhere in a block, or past it
+@given(seed=st.integers(0, 2**40), before=st.integers(0, 3 * BLOCK),
+       halves=st.integers(0, 8 * BLOCK), after=operations)
+@settings(max_examples=300, deadline=None)
+def test_skip_equals_that_many_32_bit_draws(seed, before, halves, after):
+    skipped, stepped = draws(seed, "skip"), draws(seed, "skip")
+    for reader in (skipped, stepped):
+        for _ in range(before):
+            reader.integers(2**32)
+    skipped.skip(halves)
+    for _ in range(halves):
+        stepped.integers(2**32)
+    assert _draw(skipped, after) == _draw(stepped, after)
+    assert skipped.random() == stepped.random()
+
+
+def test_skip_refuses_a_negative_count():
+    with pytest.raises(ValueError):
+        draws(0, "skip").skip(-1)
+
+
+MASK = 2**64 - 1
+PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # round multipliers
+PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # Weyl key increments
+
+
+def _philox4x64_10(counter: tuple, key: tuple) -> tuple:
+    """Philox4x64-10 of a counter of four 64-bit words, low word first, and a
+    key of two: ten rounds, with the key bumped between rounds."""
+    c0, c1, c2, c3 = counter
+    k0, k1 = key
+    for round_number in range(10):
+        if round_number:
+            k0, k1 = (k0 + PHILOX_W[0]) & MASK, (k1 + PHILOX_W[1]) & MASK
+        p0, p1 = PHILOX_M[0] * c0, PHILOX_M[1] * c2
+        c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & MASK, (p0 >> 64) ^ c3 ^ k1, p0 & MASK
+    return c0, c1, c2, c3
+
+
+def _python_word(key: tuple, index: int) -> int:
+    """Word ``index`` of the stream keyed ``key``: numpy steps the counter
+    before each four-word output, so output i comes from counter i + 1."""
+    return _philox4x64_10((index // 4 + 1, 0, 0, 0), key)[index % 4]
+
+
+def test_pure_python_philox_matches_the_random123_known_answers():
+    # Random123's kat_vectors for philox4x64-10: a counter and key of all ones,
+    # and of the hex digits of pi
+    assert _philox4x64_10((MASK,) * 4, (MASK,) * 2) == (
+        0x87B092C3013FE90B, 0x438C3C67BE8D0224, 0x9CC7D7C69CD777B6, 0xA09CAEBF594F0BA0)
+    pi_counter = (0x243F6A8885A308D3, 0x13198A2E03707344, 0xA4093822299F31D0, 0x082EFA98EC4E6C89)
+    assert _philox4x64_10(pi_counter, (0x452821E638D01377, 0xBE5466CF34E90C6C)) == (
+        0xA528F45403E61D95, 0x38C72DBD566E9788, 0xA5A1610E72FD18B5, 0x57BD43B5E52B7FE6)
+
+
+keys = st.tuples(st.integers(0, MASK), st.integers(0, MASK))
+
+
+@given(key=keys, block=st.integers(0, 2**20))
+@settings(max_examples=200, deadline=None)
+def test_block_reads_the_raw_philox_stream_word_for_word(key, block):
+    words = [_python_word(key, BLOCK * block + i) for i in range(BLOCK)]
+    assert rngtools._block(key, block)[::-1] == words
+
+
+@given(key=keys, halves=st.integers(0, 2 * BLOCK * 2**20), carried=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_skip_far_ahead_lands_on_the_raw_stream(key, halves, carried):
+    reader = rngtools.Draws(key)
+    if carried:  # start from a carried half
+        reader.integers(2**32)
+    reader.skip(halves)
+    position = halves + carried
+    word = _python_word(key, position // 2)
+    assert reader.integers(2**32) == (word >> 32 if position % 2 else word & 0xFFFFFFFF)
