@@ -34,6 +34,7 @@ from .harness import (
     EpisodeSpec,
     FailureBuffer,
     PolicySpec,
+    _dumps,
     generate_instructions,
     map_episodes,
     parse_policy,
@@ -170,7 +171,7 @@ def cmd_gen(args) -> int:
         rows.append(row)
     with _open_out(args.out) as handle:
         for row in rows:
-            handle.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
+            handle.write(_dumps(row) + "\n")
     log.info("generated %d %s instructions", args.count, args.domain)
     return EXIT_OK
 
@@ -440,6 +441,9 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
         parser.set_defaults(**defaults)
         for sub in subs:
             sub.set_defaults(**defaults)
+            for action in sub._actions:  # a config value stands in for a required flag
+                if action.dest in defaults:
+                    action.required = False
     return parser
 
 
@@ -448,7 +452,7 @@ def _check_config(defaults: dict, actions) -> None:
     in ``actions`` and its value suits each of them: one of its choices, a
     bool for a flag, else a string that its type parses (as the command line
     would), an int for a float option, a value of its type, or null where
-    null is its default.
+    null is the default of an option that is not required.
     """
     for key, value in defaults.items():
         options = [a for a in actions if a.dest == key and a.default is not argparse.SUPPRESS]
@@ -466,8 +470,9 @@ def _check_config(defaults: dict, actions) -> None:
                     ok = False
                 else:
                     ok = True
-            else:
-                ok = type(value) in (action.type, type(action.default))
+            else:  # a required option's null default means "not given"
+                ok = type(value) in (action.type, type(action.default)) and not (
+                    value is None and action.required)
             if not ok:
                 raise ValueError(f"{key!r} cannot be {value!r}")
 

@@ -74,15 +74,6 @@ class SpawnAttempt:
     water_removed: bool = False
 
 
-@dataclass
-class SpawnStats:
-    n: int
-    resamples: int
-    water_placed: bool
-    water_removed: bool
-    attempts: List[SpawnAttempt] = field(default_factory=list)
-
-
 @dataclass(eq=False)
 class MinecraftWorld:
     instruction: Instruction
@@ -97,7 +88,7 @@ class MinecraftWorld:
     reward: int = 0
     cause: Optional[str] = None
     seed: Optional[int] = None
-    spawn_stats: Optional[SpawnStats] = None
+    spawn_attempts: Optional[List[SpawnAttempt]] = None  # set by spawn; the last is accepted
     _route: Optional[list] = field(default=None, repr=False)
     _route_key: Optional[tuple] = field(default=None, repr=False)
 
@@ -451,28 +442,6 @@ def oracle_completes(world: MinecraftWorld) -> bool:
     return sim.cause == "success"
 
 
-def _wood_reachable(entities: dict, worker: tuple, water: set) -> bool:
-    woods = {cell for cell, kind in entities.items() if kind == "wood"}
-    if not woods:
-        return False
-    seen = {worker}
-    queue = deque([worker])
-    while queue:
-        r, c = queue.popleft()
-        if (r, c) in woods:
-            return True
-        for nb in ((r - 1, c), (r, c - 1), (r, c + 1), (r + 1, c)):
-            if (
-                0 <= nb[0] < GRID
-                and 0 <= nb[1] < GRID
-                and nb not in water
-                and nb not in seen
-            ):
-                seen.add(nb)
-                queue.append(nb)
-    return False
-
-
 def _placed_world(
     instruction: Instruction, entities: dict, water: set, worker: tuple, seed: Optional[int]
 ) -> MinecraftWorld:
@@ -519,7 +488,7 @@ def spawn(
         )
     attempts: List[SpawnAttempt] = []
     verdicts: Dict[tuple, bool] = {}  # static check per count of each entity type
-    for resample in range(MAX_RESAMPLES + 1):
+    for _ in range(MAX_RESAMPLES + 1):
         types = rng.integers(0, len(ENTITY_TYPES), size=n)
         key = tuple(map(types.count, range(len(ENTITY_TYPES))))
         if key not in verdicts:
@@ -531,11 +500,8 @@ def spawn(
         water_placed = n <= WATER_MAX_ENTITIES
         water: Set[tuple] = set()
         if water_placed:
-            index = rng.integers(GRID)
-            if rng.integers(2) == 0:
-                water = {(index, c) for c in range(GRID)}
-            else:
-                water = {(r, index) for r in range(GRID)}
+            index, axis = rng.integers(GRID), rng.integers(2)  # axis 0: a row, 1: a column
+            water = {cell for cell in CELLS if cell[axis] == index}
         open_cells = [cell for cell in CELLS if cell not in water]
         if len(open_cells) < n + 1:
             attempts.append(SpawnAttempt(n, "placement_reject", water_placed))
@@ -544,10 +510,13 @@ def spawn(
         chosen = [open_cells[i] for i in order[: n + 1]]
         entities = dict(zip(chosen[:n], kinds))
         worker = chosen[n]
-        water_removed = False
-        if water and not _wood_reachable(entities, worker, water):
+        # with no walls yet, the full water line splits the grid in two: the
+        # worker reaches wood iff a wood cell lies on its side of the line
+        water_removed = water_placed and not any(
+            kind == "wood" and (cell[axis] < index) == (worker[axis] < index)
+            for cell, kind in entities.items())
+        if water_removed:
             water = set()
-            water_removed = True
         world = _placed_world(instruction, entities, water, worker, seed)
         if not oracle_completes(world):
             attempts.append(
@@ -555,13 +524,7 @@ def spawn(
             )
             continue
         attempts.append(SpawnAttempt(n, "accepted", water_placed, water_removed))
-        world.spawn_stats = SpawnStats(
-            n=n,
-            resamples=resample,
-            water_placed=water_placed,
-            water_removed=water_removed,
-            attempts=attempts,
-        )
+        world.spawn_attempts = attempts
         return world
     raise SpawnInfeasible(
         f"no feasible placement for n={n} in {MAX_RESAMPLES} resamples",

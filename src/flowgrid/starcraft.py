@@ -399,9 +399,11 @@ def spawn(
     unique free cells (capped by the 35 cells the root leaves open).  A
     placement is resampled when the free cells could not hold the builds
     the ground-truth plan needs from a fresh start.  ``rng`` is the
-    "spawning" reader; it also rolls the disruptions when ``disruption_rng``
-    is None.
+    "spawning" reader; ``disruption_rng``, the "disruptions" stream, rolls
+    the disruptions and may be None only when they are off.
     """
+    if disruptions and disruption_rng is None:
+        raise ValueError("disruptions need their own stream, disruption_rng")
     required = tuple(line.ident for line in instruction.lines if line.is_unit)
     for _ in range(MAX_RESAMPLES + 1):
         nexus_cell = CELLS[rng.integers(len(CELLS))]
@@ -422,7 +424,7 @@ def spawn(
             grid=grid,
             probes=[nexus_cell] * N_PROBES,
             disruptions_enabled=disruptions,
-            rng=disruption_rng if disruption_rng is not None else rng,
+            rng=disruption_rng,
             seed=seed,
             endowment=endowment,
         )

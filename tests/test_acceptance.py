@@ -244,10 +244,10 @@ def test_c11_spawning_rules(capsys):
             if len(exc.attempts) > 51:  # initial try plus 50 resamples
                 violations += 1
             continue
-        stats = world.spawn_stats
-        if stats.resamples > 50:
+        attempts = world.spawn_attempts
+        if len(attempts) > 51:  # initial try plus 50 resamples
             violations += 1
-        for attempt in stats.attempts:
+        for attempt in attempts:
             if attempt.stage != "static_reject" and (
                 attempt.water_placed != (attempt.n <= 30)
             ):
@@ -258,7 +258,8 @@ def test_c11_spawning_rules(capsys):
         for (r, c) in world.walls:
             if r % 2 or c % 2 or (r, c) in open_before_walls:
                 violations += 1
-        if bool(world.water) != (stats.water_placed and not stats.water_removed):
+        accepted = attempts[-1]
+        if bool(world.water) != (accepted.water_placed and not accepted.water_removed):
             violations += 1
     _report(
         capsys,

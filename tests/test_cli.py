@@ -1180,6 +1180,44 @@ def test_bad_config_is_io_error_naming_the_file(tmp_path, config, argv):
     assert not out.exists()
 
 
+def test_config_supplies_a_required_option(tmp_path):
+    # the config value serves as the default of --domain and --trace; a flag still wins
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"domain": "minecraft"}))
+    code, out, err = run_cli("--config", str(config), "gen", "--count", "1")
+    assert code == EXIT_OK, err
+    assert json.loads(out)["domain"] == "minecraft"
+    code, out, _ = run_cli("--config", str(config), "gen", "--count", "1",
+                           "--domain", "starcraft")
+    assert code == EXIT_OK and json.loads(out)["domain"] == "starcraft"
+    trace = tmp_path / "trace.jsonl"
+    code, _, _ = run_cli("--config", str(config), "run", "--episodes", "2",
+                         "--out", str(trace))
+    assert code == EXIT_OK
+    config.write_text(json.dumps({"trace": str(trace)}))
+    code, _, err = run_cli("--config", str(config), "replay", "--quiet")
+    assert code == EXIT_OK
+    assert err == "replay ok: 2 episode(s) verified\n"
+
+
+@pytest.mark.parametrize(
+    "config, argv",
+    [
+        ({"domain": "chess"}, ["gen", "--count", "1"]),
+        ({"domain": None}, ["gen", "--count", "1"]),
+        ({"trace": None}, ["replay", "--quiet"]),
+    ],
+    ids=["domain-choice", "domain-null", "trace-null"],
+)
+def test_bad_config_value_of_a_required_option_is_io_error(tmp_path, config, argv):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, stdout, err = run_cli("--config", str(path), *argv)
+    assert code == EXIT_IO
+    assert str(path) in err
+    assert stdout == ""
+
+
 @pytest.mark.parametrize(
     "key, value, argv",
     [

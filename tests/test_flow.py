@@ -5,10 +5,12 @@ tables once; ``validate``, ``cf_step``, ``required_stream_feasible`` and
 ``spawn`` read those tables.  The functions below are the earlier
 implementations, which rebuilt a peer map and dispatched on line kinds on
 every call, and ``spawn`` without its per-call static-check memo or its
-early exit at n = 36: it makes every draw through numpy.  They stay here as
+early exit at n = 36, judging the water cut by breadth-first search rather
+than by the side of the line: it makes every draw through numpy.  They stay here as
 the oracles the property tests compare against.
 """
 
+from collections import deque
 from typing import List, Set
 
 import pytest
@@ -42,8 +44,6 @@ from flowgrid.minecraft import (
     WATER_MAX_ENTITIES,
     MinecraftWorld,
     SpawnAttempt,
-    SpawnStats,
-    _wood_reachable,
     oracle_completes,
     required_stream_feasible,
     spawn,
@@ -198,10 +198,32 @@ def _wall_cells(occupied: set) -> frozenset:
     )
 
 
+def _old_wood_reachable(entities: dict, worker: tuple, water: set) -> bool:
+    woods = {cell for cell, kind in entities.items() if kind == "wood"}
+    if not woods:
+        return False
+    seen = {worker}
+    queue = deque([worker])
+    while queue:
+        r, c = queue.popleft()
+        if (r, c) in woods:
+            return True
+        for nb in ((r - 1, c), (r, c - 1), (r, c + 1), (r + 1, c)):
+            if (
+                0 <= nb[0] < GRID
+                and 0 <= nb[1] < GRID
+                and nb not in water
+                and nb not in seen
+            ):
+                seen.add(nb)
+                queue.append(nb)
+    return False
+
+
 def _old_spawn(rng, instruction, max_resamples=50, feasibility_gate=True, seed=None):
     n = int(rng.integers(0, 37))
     attempts: List[SpawnAttempt] = []
-    for resample in range(max_resamples + 1):
+    for _ in range(max_resamples + 1):
         kinds = [ENTITY_TYPES[i] for i in rng.integers(0, len(ENTITY_TYPES), size=n)]
         if n + 1 > len(CELLS):  # room is judged before kinds: no cell for the worker
             attempts.append(SpawnAttempt(n, "placement_reject"))
@@ -227,7 +249,7 @@ def _old_spawn(rng, instruction, max_resamples=50, feasibility_gate=True, seed=N
         entities = dict(zip(chosen[:n], kinds))
         worker = chosen[n]
         water_removed = False
-        if water and not _wood_reachable(entities, worker, water):
+        if water and not _old_wood_reachable(entities, worker, water):
             water = set()
             water_removed = True
         occupied = set(entities) | set(water) | {worker}
@@ -245,13 +267,7 @@ def _old_spawn(rng, instruction, max_resamples=50, feasibility_gate=True, seed=N
             attempts.append(SpawnAttempt(n, "gate_reject", water_placed, water_removed))
             continue
         attempts.append(SpawnAttempt(n, "accepted", water_placed, water_removed))
-        world.spawn_stats = SpawnStats(
-            n=n,
-            resamples=resample,
-            water_placed=water_placed,
-            water_removed=water_removed,
-            attempts=attempts,
-        )
+        world.spawn_attempts = attempts
         return world
     raise SpawnInfeasible(
         f"no feasible placement for n={n} in {max_resamples} resamples",
@@ -464,7 +480,7 @@ def _same_spawn(make_ins, seed):
     if isinstance(new, SpawnInfeasible):
         assert new.attempts == old.attempts
         return
-    assert new.spawn_stats == old.spawn_stats
+    assert new.spawn_attempts == old.spawn_attempts
     for name in ("entities", "water", "walls", "worker", "pc", "done", "cause", "reward"):
         assert getattr(new, name) == getattr(old, name), name
 

@@ -6,6 +6,7 @@ library's hand-rolled search.
 """
 
 import hashlib
+import itertools
 import json
 from collections import deque
 from unittest import mock
@@ -563,10 +564,13 @@ def test_spawn_statistics_and_invariants():
             world = spawn(rng, ins, seed=trial)
         except SpawnInfeasible:
             continue
-        stats = world.spawn_stats
-        assert stats is not None and stats.resamples <= 50
-        for attempt in stats.attempts:
-            assert attempt.n == stats.n
+        attempts = world.spawn_attempts
+        n = attempts[-1].n
+        assert 1 <= len(attempts) <= 51  # the first placement and up to 50 resamples
+        assert [a.stage == "accepted" for a in attempts] == [False] * (len(attempts) - 1) + [True]
+        assert len({id(attempt) for attempt in attempts}) == len(attempts)  # SpawnAttempt is mutable
+        for attempt in attempts:
+            assert attempt.n == n
             if attempt.stage != "static_reject":  # water drawn after the type check
                 assert attempt.water_placed == (attempt.n <= 30)
         # walls only on even-even cells, never over anything else
@@ -574,9 +578,10 @@ def test_spawn_statistics_and_invariants():
             assert r % 2 == 0 and c % 2 == 0
         occupied = set(world.entities) | world.water | {world.worker}
         assert not (world.walls & occupied)
-        assert len(world.entities) <= stats.n
+        assert len(world.entities) == n  # nothing is mined before the first step
         if world.water:
             seen_water = True
+            assert attempts[-1].water_placed and not attempts[-1].water_removed
             rows = {r for r, _ in world.water}
             cols = {c for _, c in world.water}
             assert len(rows) == 1 or len(cols) == 1  # a straight full line
@@ -584,11 +589,54 @@ def test_spawn_statistics_and_invariants():
     assert seen_water
 
 
+class _ScriptedReader:
+    """A "spawning" reader that draws ``n`` and then repeats one attempt's
+    draws: the entity kinds, the water line's index and axis, and the order
+    of the open cells."""
+
+    def __init__(self, n, attempt_draws):
+        self._next = itertools.chain([n], itertools.cycle(attempt_draws))
+
+    def integers(self, *args, **kwargs):
+        return next(self._next)
+
+    permutation = integers
+
+
+# feasible for any counts: mining iron is demanded only while iron outnumbers gold
+_ANY_COUNTS_PASS = mc(CfLine.if_("iron", "gold"), S("mine", "iron"), CfLine.endif())
+
+
+@pytest.mark.parametrize("axis, index", [(axis, i) for axis in range(2) for i in range(GRID)])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_spawn_removes_the_water_iff_it_cuts_the_worker_off_from_all_wood(axis, index, data):
+    # axis 0 lays the water along row ``index``, axis 1 down column ``index``
+    open_count = len(CELLS) - GRID
+    n = data.draw(st.integers(0, open_count - 1), label="n")  # n entities and the worker
+    kinds = data.draw(st.lists(st.integers(0, len(ENTITY_TYPES) - 1), min_size=n, max_size=n))
+    order = data.draw(st.permutations(range(open_count)), label="order")
+    try:
+        first = spawn(_ScriptedReader(n, [kinds, index, axis, order]),
+                      _ANY_COUNTS_PASS).spawn_attempts[0]
+    except SpawnInfeasible as exc:  # the gate refused every attempt
+        first = exc.attempts[0]
+    water = {cell for cell in CELLS if cell[axis] == index}
+    open_cells = [cell for cell in CELLS if cell not in water]
+    chosen = [open_cells[i] for i in order[: n + 1]]
+    woods = [cell for cell, kind in zip(chosen, kinds) if ENTITY_TYPES[kind] == "wood"]
+    dry = nx.grid_2d_graph(GRID, GRID)
+    dry.remove_nodes_from(water)
+    assert first.stage != "placement_reject" and first.water_placed
+    assert first.water_removed == (not any(nx.has_path(dry, chosen[n], w) for w in woods))
+
+
 def test_spawn_longjump_leaves_guard_comparand_absent():
     rng = draws(8, "longjump-spawn")
     for block in (1, 7, 40):
         ins = gen_longjump(rng, block)
         world = spawn_longjump(rng, ins, seed=block)
+        assert world.spawn_attempts is None  # one permutation, nothing resampled
         a, _ = ins.lines[0].condition
         assert world.counts()[a] == 0
         assert world.pc == len(ins) - 1  # demand jumped past the block

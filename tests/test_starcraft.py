@@ -597,6 +597,21 @@ def test_spawn_places_root_probes_and_endowment():
         assert not world.done
 
 
+def test_disruptions_are_drawn_only_from_their_own_stream():
+    tree, ins = gen_starcraft(draws(7, "sc-spawn"), max_len=8)
+    spawning = draws(7, "spawning")
+    with pytest.raises(ValueError, match="disruption_rng"):
+        spawn(spawning, tree, ins, disruptions=True, seed=7)
+    assert spawning.random() == draws(7, "spawning").random()  # refused before any draw
+    spawning, twin, rolls = draws(7, "spawning"), draws(7, "spawning"), draws(7, "disruptions")
+    world = spawn(spawning, tree, ins, disruptions=True, disruption_rng=rolls, seed=7)
+    spawn(twin, tree, ins, disruptions=False, seed=7)
+    for _ in range(20):
+        world.roll_disruptions()
+    assert spawning.random() == twin.random()  # the rolls left the spawning reader alone
+    assert rolls.random() != draws(7, "disruptions").random()
+
+
 def test_observation_hides_the_tree():
     world = simple_world()
     obs = world.observe()
