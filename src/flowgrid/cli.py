@@ -255,6 +255,7 @@ def cmd_eval(args) -> int:
         _require(
             1 <= args.block_min <= args.block_max <= LONGJUMP_MAX_BLOCK,
             f"need 1 <= --block-min <= --block-max <= {LONGJUMP_MAX_BLOCK}",
+            "block_min", "block_max",
         )
         policy = _parse_policy(args.policy, MINECRAFT)
         blocks = range(args.block_min, args.block_max + 1)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import IO, List, Optional, Sequence, Tuple, Union
 
 from .generators import LONGJUMP_FRAME_LINES, LONGJUMP_MAX_BLOCK
@@ -49,18 +49,6 @@ class BinResult:
     stderr: Optional[float]
     timeouts: int
     out_of_order: int
-
-    def row(self) -> dict:
-        fmt = lambda x: "" if x is None else f"{x:.6f}"
-        return {
-            "bin_lo": self.lo,
-            "bin_hi": self.hi,
-            "episodes": self.episodes,
-            "success_rate": fmt(self.success_rate),
-            "stderr": fmt(self.stderr),
-            "timeouts": self.timeouts,
-            "out_of_order": self.out_of_order,
-        }
 
 
 def _summarize(lo: int, hi: int, outcomes: Sequence[Tuple[str, int]]) -> BinResult:
@@ -121,10 +109,12 @@ def evaluate(
 
 
 def write_csv(handle: IO, results: Sequence[BinResult]) -> None:
-    writer = csv.DictWriter(handle, fieldnames=CSV_FIELDS, lineterminator="\n")
-    writer.writeheader()
+    """CSV_FIELDS, then each BinResult's fields in order: the rates to six
+    places, and a bin without episodes leaves them empty (csv writes None so)."""
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(CSV_FIELDS)
     for result in results:
-        writer.writerow(result.row())
+        writer.writerow(f"{v:.6f}" if isinstance(v, float) else v for v in astuple(result))
 
 
 def longjump_sweep(
@@ -143,8 +133,6 @@ def longjump_sweep(
     jobs > 1 runs the episodes on worker processes.  The episodes are
     those of ``flow="longjump"`` specs, which ``run`` and ``replay`` play too.
     """
-    if any(not 1 <= block_len <= LONGJUMP_MAX_BLOCK for block_len in block_lens):
-        raise ValueError(f"block lengths must lie in 1..{LONGJUMP_MAX_BLOCK}")
     policy = parse_policy(policy, MINECRAFT)
     frame = LONGJUMP_FRAME_LINES
     labelled = [((b, b), EpisodeSpec(MINECRAFT, b + frame, b + frame, flow="longjump"), f"jump{b}")

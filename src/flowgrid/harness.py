@@ -234,10 +234,8 @@ class ScriptedPointerPolicy(Policy):
                 self.pointer += step
         if self.pointer == desired:
             return Command(line.verb, line.target)
-        for resource in RESOURCES:
-            if not (line.verb == "inspect" and line.target == resource):
-                return Command("inspect", resource)
-        raise AssertionError("unreachable: three resources, one exclusion")
+        idle = "gold" if (line.verb, line.target) == ("inspect", "iron") else "iron"
+        return Command("inspect", idle)
 
 
 @dataclass(frozen=True)
@@ -355,22 +353,16 @@ def spawn_episode_world(spec: EpisodeSpec, seed: int):
     """
     gen_rng = draws(seed, "generation")
     spawn_rng = draws(seed, "spawning")
-    if spec.domain == STARCRAFT:
-        disruption_rng = draws(seed, "disruptions")
+    disruption_rng = (draws(seed, "disruptions")
+                      if spec.domain == STARCRAFT and spec.disruptions else None)
     for tree, instruction in generate_instructions(spec, gen_rng):
         try:
             if spec.flow == "longjump":
                 return minecraft.spawn_longjump(spawn_rng, instruction, seed=seed)
             if spec.domain == MINECRAFT:
                 return minecraft.spawn(spawn_rng, instruction, seed=seed)
-            return starcraft.spawn(
-                spawn_rng,
-                tree,
-                instruction,
-                disruptions=spec.disruptions,
-                disruption_rng=disruption_rng,
-                seed=seed,
-            )
+            return starcraft.spawn(spawn_rng, tree, instruction,
+                                   disruption_rng=disruption_rng, seed=seed)
         except SpawnInfeasible:
             continue
     raise SpawnInfeasible("no feasible (instruction, world) pair for this seed")
@@ -575,8 +567,9 @@ def split_episodes(records):
         if kind == "header":
             if current is not None:
                 raise TraceFormatError(f"episode {number} has no end record")
-            if record.get("v") != TRACE_VERSION:
-                raise TraceFormatError(f"unsupported trace version {record.get('v')!r}")
+            version = record.get("v")
+            if type(version) is not int or version != TRACE_VERSION:  # not true, not 1.0
+                raise TraceFormatError(f"unsupported trace version {version!r}")
             current = {"header": record, "steps": [], "end": None}
         elif kind == "step":
             if current is None:
@@ -615,13 +608,16 @@ class _RecordedCommands(Policy):
 
 def _compare(where: str, actual: dict, recorded: dict) -> None:
     """Raise TraceFormatError when the two records' keys differ, else ReplayMismatch
-    on the first differing value; return when they are equal."""
-    if actual == recorded:
+    on the first value that encodes differently; return when they encode alike.
+
+    Encoded JSON tells apart what ``==`` does not: ``true`` from ``1``, ``2.0`` from ``2``.
+    """
+    if _dumps(actual) == _dumps(recorded):
         return
     odd = actual.keys() ^ recorded.keys()
     if odd:
         raise TraceFormatError(f"{where}: keys {sorted(odd)} are not in both records")
-    key = next(key for key, value in actual.items() if recorded[key] != value)
+    key = next(key for key, value in actual.items() if _dumps(recorded[key]) != _dumps(value))
     if key == "instruction":
         raise ReplayMismatch("header instruction differs from the one its seed generates")
     if key == "digest" and recorded[key] is None:  # replay digests resolved steps only
@@ -634,8 +630,9 @@ def replay_episode(episode: dict, check_digests: bool = True):
     spawn and again after each resolved step, for a caller to ``render()``.
 
     Each record that ``run_episode``'s loop and builders make must equal the
-    recorded one, given the header's policy name and episode number: a key in
-    only one is a TraceFormatError, any other difference a ReplayMismatch.
+    recorded one, JSON types included, given the header's policy name and episode
+    number: a key in only one is a TraceFormatError, any other difference a
+    ReplayMismatch.
     Digests count when ``check_digests`` is set and the episode records any.
     """
     header = episode["header"]
@@ -659,7 +656,10 @@ def replay_episode(episode: dict, check_digests: bool = True):
         recorded = steps[position]
         if not check_digests:
             record["digest"] = recorded.get("digest")
-        if record != recorded:
+        # == first, as it is cheap; a step's values are scalars or a command that
+        # its constructor checked, so equal values of equal types encode alike
+        if record != recorded or any(type(recorded[key]) is not type(value)
+                                     for key, value in record.items()):
             _compare(f"step {position}", record, recorded)
         if record["resolved"]:
             yield world

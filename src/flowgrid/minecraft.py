@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -168,21 +168,10 @@ class MinecraftWorld:
         return "\n".join(lines)
 
     def clone(self) -> "MinecraftWorld":
-        world = MinecraftWorld(
-            instruction=self.instruction,
-            entities=dict(self.entities),
-            water=set(self.water),
-            walls=self.walls,
-            worker=self.worker,
-            inventory=dict(self.inventory),
-            pc=self.pc,
-            step_count=self.step_count,
-            done=self.done,
-            reward=self.reward,
-            cause=self.cause,
-            seed=self.seed,
-        )
-        return world
+        # mutable state is copied; a route is never shared, since apply pops from it
+        return replace(self, entities=dict(self.entities), water=set(self.water),
+                       inventory=dict(self.inventory), spawn_attempts=None,
+                       _route=None, _route_key=None)
 
     # -- control flow ------------------------------------------------------
 
@@ -245,57 +234,41 @@ class MinecraftWorld:
                 # unreachable or absent goal: the command stalls, time passes
         self.step_count += 1
         if interaction is not None:
-            self._apply_interaction(*interaction)
+            self._arrive(*interaction)
         if not self.done and self.step_count >= self.time_limit:
             self.done = True
             self.cause = "timeout"
         return False
 
-    def _mine_here(self, resource: str) -> None:
-        assert self.entities.get(self.worker) == resource
-        del self.entities[self.worker]
-        self.inventory[resource] += 1
+    def _arrive(self, kind: str, resource: str) -> None:
+        """Interact on arrival, then judge the interaction against the demanded line.
 
-    def _apply_interaction(self, kind: str, resource: str) -> None:
-        required = self.instruction.lines[self.pc]
-        self._drop_route()
-        if kind == "mine":
-            self._mine_here(resource)
-            if required.verb == "mine" and required.target == resource:
-                self._advance()
-            else:
-                self._terminate("out_of_order")
-        elif kind == "auto_mine":
-            # collection leg of a sell command; in order only while the
-            # stream actually demands selling this resource
-            self._mine_here(resource)
-            if not (required.verb == "sell" and required.target == resource):
-                self._terminate("out_of_order")
-        elif kind == "sell":
+        ``kind`` is mine, sell, inspect, or auto_mine: the mining leg of a sell
+        made with none of the resource in hand, whose demanded line is that
+        sell.  A demanded mine, sell or inspect advances the pc; a mine or sell
+        that is not demanded, auto_mine included, ends the episode out of
+        order.  auto_mine never advances, and inspect, which changes nothing,
+        never ends the episode.
+        """
+        self._route = self._route_key = None
+        if kind == "sell":
             if self.inventory[resource] == 0:
                 return  # wood spent on bridging en route; retry next step
             self.inventory[resource] -= 1
-            if required.verb == "sell" and required.target == resource:
-                self._advance()
-            else:
-                self._terminate("out_of_order")
-        # inspect: no mutation, never terminates, advances only when demanded
-        elif required.verb == "inspect" and required.target == resource:
-            self._advance()
-
-    def _advance(self) -> None:
-        self.pc += 1
-        self.normalize()
-
-    def _terminate(self, cause: str) -> None:
-        self.done = True
-        self.cause = cause
+        elif kind != "inspect":  # mine or auto_mine takes the entity
+            assert self.entities.get(self.worker) == resource
+            del self.entities[self.worker]
+            self.inventory[resource] += 1
+        line = self.instruction.lines[self.pc]
+        verb = "sell" if kind == "auto_mine" else kind
+        if line.verb == verb and line.target == resource:
+            if kind != "auto_mine":
+                self.pc += 1
+                self.normalize()
+        elif kind != "inspect":
+            self.done, self.cause = True, "out_of_order"
 
     # -- routing -----------------------------------------------------------
-
-    def _drop_route(self) -> None:
-        self._route = None
-        self._route_key = None
 
     def _route_to(self, goals: set, key: tuple) -> Optional[list]:
         if self._route_key == key and self._route:

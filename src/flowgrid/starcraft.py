@@ -151,8 +151,7 @@ class StarcraftWorld:
     instruction: Instruction
     grid: Dict[tuple, int]
     probes: List[tuple]
-    disruptions_enabled: bool = True
-    rng: Optional[Rng] = None  # the disruption stream
+    rng: Optional[Rng] = None  # the disruption stream; a world without one has no disruptions
     seed: Optional[int] = None
     probe_dest: List[Optional[tuple]] = field(default_factory=lambda: [None] * N_PROBES)
     pending_build: Dict[int, tuple] = field(default_factory=dict)
@@ -321,9 +320,7 @@ class StarcraftWorld:
             self.units[unit] = self.units.get(unit, 0) + 1
         self.pending_train = []
         self.ambush_message = None
-        self.last_disruption = (
-            self.roll_disruptions() if self.disruptions_enabled else None
-        )
+        self.last_disruption = None if self.rng is None else self.roll_disruptions()
         self._refresh_done(bool(trained))
 
     def roll_disruptions(self) -> DisruptionReport:
@@ -389,7 +386,6 @@ def spawn(
     rng: Draws,
     tree: BuildTree,
     instruction: Instruction,
-    disruptions: bool = True,
     disruption_rng: Optional[Rng] = None,
     seed: Optional[int] = None,
 ) -> StarcraftWorld:
@@ -400,10 +396,8 @@ def spawn(
     placement is resampled when the free cells could not hold the builds
     the ground-truth plan needs from a fresh start.  ``rng`` is the
     "spawning" reader; ``disruption_rng``, the "disruptions" stream, rolls
-    the disruptions and may be None only when they are off.
+    the disruptions, and a world spawned without it has none.
     """
-    if disruptions and disruption_rng is None:
-        raise ValueError("disruptions need their own stream, disruption_rng")
     required = tuple(line.ident for line in instruction.lines if line.is_unit)
     for _ in range(MAX_RESAMPLES + 1):
         nexus_cell = CELLS[rng.integers(len(CELLS))]
@@ -423,7 +417,6 @@ def spawn(
             instruction=instruction,
             grid=grid,
             probes=[nexus_cell] * N_PROBES,
-            disruptions_enabled=disruptions,
             rng=disruption_rng,
             seed=seed,
             endowment=endowment,

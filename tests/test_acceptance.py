@@ -170,8 +170,7 @@ def test_c07_starcraft_oracle(capsys):
 def test_c08_disruption_rates(capsys):
     rng = rngtools.draws(108, "acceptance", "rates")
     tree, instruction = gen_starcraft(rng, 8)
-    world = spawn_starcraft(rng, tree, instruction, disruptions=True,
-                            disruption_rng=substream(108, "rolls"))
+    world = spawn_starcraft(rng, tree, instruction, disruption_rng=substream(108, "rolls"))
     draws = 100_000
     attacks = ambushes = 0
     for _ in range(draws):
@@ -192,7 +191,7 @@ def test_c09_action_space_audit(capsys):
     counts = enumerate_command_space()
     rng = rngtools.draws(109, "acceptance", "audit")
     tree, instruction = gen_starcraft(rng, 10)
-    world = spawn_starcraft(rng, tree, instruction, disruptions=False)
+    world = spawn_starcraft(rng, tree, instruction)
     trainable = legal_train_commands(world)
     ok = (
         counts["build"] == 1512

@@ -769,6 +769,57 @@ def test_replay_rejects_header_or_end_the_replay_disagrees_with(tmp_path, domain
     assert "replay mismatch" in err and reason in err
 
 
+def _retype(kind, index, key, convert):
+    """An edit that gives ``key`` of the ``index``-th ``kind`` record a value of
+    another JSON type that ``==`` takes for the recorded one."""
+    def edit(records):
+        record = [r for r in records if r["kind"] == kind][index]
+        value = convert(record[key])
+        assert value == record[key] and type(value) is not type(record[key])
+        record[key] = value
+    return edit
+
+
+def _false_for_a_zero(records):
+    encoded = records[0]["instruction"]["encoded"]
+    row = next(row for row in encoded if 0 in row)
+    row[row.index(0)] = False
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        _retype("header", 0, "v", bool),
+        _retype("step", 0, "done", int),
+        _retype("step", 0, "resolved", int),
+        _retype("step", 0, "noop", int),
+        _retype("step", 0, "reward", bool),
+        _retype("step", 1, "pc", float),
+        _retype("step", -1, "t", float),
+        _retype("end", 0, "reward", bool),
+        _retype("end", 0, "steps", float),
+        _retype("end", 1, "episode", bool),
+        _false_for_a_zero,
+    ],
+    ids=["header-v", "step-done", "step-resolved", "step-noop", "step-reward", "step-pc",
+         "last-step-t", "end-reward", "end-steps", "end-episode", "encoded-false"],
+)
+def test_replay_tells_apart_json_values_that_python_calls_equal(tmp_path, tamper):
+    # true == 1 and 2.0 == 2 in Python, but run never writes a bool for a count,
+    # an int for a flag or a float at all, so such a trace is not run's trace
+    trace = tmp_path / "trace.jsonl"
+    code, _, _ = run_cli("run", "--domain", "minecraft", "--policy", "oracle", "--min-len", "2",
+                         "--max-len", "3", "--episodes", "2", "--seed", "0", "--out", str(trace))
+    assert code == EXIT_OK
+    assert run_cli("replay", "--trace", str(trace), "--quiet")[0] == EXIT_OK
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    tamper(records)
+    _rewrite(trace, records)
+    code, _, err = run_cli("replay", "--trace", str(trace), "--quiet")
+    assert code in (EXIT_VERIFY, EXIT_IO), err
+    assert "verified" not in err
+
+
 def test_replay_tampered_trace_fails_verification(tmp_path):
     trace = tmp_path / "trace.jsonl"
     run_cli(
@@ -1228,6 +1279,8 @@ def test_bad_config_value_of_a_required_option_is_io_error(tmp_path, config, arg
         ("episodes_per_bin", 0, ["eval", "--domain", "minecraft"]),
         ("count", 0, ["gen", "--domain", "minecraft"]),
         ("trials", 0, ["scan-check"]),
+        ("block_min", 0, ["eval", "--domain", "minecraft", "--longjump"]),
+        ("block_max", 41, ["eval", "--domain", "minecraft", "--longjump"]),
     ],
 )
 def test_out_of_range_config_value_is_io_error_naming_the_file(tmp_path, key, value, argv):

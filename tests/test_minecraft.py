@@ -163,6 +163,63 @@ def test_out_of_order_sell_fails_episode():
     assert done and cause == "out_of_order"
 
 
+# an arrival's (interaction, whether the demanded line names it) -> (pc, cause)
+# after one step, from a first line demanded twice over; an auto_mine is the
+# mining leg of a sell made empty-handed, named by a demanded sell line
+_ARRIVAL = {
+    ("mine", True): (1, None), ("mine", False): (0, "out_of_order"),
+    ("sell", True): (1, None), ("sell", False): (0, "out_of_order"),
+    ("auto_mine", True): (0, None), ("auto_mine", False): (0, "out_of_order"),
+    ("inspect", True): (1, None), ("inspect", False): (0, None),
+}
+# the worker at (1, 1) with one entity of each kind next to it
+_NEIGHBOURS = {(0, 1): "iron", (1, 0): "gold", (1, 2): "wood", (2, 1): "merchant"}
+_SUBTASKS = [(verb, target) for verb in ("mine", "sell", "inspect")
+             for target in ("iron", "gold", "wood")]
+
+
+@pytest.mark.parametrize("verb, target", _SUBTASKS)
+@pytest.mark.parametrize("held", [0, 1])
+def test_arrival_rule_against_a_table(verb, target, held):
+    for line in _SUBTASKS:
+        world = world_from([".i....", "g@w...", ".m...."] + ["......"] * 3, mc(S(*line), S(*line)),
+                           inventory={r: held for r in ("iron", "gold", "wood")})
+        world.apply(Command(verb, target))
+        interaction = "auto_mine" if (verb, held) == ("sell", 0) else verb
+        named = (line[0] == ("sell" if interaction == "auto_mine" else verb)
+                 and line[1] == target)
+        pc, cause = _ARRIVAL[interaction, named]
+        inventory = {r: held for r in ("iron", "gold", "wood")}
+        entities = dict(_NEIGHBOURS)
+        if interaction in ("mine", "auto_mine"):
+            inventory[target] += 1
+            del entities[next(c for c, kind in _NEIGHBOURS.items() if kind == target)]
+        elif interaction == "sell":
+            inventory[target] -= 1
+        case = (verb, target, held, line)
+        assert (world.pc, world.cause, world.done) == (pc, cause, cause is not None), case
+        assert (world.inventory, world.entities) == (inventory, entities), case
+        assert world.step_count == 1 and world.reward == 0, case
+
+
+def test_sell_whose_last_wood_bridges_onto_the_merchant_retries():
+    # only a hand-built world puts a merchant in water: the bridge spends the
+    # wood to be sold, so the arrival neither advances nor ends the episode
+    world = world_from(["@mw...", "......"] + ["......"] * 4, mc(S("sell", "wood")),
+                       inventory={"wood": 1})
+    world.water.add((0, 1))
+    world.apply(Command("sell", "wood"))
+    assert world.worker == (0, 1) and not world.water
+    assert (world.pc, world.done, world.inventory["wood"]) == (0, False, 0)
+    assert world._route is None  # the arrival dropped the route to the merchant
+    world.apply(Command("sell", "wood"))  # empty-handed: mines the wood first
+    assert world.worker == (0, 2) and (0, 2) not in world.entities
+    assert (world.pc, world.done, world.inventory["wood"]) == (0, False, 1)
+    world.apply(Command("sell", "wood"))
+    assert world.worker == (0, 1) and world.entities[(0, 1)] == "merchant"
+    assert (world.done, world.cause, world.inventory["wood"]) == (True, "success", 0)
+
+
 def test_missing_goal_stalls_into_timeout():
     world = world_from(["@.....", "......"] + ["......"] * 4, mc(S("mine", "iron")))
     while not world.done:
@@ -550,6 +607,27 @@ def test_clone_is_independent():
     drive(copy, Command("mine", "iron"))
     assert copy.done and not world.done
     assert (0, 1) in world.entities
+    # mid-route, with water and wood in hand: the route must bridge the water line
+    world = world_from(["@.....", "~~~~~~", "......", "....i."] + ["......"] * 2,
+                       mc(S("mine", "iron")), inventory={"wood": 2, "gold": 1})
+    world.spawn_attempts = [minecraft.SpawnAttempt(0, "accepted", True)]
+    command = Command("mine", "iron")
+    world.apply(command)
+    assert world._route and world.water and not world.done
+    before = (world.digest(), set(world.water), dict(world.inventory), list(world._route))
+    copy = world.clone()
+    assert copy.spawn_attempts is None and copy._route is None
+    assert copy.digest() == world.digest()
+    trajectory = []
+    while not copy.done:
+        copy.apply(command)
+        trajectory.append(copy.digest())
+    assert copy.cause == "success" and copy.inventory["wood"] < before[2]["wood"]
+    assert (world.digest(), world.water, world.inventory, world._route) == before
+    for digest in trajectory:  # the original then walks its own route the same way
+        world.apply(command)
+        assert world.digest() == digest
+    assert world.cause == "success"
 
 
 # --- spawning ----------------------------------------------------------------------

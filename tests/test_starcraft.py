@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from flowgrid.errors import EpisodeDone, SpawnInfeasible
 from flowgrid.generators import gen_build_tree, gen_starcraft
-from flowgrid.harness import EpisodeSpec, RandomStarcraftPolicy, spawn_episode_world
+from flowgrid.harness import (EpisodeSpec, OracleStarcraftPolicy, RandomStarcraftPolicy,
+                              spawn_episode_world)
 from flowgrid.instructions import N_BUILDINGS, N_UNITS, BuildTree, Instruction, ScLine
 from flowgrid.rngtools import draws, substream
 from flowgrid.starcraft import (
@@ -37,14 +38,14 @@ TREE = BuildTree(
 )
 
 
-def simple_world(required_units=(0,), grid=None, disruptions=False, rng=None):
+def simple_world(required_units=(0,), grid=None, rng=None):
+    """A world on TREE; ``rng`` is its disruption stream, and without one it has none."""
     ins = Instruction(tuple(ScLine.unit(u) for u in required_units))
     world = StarcraftWorld(
         tree=TREE,
         instruction=ins,
         grid=dict(grid or {(0, 0): 0}),
         probes=[(0, 0)] * N_PROBES,
-        disruptions_enabled=disruptions,
         rng=rng,
     )
     return world
@@ -319,7 +320,6 @@ def test_attacks_spare_the_root_building():
     world = simple_world(
         required_units=(0,),
         grid={(0, 0): 0, (1, 1): 1, (2, 2): 2, (3, 3): 3},
-        disruptions=True,
         rng=rng,
     )
     saw_attack = False
@@ -336,7 +336,7 @@ def test_attacks_spare_the_root_building():
 
 def test_attack_destroys_nonempty_subsets_only():
     rng = substream(1, "attack-subset")
-    world = simple_world(grid={(0, 0): 0, (1, 1): 1}, disruptions=True, rng=rng)
+    world = simple_world(grid={(0, 0): 0, (1, 1): 1}, rng=rng)
     for _ in range(300):
         world.grid[(1, 1)] = 1
         report = world.roll_disruptions()
@@ -346,7 +346,7 @@ def test_attack_destroys_nonempty_subsets_only():
 
 def test_ambush_removes_one_unit_and_posts_message():
     rng = substream(2, "ambush")
-    world = simple_world(grid={(0, 0): 0}, disruptions=True, rng=rng)
+    world = simple_world(grid={(0, 0): 0}, rng=rng)
     saw = False
     for _ in range(300):
         world.units = {3: 2, 7: 1}
@@ -364,7 +364,7 @@ def test_ambush_removes_one_unit_and_posts_message():
 def test_ambush_message_resets_next_step():
     rng = substream(3, "ambush-reset")
     world = simple_world(
-        required_units=(0,) * 7, grid={(0, 0): 0}, disruptions=True, rng=rng
+        required_units=(0,) * 7, grid={(0, 0): 0}, rng=rng
     )
     world.units = {3: 500}
     # wait for an ambush, then advance once more: the message must reflect
@@ -384,8 +384,7 @@ def test_ambush_message_resets_next_step():
 
 
 def test_calm_steps_share_one_frozen_report():
-    world = simple_world(grid={(0, 0): 0, (1, 1): 1}, disruptions=True,
-                         rng=substream(5, "calm"))
+    world = simple_world(grid={(0, 0): 0, (1, 1): 1}, rng=substream(5, "calm"))
     reports = [world.roll_disruptions() for _ in range(50)]
     calm = [r for r in reports if not (r.attack or r.ambush)]
     assert len(calm) > 1 and all(r is calm[0] for r in calm)
@@ -396,7 +395,7 @@ def test_calm_steps_share_one_frozen_report():
 
 def test_disruption_rates_rough():
     rng = substream(4, "rates")
-    world = simple_world(grid={(0, 0): 0, (1, 1): 1}, disruptions=True, rng=rng)
+    world = simple_world(grid={(0, 0): 0, (1, 1): 1}, rng=rng)
     attacks = ambushes = 0
     n = 20_000
     for _ in range(n):
@@ -572,7 +571,7 @@ def test_legal_train_pairs_bounded_by_grammar():
     for trial in range(30):
         tree, ins = gen_starcraft(rng, max_len=10)
         try:
-            world = spawn(rng, tree, ins, disruptions=False, seed=trial)
+            world = spawn(rng, tree, ins, seed=trial)
         except SpawnInfeasible:
             continue
         legal = legal_train_commands(world)
@@ -587,7 +586,7 @@ def test_spawn_places_root_probes_and_endowment():
     rng = draws(7, "sc-spawn")
     for trial in range(40):
         tree, ins = gen_starcraft(rng, max_len=8)
-        world = spawn(rng, tree, ins, disruptions=False, seed=trial)
+        world = spawn(rng, tree, ins, seed=trial)
         assert 0 in world.grid.values()
         assert len(world.probes) == N_PROBES
         nexus_cells = [c for c, b in world.grid.items() if b == 0]
@@ -599,17 +598,42 @@ def test_spawn_places_root_probes_and_endowment():
 
 def test_disruptions_are_drawn_only_from_their_own_stream():
     tree, ins = gen_starcraft(draws(7, "sc-spawn"), max_len=8)
-    spawning = draws(7, "spawning")
-    with pytest.raises(ValueError, match="disruption_rng"):
-        spawn(spawning, tree, ins, disruptions=True, seed=7)
-    assert spawning.random() == draws(7, "spawning").random()  # refused before any draw
     spawning, twin, rolls = draws(7, "spawning"), draws(7, "spawning"), draws(7, "disruptions")
-    world = spawn(spawning, tree, ins, disruptions=True, disruption_rng=rolls, seed=7)
-    spawn(twin, tree, ins, disruptions=False, seed=7)
+    world = spawn(spawning, tree, ins, disruption_rng=rolls, seed=7)
+    assert world.rng is rolls
+    assert spawn(twin, tree, ins, seed=7).rng is None
     for _ in range(20):
         world.roll_disruptions()
     assert spawning.random() == twin.random()  # the rolls left the spawning reader alone
     assert rolls.random() != draws(7, "disruptions").random()
+
+
+def test_disruptions_are_switched_by_their_stream():
+    """Off, an episode's world has no stream and never rolls; on, it rolls from
+    the "disruptions" stream of its seed and from nothing else."""
+    reports = []
+    for seed in range(4):
+        off = spawn_episode_world(EpisodeSpec("starcraft", max_len=6, disruptions=False), seed)
+        on = spawn_episode_world(EpisodeSpec("starcraft", max_len=6), seed)
+        twin = spawn_episode_world(EpisodeSpec("starcraft", max_len=6, disruptions=False), seed)
+        assert off.rng is None and on.rng is not None
+        twin.rng = draws(seed, "disruptions")
+        assert _world_state(on) == _world_state(off)  # the switch moves no spawn draw
+        policies = [OracleStarcraftPolicy() for _ in range(3)]
+        while not on.done:
+            noop = on.apply(policies[0].act(None, on))
+            assert twin.apply(policies[1].act(None, twin)) == noop
+            assert twin.last_disruption == on.last_disruption
+            assert _world_state(twin) == _world_state(on)
+            if noop is not None:  # the step resolved, so time passed and the world rolled
+                reports.append(on.last_disruption)
+        assert (twin.done, twin.cause) == (on.done, on.cause)
+        with pytest.raises(ValueError, match="no disruption stream"):
+            off.roll_disruptions()
+        while not off.done:
+            off.apply(policies[2].act(None, off))
+            assert off.last_disruption is None
+    assert any(r.attack for r in reports) and any(r.ambush for r in reports)
 
 
 def test_observation_hides_the_tree():
