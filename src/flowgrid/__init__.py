@@ -41,7 +41,7 @@ from .instructions import (
 from .interpreter import cf_step, required_sequence, sc_decode, sc_plan
 from .minecraft import Command, MinecraftWorld
 from .minecraft import spawn as spawn_minecraft
-from .rngtools import derived_seed, draws, substream
+from .rngtools import derived_seed, draws
 from .starcraft import ActionToken, StarcraftWorld
 from .starcraft import spawn as spawn_starcraft
 
@@ -87,6 +87,5 @@ __all__ = [
     "sc_plan",
     "spawn_minecraft",
     "spawn_starcraft",
-    "substream",
     "validate",
 ]

@@ -1,7 +1,7 @@
 """Procedural instruction generators for both domains.
 
-All generators draw exclusively from the ``rngtools.Rng`` they are handed,
-so a fixed (seed, parameters) pair always yields the same output.
+All generators draw exclusively from the ``rngtools.Draws`` reader they are
+handed, so a fixed (seed, parameters) pair always yields the same output.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .instructions import (
     ScLine,
     flow_kinds,
 )
-from .rngtools import Rng
+from .rngtools import Draws
 
 FLOW_FILTERS = ("any", "single", "multi", "longjump")
 MULTI_MIN_LINES = 6  # if, subtask, endif, while, subtask, endwhile
@@ -36,10 +36,6 @@ LONGJUMP_FRAME_LINES = 3  # a long-jump block's opener and closer, and the final
 LONGJUMP_MAX_BLOCK = 40
 MAX_ATTEMPTS = 1000  # draws one gen_minecraft or gen_starcraft call makes before GenerationError
 MAX_LINES = 100  # the longest instruction an EpisodeSpec may ask for; README derives it
-
-
-def _pick(rng: Rng, options):
-    return options[int(rng.integers(len(options)))]
 
 
 # every line the minecraft generator writes, built once: CfLine is frozen, so
@@ -79,7 +75,7 @@ _MENUS = {top: tuple(_menu(slack, top) for slack in range(-2, 3))
           for top in (None, IF, ELSE, WHILE)}
 
 
-def _sample_minecraft(rng: Rng, target_len: int) -> Instruction:
+def _sample_minecraft(rng: Draws, target_len: int) -> Instruction:
     lines: List[CfLine] = []
     stack: List[str] = []  # the last if, else or while line of each open block
     top = None
@@ -105,7 +101,7 @@ def _sample_minecraft(rng: Rng, target_len: int) -> Instruction:
 
 
 def gen_minecraft(
-    rng: Rng,
+    rng: Draws,
     length_range: Tuple[int, int],
     flow_filter: str = "any",
 ) -> Instruction:
@@ -122,7 +118,7 @@ def gen_minecraft(
     if flow_filter not in FLOW_FILTERS:
         raise ValueError(f"unknown flow filter {flow_filter!r}")
     for _ in range(MAX_ATTEMPTS):
-        target = int(rng.integers(lo, hi + 1))
+        target = rng.integers(lo, hi + 1)
         if flow_filter == "longjump":
             return gen_longjump(rng, target - LONGJUMP_FRAME_LINES)
         instruction = _sample_minecraft(rng, target)
@@ -134,7 +130,7 @@ def gen_minecraft(
     )
 
 
-def gen_longjump(rng: Rng, block_len: int) -> Instruction:
+def gen_longjump(rng: Draws, block_len: int) -> Instruction:
     """A single never-taken block of ``block_len`` subtasks, then one subtask.
 
     The opening condition compares a comparand that the paired spawner
@@ -143,15 +139,16 @@ def gen_longjump(rng: Rng, block_len: int) -> Instruction:
     """
     if not 1 <= block_len <= LONGJUMP_MAX_BLOCK:
         raise ValueError(f"block_len must be in 1..{LONGJUMP_MAX_BLOCK}, got {block_len}")
-    verb, target = int(rng.integers(3)), int(rng.integers(3))
+    verb, target = rng.integers(3), rng.integers(3)
     final = _SUBTASKS[verb][target]
     # comparands by COMPARANDS index, which is a resource's RESOURCES index
-    b = int(rng.integers(len(COMPARANDS)))
+    b = rng.integers(len(COMPARANDS))
     banned = {b, target}
     if final.verb == "sell":
         banned.add(COMPARANDS.index("merchant"))
-    a = _pick(rng, [c for c in range(len(COMPARANDS)) if c not in banned])
-    opener = _pick(rng, (IF, WHILE))
+    allowed = [c for c in range(len(COMPARANDS)) if c not in banned]
+    a = allowed[rng.integers(len(allowed))]
+    opener = (IF, WHILE)[rng.integers(2)]
     body = tuple(_SUBTASKS[rng.integers(3)][rng.integers(3)] for _ in range(block_len))
     # b's place among the comparands other than a
     guard = _OPENERS[opener][a][b - (b > a)]
@@ -162,7 +159,7 @@ def gen_longjump(rng: Rng, block_len: int) -> Instruction:
 
 
 def gen_build_tree(
-    rng: Rng, max_depth: Optional[int] = None
+    rng: Draws, max_depth: Optional[int] = None
 ) -> BuildTree:
     """Sample a technology tree over all buildings and units.
 
@@ -173,7 +170,7 @@ def gen_build_tree(
     """
     if max_depth is not None and max_depth < 1:
         raise ValueError("max_depth must be positive")
-    order = [NEXUS] + [int(b) + 1 for b in rng.permutation(N_BUILDINGS - 1)]
+    order = [NEXUS] + [b + 1 for b in rng.permutation(N_BUILDINGS - 1)]
     prerequisite = {}
     depth = {NEXUS: 1}
     for pos in range(1, N_BUILDINGS):
@@ -182,20 +179,20 @@ def gen_build_tree(
         candidates = [None] + [
             e for e in earlier if max_depth is None or depth[e] < max_depth
         ]
-        choice = _pick(rng, candidates)
+        choice = candidates[rng.integers(len(candidates))]
         if choice is None:
             depth[building] = 1
         else:
             prerequisite[building] = choice
             depth[building] = depth[choice] + 1
     producer = {
-        unit: int(rng.integers(N_BUILDINGS)) for unit in range(N_UNITS)
+        unit: rng.integers(N_BUILDINGS) for unit in range(N_UNITS)
     }
     return BuildTree(prerequisite=prerequisite, producer=producer)
 
 
 def assemble_starcraft(
-    rng: Rng, tree: BuildTree, max_len: int
+    rng: Draws, tree: BuildTree, max_len: int
 ) -> Tuple[tuple, BuildTree, list]:
     """Compose instruction lines for ``tree`` within a line budget.
 
@@ -231,7 +228,7 @@ def assemble_starcraft(
                 candidates.append((unit, producer, unlisted, cost))
         if not candidates:
             break
-        unit, producer, unlisted, cost = candidates[int(rng.integers(len(candidates)))]
+        unit, producer, unlisted, cost = candidates[rng.integers(len(candidates))]
         if unlisted:
             for prev, building in zip(unlisted, unlisted[1:]):
                 frag_prereq[building] = prev
@@ -252,7 +249,7 @@ def assemble_starcraft(
 
 
 def gen_starcraft(
-    rng: Rng,
+    rng: Draws,
     max_len: int,
     max_depth: Optional[int] = None,
 ) -> Tuple[BuildTree, Instruction]:

@@ -29,7 +29,7 @@ from .generators import gen_minecraft, gen_starcraft
 from .instructions import MINECRAFT, RESOURCES, STARCRAFT, VERBS
 from .interpreter import sc_plan
 from .minecraft import Command
-from .rngtools import Rng, draws
+from .rngtools import Draws, draws
 from .starcraft import ActionToken
 
 # unused: every stream the harness opens is a Draws reader, but
@@ -182,13 +182,13 @@ class _RandomPolicy(Policy):
     reads_observation = False
     GROUPS: tuple  # of option tuples, set by each domain's subclass
 
-    def __init__(self, rng: Rng):
+    def __init__(self, rng: Draws):
         self.rng = rng
 
     def act(self, observation, world):
-        group = self.GROUPS[int(self.rng.integers(len(self.GROUPS)))]
+        group = self.GROUPS[self.rng.integers(len(self.GROUPS))]
         # a group of one (commit) draws nothing: ``integers(1)`` is 0 without a draw
-        return group[int(self.rng.integers(len(group)))]
+        return group[self.rng.integers(len(group))]
 
 
 class RandomMinecraftPolicy(_RandomPolicy):
@@ -286,6 +286,9 @@ def _read_scripted_params(path: str) -> dict:
         raise PolicyParamsError(f"cannot read policy params {path}: {exc}") from None
     if not isinstance(params, dict):
         raise PolicyParamsError(f"policy params {path} must hold a JSON object")
+    unknown = sorted(params.keys() - {"max_jump", "walk"})
+    if unknown:
+        raise PolicyParamsError(f"policy params {path}: {unknown[0]!r} names no parameter")
     max_jump = params.get("max_jump", 1)
     # type(), not isinstance: a JSON true is a bool, which is an int subclass
     if type(max_jump) is not int or max_jump < 1:
@@ -302,8 +305,8 @@ def parse_policy(policy: Union[str, PolicySpec], domain: str) -> PolicySpec:
     """The PolicySpec for ``policy`` on ``domain``; a PolicySpec passes through.
 
     An unknown name, or a policy the domain cannot run, is a ValueError; a
-    ``scripted:`` params file that cannot be read or holds bad values is a
-    PolicyParamsError.
+    ``scripted:`` params file that cannot be read or holds bad keys or values
+    is a PolicyParamsError.
     """
     if isinstance(policy, PolicySpec):
         if policy.domain != domain:
@@ -318,7 +321,7 @@ def parse_policy(policy: Union[str, PolicySpec], domain: str) -> PolicySpec:
 # --- episode running -----------------------------------------------------------
 
 
-def generate_instructions(spec: EpisodeSpec, rng: Rng):
+def generate_instructions(spec: EpisodeSpec, rng: Draws):
     """Candidate instructions for ``spec``, as (tree, instruction) pairs.
 
     Makes at most MAX_REGENERATIONS draws from ``rng`` and yields those
@@ -333,7 +336,7 @@ def generate_instructions(spec: EpisodeSpec, rng: Rng):
             yielded = True
             yield None, gen_minecraft(rng, (spec.min_len, spec.max_len), spec.flow)
             continue
-        target = int(rng.integers(spec.min_len, spec.max_len + 1))
+        target = rng.integers(spec.min_len, spec.max_len + 1)
         tree, instruction = gen_starcraft(rng, target, spec.max_depth)
         if len(instruction) >= spec.min_len:
             yielded = True
@@ -564,6 +567,9 @@ def split_episodes(records):
     number = 0
     for record in records:
         kind = record.get("kind")
+        episode = record.get("episode", 0)
+        if type(episode) is not int or episode < 0:  # not true, not 1.0, not "1"
+            raise TraceFormatError(f"{kind} record: episode {episode!r} is not an int >= 0")
         if kind == "header":
             if current is not None:
                 raise TraceFormatError(f"episode {number} has no end record")
@@ -703,8 +709,8 @@ class FailureBuffer:
             return 0.0
         return min(1.0, self.scale * self.success_average)
 
-    def sample(self, rng: Rng) -> Optional[int]:
+    def sample(self, rng: Draws) -> Optional[int]:
         """A buffered seed to retry, or None to draw a fresh episode."""
-        if self.seeds and float(rng.random()) < self.retry_probability():
-            return self.seeds[int(rng.integers(len(self.seeds)))]
+        if self.seeds and rng.random() < self.retry_probability():
+            return self.seeds[rng.integers(len(self.seeds))]
         return None

@@ -24,6 +24,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .rngtools import Draws
+
 STOP_PROCESS = "stop-process"
 PRINTED_FORMULA = "printed-formula"
 
@@ -244,9 +246,7 @@ def mix(distribution: MovementDistribution, mixer_logits) -> Tuple[np.ndarray, f
     return blended, float(blended.sum())
 
 
-def mix_and_sample(
-    distribution: MovementDistribution, mixer_logits, rng: np.random.Generator
-) -> EdgeChoice:
+def mix_and_sample(distribution: MovementDistribution, mixer_logits, rng: Draws) -> EdgeChoice:
     """Sample a delta from the blended distribution.
 
     The blend is renormalised over deltas before sampling; a blend with no
@@ -256,8 +256,9 @@ def mix_and_sample(
     if total <= 0.0:
         return EdgeChoice(row=None, delta=None)
     pvals = blended / total
-    pvals = pvals / pvals.sum()
-    row = int(rng.choice(pvals.size, p=pvals))
+    cdf = (pvals / pvals.sum()).cumsum()
+    cdf /= cdf[-1]
+    row = int(cdf.searchsorted(rng.random(), side="right"))  # numpy's choice(p=...)
     return EdgeChoice(row=row, delta=int(deltas(distribution.length)[row]))
 
 
@@ -319,9 +320,7 @@ def finite_difference_jacobian(logits) -> np.ndarray:
 # --- verification sweeps ------------------------------------------------------------
 
 
-def oracle_sweep(
-    rng: np.random.Generator, trials: int, max_len: int, mode: str = STOP_PROCESS
-) -> dict:
+def oracle_sweep(rng: Draws, trials: int, max_len: int, mode: str = STOP_PROCESS) -> dict:
     """Compare the closed form against literal enumeration on random sigmas.
 
     Returns per-trial rows and overall maxima for the probability
@@ -330,7 +329,7 @@ def oracle_sweep(
     oracle = brute_force_oracle if mode == STOP_PROCESS else product_rule_oracle
     rows = []
     for trial in range(trials):
-        length = int(rng.integers(1, max_len + 1))
+        length = rng.integers(1, max_len + 1)
         sigmas = rng.random(2 * length)
         probs, residual = scan_column(sigmas, mode)
         ref_probs, ref_residual = oracle(sigmas)
@@ -358,7 +357,7 @@ def oracle_sweep(
     }
 
 
-def gradient_sweep(rng: np.random.Generator, trials: int, max_len: int) -> dict:
+def gradient_sweep(rng: Draws, trials: int, max_len: int) -> dict:
     """Analytic-versus-numeric jacobian errors on random logit columns.
 
     Logits are drawn from a moderate range so the finite differences stay
@@ -367,8 +366,8 @@ def gradient_sweep(rng: np.random.Generator, trials: int, max_len: int) -> dict:
     """
     rows = []
     for trial in range(trials):
-        length = int(rng.integers(1, max_len + 1))
-        logits = rng.uniform(-4.0, 4.0, size=2 * length)
+        length = rng.integers(1, max_len + 1)
+        logits = -4.0 + 8.0 * rng.random(2 * length)  # numpy's uniform(-4, 4), bit for bit
         analytic = scan_jacobian(logits)
         numeric = finite_difference_jacobian(logits)
         scale = np.maximum(np.abs(analytic), np.abs(numeric))

@@ -5,16 +5,16 @@ keyed by (seed, stream name).  Streams are independent: consuming one
 never shifts another, so adding policy randomness cannot perturb world
 randomness for the same seed.  ``draws`` gives a ``Draws`` reader, whose
 values equal those of numpy's Generator on the same Philox key; every
-stream but "scan-check" reads through it.  ``substream`` gives that numpy
-Generator itself: "scan-check" draws sized doubles from it, and the tests
-use it as the oracle of ``Draws``.
+stream reads through it.  ``substream`` gives that numpy Generator itself,
+which nothing in the package draws from: the tests use it as the oracle of
+``Draws``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -170,9 +170,10 @@ class Draws:
         if odd:
             self._half = self._word() >> 32
 
-    def random(self) -> float:
-        words = self._words
-        return ((words.pop() if words else self._word()) >> 11) * 2.0 ** -53
+    def random(self, size: Optional[int] = None):
+        if size is None:
+            return (self._word() >> 11) * 2.0 ** -53
+        return (np.array([self._word() for _ in range(size)], np.uint64) >> 11) * 2.0 ** -53
 
     def permutation(self, n: int) -> list:
         """numpy's Fisher-Yates shuffle of ``range(n)``, as a list."""
@@ -192,9 +193,6 @@ class Draws:
             order[i], order[j] = order[j], order[i]
         self._half = half
         return order
-
-
-Rng = Union["np.random.Generator", Draws]  # a string: numpy.random loads lazily
 
 
 def derived_seed(base_seed: int, *names) -> int:

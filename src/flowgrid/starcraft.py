@@ -34,7 +34,7 @@ from .instructions import (
 )
 from .interpreter import sc_plan
 from .minecraft import CELL_INDEX, CELLS, GRID, MAX_RESAMPLES, TIME_LIMIT_FACTOR
-from .rngtools import Draws, Rng
+from .rngtools import Draws
 
 N_PROBES = 3
 ATTACK_RATE = 0.1
@@ -151,7 +151,7 @@ class StarcraftWorld:
     instruction: Instruction
     grid: Dict[tuple, int]
     probes: List[tuple]
-    rng: Optional[Rng] = None  # the disruption stream; a world without one has no disruptions
+    rng: Optional[Draws] = None  # the disruption stream; a world without one has no disruptions
     seed: Optional[int] = None
     probe_dest: List[Optional[tuple]] = field(default_factory=lambda: [None] * N_PROBES)
     pending_build: Dict[int, tuple] = field(default_factory=dict)
@@ -339,7 +339,7 @@ class StarcraftWorld:
         if attack:
             targets = sorted(cell for cell, b in self.grid.items() if b != NEXUS)
             if targets:
-                mask = int(rng.integers(1, 1 << len(targets)))
+                mask = rng.integers(1, 1 << len(targets))
                 destroyed = tuple(
                     targets[j] for j in range(len(targets)) if (mask >> j) & 1
                 )
@@ -349,7 +349,7 @@ class StarcraftWorld:
         if ambush:
             pool = [u for u in sorted(self.units) for _ in range(self.units[u])]
             if pool:
-                victim = pool[int(rng.integers(len(pool)))]
+                victim = pool[rng.integers(len(pool))]
                 self.units[victim] -= 1
                 if self.units[victim] == 0:
                     del self.units[victim]
@@ -386,7 +386,7 @@ def spawn(
     rng: Draws,
     tree: BuildTree,
     instruction: Instruction,
-    disruption_rng: Optional[Rng] = None,
+    disruption_rng: Optional[Draws] = None,
     seed: Optional[int] = None,
 ) -> StarcraftWorld:
     """Place the root building, three probes and a random endowment.

@@ -72,7 +72,7 @@ def test_c01_c02_scan_oracle_normalization(capsys):
 
 
 def test_c03_gradient_check(capsys):
-    rng = substream(103, "acceptance", "grad")
+    rng = rngtools.draws(103, "acceptance", "grad")
     sweep = pointer.gradient_sweep(rng, trials=100, max_len=25)
     _report(
         capsys,
@@ -170,7 +170,7 @@ def test_c07_starcraft_oracle(capsys):
 def test_c08_disruption_rates(capsys):
     rng = rngtools.draws(108, "acceptance", "rates")
     tree, instruction = gen_starcraft(rng, 8)
-    world = spawn_starcraft(rng, tree, instruction, disruption_rng=substream(108, "rolls"))
+    world = spawn_starcraft(rng, tree, instruction, disruption_rng=rngtools.draws(108, "rolls"))
     draws = 100_000
     attacks = ambushes = 0
     for _ in range(draws):
@@ -208,7 +208,7 @@ def test_c09_action_space_audit(capsys):
 
 
 def test_c10_grammar_conformance(capsys):
-    rng = substream(110, "acceptance", "grammar")
+    rng = rngtools.draws(110, "acceptance", "grammar")
     bad = 0
     for _ in range(10_000):
         if not validate(gen_minecraft(rng, (1, 10))).ok:
@@ -272,7 +272,7 @@ def test_c12_failure_buffer_law(capsys):
     buffer = FailureBuffer(beta=0.5, scale=1.0)
     buffer.update(seed=7, success=False)  # non-empty buffer
     buffer.success_average = 0.8  # pinned moving average
-    rng = substream(112, "acceptance", "buffer")
+    rng = rngtools.draws(112, "acceptance", "buffer")
     draws = 100_000
     retries = sum(buffer.sample(rng) is not None for _ in range(draws))
     rate = retries / draws

@@ -9,7 +9,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowgrid import evaluate, harness
 from flowgrid.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
@@ -166,9 +169,10 @@ def test_bad_policy_is_usage_error_before_any_output(tmp_path, monkeypatch, argv
 @pytest.mark.parametrize(
     "content",
     [None, "{not json", "[1]", '{"max_jump": "x"}', '{"max_jump": 0}',
-     '{"max_jump": 2.5}', '{"max_jump": true}', '{"walk": "no"}'],
+     '{"max_jump": 2.5}', '{"max_jump": true}', '{"walk": "no"}',
+     '{"max_jmp": 5, "walk": true}'],
     ids=["missing", "malformed", "not-object", "max-jump-not-int", "max-jump-zero",
-         "max-jump-float", "max-jump-bool", "walk-string"],
+         "max-jump-float", "max-jump-bool", "walk-string", "unknown-key"],
 )
 @pytest.mark.parametrize("command", ["run", "eval"])
 def test_unreadable_scripted_params_is_io_error_before_any_output(tmp_path, command, content):
@@ -183,6 +187,16 @@ def test_unreadable_scripted_params_is_io_error_before_any_output(tmp_path, comm
     assert err.startswith("error:") and "params.json" in err
     assert len(err.splitlines()) == 1  # a message, not a traceback
     assert not out.exists()
+
+
+def test_scripted_params_file_names_its_unknown_key(tmp_path):
+    # a misspelt key would otherwise leave max_jump at its default of 1
+    params = tmp_path / "params.json"
+    params.write_text('{"max_jmp": 5, "walk": true}')
+    code, _, err = run_cli("run", "--domain", "minecraft", "--policy", f"scripted:{params}",
+                           "--out", str(tmp_path / "out"))
+    assert code == EXIT_IO
+    assert err == f"error: policy params {params}: 'max_jmp' names no parameter\n"
 
 
 @pytest.mark.parametrize(
@@ -780,6 +794,16 @@ def _retype(kind, index, key, convert):
     return edit
 
 
+def _renumber(value):
+    """An edit that gives episode 1's header and end record the same ``value`` as
+    their episode number, which the two records then agree on."""
+    def edit(records):
+        for record in records:
+            if record["kind"] != "step" and record["episode"] == 1:
+                record["episode"] = value
+    return edit
+
+
 def _false_for_a_zero(records):
     encoded = records[0]["instruction"]["encoded"]
     row = next(row for row in encoded if 0 in row)
@@ -799,10 +823,13 @@ def _false_for_a_zero(records):
         _retype("end", 0, "reward", bool),
         _retype("end", 0, "steps", float),
         _retype("end", 1, "episode", bool),
+        _renumber(True),
+        _renumber("one"),
         _false_for_a_zero,
     ],
     ids=["header-v", "step-done", "step-resolved", "step-noop", "step-reward", "step-pc",
-         "last-step-t", "end-reward", "end-steps", "end-episode", "encoded-false"],
+         "last-step-t", "end-reward", "end-steps", "end-episode", "episode-true",
+         "episode-string", "encoded-false"],
 )
 def test_replay_tells_apart_json_values_that_python_calls_equal(tmp_path, tamper):
     # true == 1 and 2.0 == 2 in Python, but run never writes a bool for a count,
@@ -818,6 +845,113 @@ def test_replay_tells_apart_json_values_that_python_calls_equal(tmp_path, tamper
     code, _, err = run_cli("replay", "--trace", str(trace), "--quiet")
     assert code in (EXIT_VERIFY, EXIT_IO), err
     assert "verified" not in err
+
+
+# --- single edits of a fixed trace -------------------------------------------------
+
+# stand-ins for a JSON value: one of each JSON type, values that == takes for 0
+# or 1, a length past MAX_LINES, and names a header's domain or policy may hold
+_VALUES = (None, True, False, 0, 1, 2, -1, 1.0, 2**70, "", "x", "oracle", "random",
+           "minecraft", "starcraft", [], {})
+
+
+@pytest.fixture(scope="module")
+def fuzz_trace(tmp_path_factory):
+    """Where to write an edited trace, and the text of three minecraft random
+    episodes then two starcraft oracle episodes."""
+    text = ""
+    for argv in (("--domain", "minecraft", "--policy", "random", "--episodes", "3"),
+                 ("--domain", "starcraft", "--policy", "oracle", "--episodes", "2")):
+        code, out, _ = run_cli("run", *argv, "--min-len", "2", "--max-len", "4", "--seed", "7")
+        assert code == EXIT_OK
+        text += out
+    return tmp_path_factory.mktemp("fuzz") / "edited.jsonl", text
+
+
+def _paths(value, path=()):
+    """The path of every value nested in ``value``."""
+    if isinstance(value, (dict, list)):
+        for key, inner in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield path + (key,)
+            yield from _paths(inner, path + (key,))
+
+
+def _single_edit(data, text):
+    """``text`` with one JSON value replaced or deleted, one line dropped,
+    duplicated or swapped, or one byte changed, as bytes."""
+    kind = data.draw(st.sampled_from(("replace", "delete", "drop", "duplicate", "swap", "byte")))
+    if kind == "byte":
+        raw = bytearray(text.encode())
+        at = data.draw(st.integers(0, len(raw) - 1))
+        raw[at] = data.draw(st.integers(0, 255).filter(lambda byte: byte != raw[at]))
+        return bytes(raw)
+    lines = text.splitlines(keepends=True)
+    i = data.draw(st.integers(0, len(lines) - 1))
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        j = data.draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        record = json.loads(lines[i])
+        path = data.draw(st.sampled_from(list(_paths(record))))
+        parent = record
+        for key in path[:-1]:
+            parent = parent[key]
+        if kind == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(st.sampled_from(_VALUES) | st.integers(-3, 3))
+        lines[i] = json.dumps(record) + "\n"
+    return "".join(lines).encode()
+
+
+def _known_gap(records, originals):
+    """Whether ``records`` differ from ``originals`` in one record only, and only
+    as the README says replay cannot check.  Commands are taken as recorded, so
+    a step may hold another command whose play reaches the same records, and a
+    header may name the other of oracle and random.  Nothing ties an episode to
+    one run, so a header may hold another spec under which its seed plays the
+    same episode.  A digest-mode episode whose digests are all null reads as a
+    --no-digests one."""
+    changed = [i for i, (record, original) in enumerate(zip(records, originals))
+               if harness._dumps(record) != harness._dumps(original)]
+    if len(records) != len(originals) or len(changed) != 1:
+        return False
+    i = changed[0]
+    record, original = records[i], originals[i]
+    keys = {key for key in record.keys() | original.keys()
+            if harness._dumps([record.get(key)]) != harness._dumps([original.get(key)])}
+    if record["kind"] == "header":
+        return keys == {"spec"} or (keys == {"policy"} and record["policy"] in ("oracle", "random"))
+    if record["kind"] != "step":
+        return False
+    if keys == {"command"}:
+        return True
+    if keys != {"digest"} or record["digest"] is not None:
+        return False
+    start = max(j for j in range(i) if records[j]["kind"] == "header")
+    end = min(j for j in range(i, len(records)) if records[j]["kind"] == "end")
+    return all(step["digest"] is None for step in records[start + 1:end])
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_replay_refuses_every_single_edit_that_changes_a_record(fuzz_trace, data):
+    path, text = fuzz_trace
+    edited = _single_edit(data, text)
+    path.write_bytes(edited)
+    code, _, err = run_cli("replay", "--trace", str(path), "--quiet")
+    if code in (EXIT_VERIFY, EXIT_IO):
+        return
+    assert code == EXIT_OK, err
+    with open(path, encoding="utf-8") as handle:  # as replay reads it
+        records = list(harness.read_trace_records(handle))
+    originals = [json.loads(line) for line in text.splitlines()]
+    assert [harness._dumps(r) for r in records] == [harness._dumps(r) for r in originals] or (
+        _known_gap(records, originals))
 
 
 def test_replay_tampered_trace_fails_verification(tmp_path):
@@ -1139,6 +1273,55 @@ def test_scan_check_bytes_are_pinned(tmp_path, monkeypatch, mode, sha256):
     for table in sorted(p.name for p in (tmp_path / "out").iterdir()):
         digests[table] = hashlib.sha256((tmp_path / "out" / table).read_bytes()).hexdigest()
     assert digests == sha256
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "--domain", "starcraft", "--count", "5", "--seed", "3", "--out", "{out}"),
+        ("run", "--domain", "minecraft", "--policy", "random", "--max-len", "4",
+         "--episodes", "6", "--seed", "4", "--failure-buffer", "--out", "{out}"),
+        ("run", "--domain", "starcraft", "--max-len", "4", "--episodes", "2", "--seed", "5",
+         "--out", "{out}"),
+        ("eval", "--domain", "starcraft", "--policy", "random", "--bins", "1-2",
+         "--episodes-per-bin", "2", "--out", "{out}"),
+        ("eval", "--domain", "minecraft", "--longjump", "--block-max", "3",
+         "--episodes-per-bin", "2", "--out", "{out}"),
+        ("replay", "--trace", "{trace}"),
+        ("scan-check", "--trials", "30", "--grad-trials", "5", "--max-len", "6",
+         "--out-dir", "{out}"),
+        ("scan-check", "--mode", "printed-formula", "--trials", "30", "--max-len", "6"),
+    ],
+    ids=["gen", "run-random", "run-starcraft", "eval", "eval-longjump", "replay",
+         "scan-check", "scan-check-printed"],
+)
+def test_commands_draw_nothing_through_numpys_generator(tmp_path, monkeypatch, argv):
+    # every stream reads through rngtools.Draws, which computes numpy's draws from
+    # the raw Philox words; numpy's Generator methods may change between releases
+    trace, out = tmp_path / "trace.jsonl", tmp_path / "out"
+    if "{trace}" in argv:
+        _write_mixed_trace(trace)
+    argv = [arg.format(out=out, trace=trace) for arg in argv]
+
+    def outputs():
+        result = run_cli(*argv)
+        if out.is_dir():
+            written = {f.name: f.read_bytes() for f in out.iterdir()}
+            for f in out.iterdir():
+                f.unlink()
+            return result, written
+        written = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return result, written
+
+    plain = outputs()
+    assert plain[0][0] == EXIT_OK
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numpy Generator was made")
+
+    monkeypatch.setattr(np.random, "Generator", refuse)
+    assert outputs() == plain
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():

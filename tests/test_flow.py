@@ -409,7 +409,7 @@ def test_static_check_matches_the_earlier_walk(ins, counts):
 @given(seed=st.integers(0, 1_000_000), max_len=st.integers(1, 25), counts=type_counts)
 @settings(max_examples=300, deadline=None)
 def test_static_check_matches_the_earlier_walk_on_generated(seed, max_len, counts):
-    ins = gen_minecraft(substream(seed, "flow-static"), (1, max_len))
+    ins = gen_minecraft(draws(seed, "flow-static"), (1, max_len))
     assert required_stream_feasible(ins, counts) == _old_required_stream_feasible(ins, counts)
 
 
@@ -488,7 +488,7 @@ def _same_spawn(make_ins, seed):
 @given(seed=st.integers(0, 1_000_000), max_len=st.integers(1, 25))
 @settings(max_examples=150, deadline=None)
 def test_spawn_matches_spawn_without_memo(seed, max_len):
-    _same_spawn(lambda: gen_minecraft(substream(seed, "flow-gen"), (1, max_len)), seed)
+    _same_spawn(lambda: gen_minecraft(draws(seed, "flow-gen"), (1, max_len)), seed)
 
 
 @given(seed=st.integers(0, 1_000_000), ins=programs())

@@ -44,7 +44,7 @@ from flowgrid.rngtools import draws, substream
 
 
 def rng_for(name, seed=0):
-    return substream(seed, name)
+    return draws(seed, name)
 
 
 # --- minecraft ----------------------------------------------------------------------
@@ -99,8 +99,8 @@ def test_bad_arguments_rejected():
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_generation_is_a_pure_function_of_the_stream(seed):
-    a = gen_minecraft(substream(seed, "g"), (1, 10))
-    b = gen_minecraft(substream(seed, "g"), (1, 10))
+    a = gen_minecraft(draws(seed, "g"), (1, 10))
+    b = gen_minecraft(draws(seed, "g"), (1, 10))
     assert a.lines == b.lines
 
 
@@ -236,8 +236,8 @@ def test_table_driven_generation_equals_the_line_by_line_reference(seed, call):
 @given(seed=st.integers(0, 2**40), block_len=st.integers(1, LONGJUMP_MAX_BLOCK))
 @settings(max_examples=100, deadline=None)
 def test_table_driven_longjump_equals_the_line_by_line_reference(seed, block_len):
-    # numpy's Generator as the stream too: its draws are numpy integers, not ints
-    new_rng, old_rng = substream(seed, "jump"), substream(seed, "jump")
+    # the reference draws through numpy's Generator on the same key
+    new_rng, old_rng = draws(seed, "jump"), substream(seed, "jump")
     assert gen_longjump(new_rng, block_len) == _old_gen_longjump(old_rng, block_len)
     assert new_rng.integers(2**30) == old_rng.integers(2**30)
 
@@ -365,8 +365,8 @@ def test_gen_starcraft_rejects_bad_budget():
 @given(st.integers(0, 2**32 - 1), st.integers(1, 20))
 @settings(max_examples=40, deadline=None)
 def test_starcraft_generation_deterministic(seed, max_len):
-    t1, i1 = gen_starcraft(substream(seed, "sc"), max_len)
-    t2, i2 = gen_starcraft(substream(seed, "sc"), max_len)
+    t1, i1 = gen_starcraft(draws(seed, "sc"), max_len)
+    t2, i2 = gen_starcraft(draws(seed, "sc"), max_len)
     assert t1.prerequisite == t2.prerequisite
     assert t1.producer == t2.producer
     assert i1.lines == i2.lines
@@ -426,8 +426,8 @@ def _old_assemble_starcraft(rng, tree, max_len):
     max_len=st.integers(1, 60),
 )
 def test_assembly_matches_the_per_iteration_chain_walk(seed, max_depth, max_len):
-    tree = gen_build_tree(substream(seed, "tree"), max_depth)
-    new_rng, old_rng = substream(seed, "assemble"), substream(seed, "assemble")
+    tree = gen_build_tree(draws(seed, "tree"), max_depth)
+    new_rng, old_rng = draws(seed, "assemble"), substream(seed, "assemble")
     assert assemble_starcraft(new_rng, tree, max_len) == _old_assemble_starcraft(
         old_rng, tree, max_len
     )

@@ -41,7 +41,7 @@ from flowgrid.evaluate import evaluate, longjump_sweep, write_csv
 from flowgrid.generators import gen_longjump
 from flowgrid.instructions import RESOURCES, VERBS
 from flowgrid.minecraft import Command, spawn_longjump
-from flowgrid.rngtools import draws, substream
+from flowgrid.rngtools import draws
 from flowgrid.starcraft import TOKENS
 
 
@@ -595,7 +595,7 @@ def test_failure_buffer_ema_closed_form():
 def test_failure_buffer_empty_never_retries():
     buffer = FailureBuffer()
     buffer.success_average = 0.9
-    rng = substream(0, "buffer")
+    rng = draws(0, "buffer")
     assert buffer.retry_probability() == 0.0
     assert all(buffer.sample(rng) is None for _ in range(100))
 
@@ -604,7 +604,7 @@ def test_failure_buffer_retry_rate_tracks_average():
     buffer = FailureBuffer(beta=0.01, scale=1.0)
     buffer.seeds = [7, 8, 9]
     buffer.success_average = 0.6
-    rng = substream(1, "buffer-rate")
+    rng = draws(1, "buffer-rate")
     n = 20_000
     hits = sum(buffer.sample(rng) is not None for _ in range(n))
     assert abs(hits / n - 0.6) < 4 * (0.6 * 0.4 / n) ** 0.5
@@ -615,7 +615,7 @@ def test_failure_buffer_scale_clips_to_one():
     buffer.seeds = [1]
     buffer.success_average = 0.5
     assert buffer.retry_probability() == 1.0
-    rng = substream(2, "buffer-clip")
+    rng = draws(2, "buffer-clip")
     assert all(buffer.sample(rng) == 1 for _ in range(50))
 
 
@@ -624,7 +624,7 @@ def test_failure_buffer_samples_only_buffered_seeds():
     for seed in (11, 12, 13):
         buffer.update(seed, success=False)
     buffer.update(99, success=True)
-    rng = substream(3, "buffer-members")
+    rng = draws(3, "buffer-members")
     drawn = {buffer.sample(rng) for _ in range(200)}
     drawn.discard(None)
     assert drawn <= {11, 12, 13} and drawn
@@ -693,7 +693,7 @@ def test_longjump_spec_draws_what_its_two_substreams_give(block_len):
     spec = EpisodeSpec("minecraft", block_len + 3, block_len + 3, flow="longjump")
     for seed in range(4):
         world = spawn_episode_world(spec, seed)
-        instruction = gen_longjump(substream(seed, "generation"), block_len)
+        instruction = gen_longjump(draws(seed, "generation"), block_len)
         reference = spawn_longjump(draws(seed, "spawning"), instruction, seed=seed)
         assert world.instruction.text() == instruction.text()
         assert (world.digest(), world.pc) == (reference.digest(), reference.pc)

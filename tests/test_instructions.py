@@ -33,7 +33,7 @@ from flowgrid.instructions import (
     parse_text,
     validate,
 )
-from flowgrid.rngtools import substream
+from flowgrid.rngtools import draws
 
 
 def mc(*lines):
@@ -292,7 +292,7 @@ def test_max_depth_of_empty_tree():
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_generated_minecraft_round_trips(seed):
-    rng = substream(seed, "test-roundtrip")
+    rng = draws(seed, "test-roundtrip")
     ins = gen_minecraft(rng, (1, 12))
     assert validate(ins)
     assert decode(ins.encoded(), MINECRAFT).lines == ins.lines
@@ -302,7 +302,7 @@ def test_generated_minecraft_round_trips(seed):
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_generated_starcraft_round_trips(seed):
-    rng = substream(seed, "test-roundtrip")
+    rng = draws(seed, "test-roundtrip")
     _, ins = gen_starcraft(rng, max_len=10)
     assert decode(ins.encoded(), STARCRAFT).lines == ins.lines
     assert parse_text(ins.text(), "starcraft").lines == ins.lines

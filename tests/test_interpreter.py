@@ -23,7 +23,7 @@ from flowgrid.interpreter import (
     sc_decode,
     sc_plan,
 )
-from flowgrid.rngtools import substream
+from flowgrid.rngtools import draws
 
 S = CfLine.subtask
 
@@ -105,7 +105,7 @@ def reference_run(instruction, outcomes, max_steps=10_000):
 @given(seed=st.integers(0, 100_000), data=st.data())
 @settings(max_examples=120, deadline=None)
 def test_required_sequence_matches_reference(seed, data):
-    rng = substream(seed, "interp-equiv")
+    rng = draws(seed, "interp-equiv")
     ins = gen_minecraft(rng, (1, 8))
     outcomes = data.draw(st.lists(st.booleans(), min_size=0, max_size=6))
     try:
@@ -266,7 +266,7 @@ def test_sc_decode_rejects_minecraft_instructions():
 @settings(max_examples=80, deadline=None)
 def test_decode_inverts_generation(seed):
     """The decoded fragment equals the fragment the generator conveyed."""
-    rng = substream(seed, "decode-inverse")
+    rng = draws(seed, "decode-inverse")
     tree, ins = gen_starcraft(rng, max_len=14)
     fragment, required = sc_decode(ins)
     assert required == [line.ident for line in ins.lines if line.is_unit]
@@ -327,7 +327,7 @@ def test_plan_fixed_example():
 @given(seed=st.integers(0, 100_000), decoded=st.booleans(), data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_plans_on_a_tree_that_has_planned_equal_plans_on_a_fresh_tree(seed, decoded, data):
-    tree, ins = gen_starcraft(substream(seed, "chain-cache"), max_len=14)
+    tree, ins = gen_starcraft(draws(seed, "chain-cache"), max_len=14)
     required = [line.ident for line in ins.lines if line.is_unit]
     if decoded:
         tree, required = sc_decode(ins)

@@ -30,7 +30,7 @@ from flowgrid.pointer import (
     sigmoid,
     update_pointer,
 )
-from flowgrid.rngtools import substream
+from flowgrid.rngtools import draws, substream
 
 sigma_vectors = st.integers(1, 6).flatmap(
     lambda length: hnp.arrays(
@@ -356,7 +356,7 @@ def test_mix_and_sample_frequencies():
     dist = MovementDistribution(
         probs=np.array([[0.6], [0.2]]), residual=np.array([0.2])
     )
-    rng = substream(3, "sample-law")
+    rng = draws(3, "sample-law")
     hits = np.zeros(2)
     n = 20_000
     for _ in range(n):
@@ -372,7 +372,7 @@ def test_zero_mass_blend_signals_no_move():
     dist = MovementDistribution(
         probs=np.zeros((4, 2)), residual=np.ones(2)
     )
-    choice = mix_and_sample(dist, np.zeros(2), substream(4, "no-move"))
+    choice = mix_and_sample(dist, np.zeros(2), draws(4, "no-move"))
     assert choice == EdgeChoice(row=None, delta=None)
     assert not choice.moved
 
@@ -381,7 +381,7 @@ def test_sampled_delta_matches_row():
     dist = MovementDistribution(
         probs=np.array([[0.0], [0.0], [1.0], [0.0]]), residual=np.array([0.0])
     )
-    choice = mix_and_sample(dist, np.zeros(1), substream(5, "delta-row"))
+    choice = mix_and_sample(dist, np.zeros(1), draws(5, "delta-row"))
     assert choice.row == 2 and choice.delta == 1  # row 2 of L=2 is +1
 
 
@@ -421,7 +421,7 @@ def test_long_range_rows_reachable_in_one_hop():
 
 
 def test_sweeps_report_tight_errors():
-    rng = substream(6, "sweep")
+    rng = draws(6, "sweep")
     oracle = pointer.oracle_sweep(rng, trials=50, max_len=10)
     assert oracle["max_abs_diff"] < pointer.ORACLE_TOL
     assert oracle["max_norm_err"] < pointer.ORACLE_TOL

@@ -1,4 +1,4 @@
-"""rngtools: the Draws reader gives numpy's scalar results, value for value.
+"""rngtools: the Draws reader gives numpy's results, value for value.
 
 numpy's own Generator on the same Philox key is the oracle.  If numpy ever
 changes one of these algorithms, this file fails before any trace does.  The
@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowgrid import rngtools
+from flowgrid.pointer import ScanLogits, mix, mix_and_sample, scan_matrix
 from flowgrid.rngtools import BLOCK, draws, substream
 
 # every branch of numpy's bounded draw: nothing drawn, 32-bit Lemire, the bare
@@ -237,3 +238,49 @@ def test_skip_far_ahead_lands_on_the_raw_stream(key, halves, carried):
     position = halves + carried
     word = _python_word(key, position // 2)
     assert reader.integers(2**32) == (word >> 32 if position % 2 else word & 0xFFFFFFFF)
+
+
+# --- sized doubles, and what scan-check and the pointer kernel draw from them ------
+
+
+def _generator(key: tuple) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=np.array(key, np.uint64)))
+
+
+# ``before`` whole words put the call anywhere in a block, and 200 doubles cross
+# the block edge; an odd count of 32-bit draws first leaves a saved half, which
+# random(size) must leave for the integers draw after it
+@given(key=keys, before=st.integers(0, BLOCK), carried=st.booleans(), size=st.integers(0, 200))
+@settings(max_examples=300, deadline=None)
+def test_sized_random_equals_numpy_draw_for_draw(key, before, carried, size):
+    reader, generator = rngtools.Draws(key), _generator(key)
+    for _ in range(before):
+        assert reader.random() == generator.random()
+    if carried:
+        assert reader.integers(7) == generator.integers(7)
+    mine, theirs = reader.random(size), generator.random(size)
+    assert mine.dtype == np.float64 and mine.shape == (size,)
+    assert mine.tobytes() == theirs.tobytes()
+    assert reader.integers(2**32) == generator.integers(2**32)
+
+
+@given(key=keys, size=st.integers(0, 200))
+@settings(max_examples=100, deadline=None)
+def test_scaled_sized_random_is_numpys_uniform_bit_for_bit(key, size):
+    mine = -4.0 + 8.0 * rngtools.Draws(key).random(size)
+    assert mine.tobytes() == _generator(key).uniform(-4.0, 4.0, size).tobytes()
+
+
+def test_mix_and_sample_picks_the_row_numpys_choice_picks():
+    for seed in range(1000):
+        shape = substream(seed, "shape")
+        length, edges = shape.integers(1, 8), shape.integers(1, 4)
+        logits = shape.normal(scale=3.0, size=(2 * length, edges))
+        distribution = scan_matrix(ScanLogits(logits))
+        mixer = shape.normal(size=edges)
+        blended, total = mix(distribution, mixer)
+        pvals = blended / total
+        reader, generator = draws(seed, "choice"), substream(seed, "choice")
+        for _ in range(5):
+            row = mix_and_sample(distribution, mixer, reader).row
+            assert row == generator.choice(pvals.size, p=pvals / pvals.sum()), seed

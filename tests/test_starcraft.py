@@ -274,7 +274,7 @@ def test_success_test_after_training_only_ends_as_the_full_test(required, row, u
             grid={(0, c): b for c, b in enumerate(row)},
             probes=[(0, 0)] * N_PROBES,
             units=dict(units),
-            rng=substream(seed, "disruptions"),
+            rng=draws(seed, "disruptions"),
         )
         for cls in (StarcraftWorld, _AllUnitsWorld)
     ]
@@ -305,7 +305,7 @@ def _constructed_act(rng):
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2**32))
 def test_random_policy_draws_the_tokens_it_used_to_build(seed):
-    policy = RandomStarcraftPolicy(substream(seed, "policy"))
+    policy = RandomStarcraftPolicy(draws(seed, "policy"))
     rng = substream(seed, "policy")
     assert [policy.act(None, None) for _ in range(300)] == [
         _constructed_act(rng) for _ in range(300)
@@ -316,7 +316,7 @@ def test_random_policy_draws_the_tokens_it_used_to_build(seed):
 
 
 def test_attacks_spare_the_root_building():
-    rng = substream(0, "attack-exempt")
+    rng = draws(0, "attack-exempt")
     world = simple_world(
         required_units=(0,),
         grid={(0, 0): 0, (1, 1): 1, (2, 2): 2, (3, 3): 3},
@@ -335,7 +335,7 @@ def test_attacks_spare_the_root_building():
 
 
 def test_attack_destroys_nonempty_subsets_only():
-    rng = substream(1, "attack-subset")
+    rng = draws(1, "attack-subset")
     world = simple_world(grid={(0, 0): 0, (1, 1): 1}, rng=rng)
     for _ in range(300):
         world.grid[(1, 1)] = 1
@@ -345,7 +345,7 @@ def test_attack_destroys_nonempty_subsets_only():
 
 
 def test_ambush_removes_one_unit_and_posts_message():
-    rng = substream(2, "ambush")
+    rng = draws(2, "ambush")
     world = simple_world(grid={(0, 0): 0}, rng=rng)
     saw = False
     for _ in range(300):
@@ -362,7 +362,7 @@ def test_ambush_removes_one_unit_and_posts_message():
 
 
 def test_ambush_message_resets_next_step():
-    rng = substream(3, "ambush-reset")
+    rng = draws(3, "ambush-reset")
     world = simple_world(
         required_units=(0,) * 7, grid={(0, 0): 0}, rng=rng
     )
@@ -384,7 +384,7 @@ def test_ambush_message_resets_next_step():
 
 
 def test_calm_steps_share_one_frozen_report():
-    world = simple_world(grid={(0, 0): 0, (1, 1): 1}, rng=substream(5, "calm"))
+    world = simple_world(grid={(0, 0): 0, (1, 1): 1}, rng=draws(5, "calm"))
     reports = [world.roll_disruptions() for _ in range(50)]
     calm = [r for r in reports if not (r.attack or r.ambush)]
     assert len(calm) > 1 and all(r is calm[0] for r in calm)
@@ -394,7 +394,7 @@ def test_calm_steps_share_one_frozen_report():
 
 
 def test_disruption_rates_rough():
-    rng = substream(4, "rates")
+    rng = draws(4, "rates")
     world = simple_world(grid={(0, 0): 0, (1, 1): 1}, rng=rng)
     attacks = ambushes = 0
     n = 20_000
@@ -673,7 +673,7 @@ def test_digest_is_hash_of_sorted_snapshot_json_on_any_state(
     tree_seed, grid, probes, units, step, seed
 ):
     world = StarcraftWorld(
-        tree=gen_build_tree(substream(tree_seed, "tree")),
+        tree=gen_build_tree(draws(tree_seed, "tree")),
         instruction=Instruction((ScLine.unit(0),)),
         grid=grid,
         probes=probes,
@@ -728,7 +728,7 @@ def _snapshot_render(world):
 def test_render_matches_the_snapshot_drawing_on_any_state(grid, probes, units, step, ending):
     done, cause = ending
     world = StarcraftWorld(
-        tree=gen_build_tree(substream(0, "tree")),
+        tree=gen_build_tree(draws(0, "tree")),
         instruction=Instruction((ScLine.unit(0),)),
         grid=grid,
         probes=probes,
