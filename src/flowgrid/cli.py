@@ -66,17 +66,23 @@ class UsageError(Exception):
         self.dests = dests
 
 
-class _StoreGiven(argparse.Action):
-    """Store the value and add the option's dest to ``namespace.given``, so a
-    command can tell a flag given on the command line from a default."""
+class _Given(argparse.Action):
+    """Also add the option's dest to ``namespace.given``: the command line set it."""
 
     def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
+        super().__call__(parser, namespace, values, option_string)
         namespace.given = getattr(namespace, "given", frozenset()) | {self.dest}
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse, but usage problems raise instead of exiting with code 2."""
+    """argparse, but usage problems raise instead of exiting with code 2, and the
+    store actions (None is the default one) also record each flag in ``given``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        for name, action in ((None, argparse._StoreAction), ("store", argparse._StoreAction),
+                             ("store_true", argparse._StoreTrueAction)):
+            self.register("action", name, type("Given", (_Given, action), {}))
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
@@ -110,20 +116,23 @@ def _parse_bins(text: str) -> List[Tuple[int, int]]:
             else:
                 lo = hi = int(part)
         except ValueError:
-            raise UsageError(f"bad bin {part!r}: need lo-hi or one length") from None
-        if not 1 <= lo <= hi:
-            raise UsageError(f"bad bin {part!r}: need 1 <= lo <= hi")
+            raise UsageError(f"bad bin {part!r}: need lo-hi or one length", "bins") from None
+        _require(1 <= lo <= hi, f"bad bin {part!r}: need 1 <= lo <= hi", "bins")
         bins.append((lo, hi))
     return bins
 
 
-def _episode_spec(args, **extra) -> EpisodeSpec:
+# what a spec or generation refusal names: each spec option but --domain, which picks the rules
+_GEN_SPEC = ("min_len", "max_len", "flow", "max_depth")
+_RUN_SPEC = _GEN_SPEC + ("no_disruptions",)
+_EVAL_SPEC = ("bins", "flow", "max_depth", "no_disruptions")
+
+
+def _episode_spec(args, dests: Tuple[str, ...], **extra) -> EpisodeSpec:
     fields = dict(domain=args.domain, min_len=args.min_len, max_len=args.max_len,
                   flow=args.flow, max_depth=args.max_depth)
-    try:
+    with _refused(ValueError, *dests):
         return EpisodeSpec(**{**fields, **extra})
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
 
 
 # --- subcommands ------------------------------------------------------------------
@@ -135,12 +144,12 @@ def _require(condition: bool, message: str, *dests: str) -> None:
 
 
 @contextlib.contextmanager
-def _generation_errors_are_usage():
-    """Turn a GenerationError (no instruction fits the flags) into a usage error."""
+def _refused(error: type, *dests: str):
+    """Turn an ``error`` raised inside into a usage error that names ``dests``."""
     try:
         yield
-    except GenerationError as exc:
-        raise UsageError(str(exc)) from None
+    except error as exc:
+        raise UsageError(str(exc), *dests) from None
 
 
 def _parse_policy(name: str, domain: str) -> PolicySpec:
@@ -149,19 +158,17 @@ def _parse_policy(name: str, domain: str) -> PolicySpec:
     An unknown name or a policy the domain cannot run is a usage error; a
     bad ``scripted:`` params file raises PolicyParamsError (exit 3).
     """
-    try:
+    with _refused(ValueError, "policy"):
         return parse_policy(name, domain)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
 
 
 def cmd_gen(args) -> int:
     _require(args.count >= 1, "--count must be at least 1", "count")
-    spec = _episode_spec(args)
+    spec = _episode_spec(args, _GEN_SPEC)
     rng = draws(args.seed, "generation")
     rows = []
     for index in range(args.count):
-        with _generation_errors_are_usage():
+        with _refused(GenerationError, *_GEN_SPEC):
             tree, instruction = next(generate_instructions(spec, rng))
         row = {
             "domain": args.domain,
@@ -203,18 +210,16 @@ def _buffered_traces(args, spec: EpisodeSpec, policy: PolicySpec, buffer: Failur
 def cmd_run(args) -> int:
     _require(args.episodes >= 1, "--episodes must be at least 1", "episodes")
     _require(args.jobs >= 1, "--jobs must be at least 1", "jobs")
-    if args.failure_buffer and args.jobs > 1:
-        raise UsageError("--failure-buffer requires sequential execution (--jobs 1)")
+    _require(not (args.failure_buffer and args.jobs > 1),
+             "--failure-buffer requires sequential execution (--jobs 1)", "failure_buffer", "jobs")
     given = getattr(args, "given", frozenset())  # as in eval, a config may set these flags
     _require(args.failure_buffer or not given & {"buffer_beta", "buffer_scale"},
              "--buffer-beta/--buffer-scale apply only with --failure-buffer")
-    spec = _episode_spec(args, disruptions=not args.no_disruptions)
+    spec = _episode_spec(args, _RUN_SPEC, disruptions=not args.no_disruptions)
     policy = _parse_policy(args.policy, spec.domain)
     if args.failure_buffer:
-        try:
+        with _refused(ValueError, "buffer_beta", "buffer_scale"):
             buffer = FailureBuffer(beta=args.buffer_beta, scale=args.buffer_scale)
-        except ValueError as exc:
-            raise UsageError(f"failure buffer: {exc}", "buffer_beta", "buffer_scale") from None
         traces = _buffered_traces(args, spec, policy, buffer)
     else:
         play = functools.partial(_play, spec, policy, args.seed, not args.no_digests)
@@ -227,7 +232,7 @@ def cmd_run(args) -> int:
             yield episode
 
     # each trace is written as it arrives; none is held until the end
-    with _generation_errors_are_usage(), _open_out(args.out) as handle:
+    with _refused(GenerationError, *_RUN_SPEC), _open_out(args.out) as handle:
         write_traces(handle, tallied())
     wins = sum(successes)
     print(f"episodes={len(successes)} successes={wins} rate={wins / len(successes):.4f}",
@@ -249,12 +254,13 @@ def cmd_eval(args) -> int:
         "or --block-min/--block-max, not --min-len/--max-len",
     )
     if args.longjump:
-        if args.domain != MINECRAFT:
-            raise UsageError("--longjump applies to the minecraft domain")
+        _require(args.domain == MINECRAFT, "--longjump applies to the minecraft domain",
+                 "longjump")
         _require(not given & {"bins", "flow"}, "--longjump takes neither --bins nor --flow")
         # the sweep builds its own minecraft specs, which would drop these
         _require(args.max_depth is None and not args.no_disruptions,
-                 "--longjump takes neither --max-depth nor --no-disruptions")
+                 "--longjump takes neither --max-depth nor --no-disruptions",
+                 "longjump", "max_depth", "no_disruptions")
         _require(
             1 <= args.block_min <= args.block_max <= LONGJUMP_MAX_BLOCK,
             f"need 1 <= --block-min <= --block-max <= {LONGJUMP_MAX_BLOCK}",
@@ -262,10 +268,10 @@ def cmd_eval(args) -> int:
         )
         policy = _parse_policy(args.policy, MINECRAFT)
         blocks = range(args.block_min, args.block_max + 1)
-        with _generation_errors_are_usage():
-            results = evaluate_mod.longjump_sweep(
-                policy, blocks, args.episodes_per_bin, args.seed, args.jobs
-            )
+        # a long-jump spec draws its instruction and world at the first try
+        results = evaluate_mod.longjump_sweep(
+            policy, blocks, args.episodes_per_bin, args.seed, args.jobs
+        )
     else:
         _require(not given & {"block_min", "block_max"},
                  "--block-min/--block-max apply only with --longjump")
@@ -274,11 +280,11 @@ def cmd_eval(args) -> int:
                 else _parse_bins(args.bins))
         # each bin's spec is checked here, before any episode runs
         specs = [
-            _episode_spec(args, min_len=lo, max_len=hi, disruptions=not args.no_disruptions)
+            _episode_spec(args, _EVAL_SPEC, min_len=lo, max_len=hi, disruptions=not args.no_disruptions)
             for lo, hi in bins
         ]
         policy = _parse_policy(args.policy, args.domain)
-        with _generation_errors_are_usage():
+        with _refused(GenerationError, *_EVAL_SPEC):
             results = evaluate_mod.evaluate(
                 specs[0], policy, bins, args.episodes_per_bin, args.seed, args.jobs
             )
@@ -367,9 +373,9 @@ def cmd_scan_check(args) -> int:
 def _add_instruction_opts(sub):
     sub.add_argument("--domain", choices=(MINECRAFT, STARCRAFT), required=True,
                      help="instruction domain")
-    sub.add_argument("--min-len", type=int, default=1, action=_StoreGiven)
-    sub.add_argument("--max-len", type=int, default=10, action=_StoreGiven)
-    sub.add_argument("--flow", choices=FLOW_FILTERS, default="any", action=_StoreGiven,
+    sub.add_argument("--min-len", type=int, default=1)
+    sub.add_argument("--max-len", type=int, default=10)
+    sub.add_argument("--flow", choices=FLOW_FILTERS, default="any",
                      help="minecraft control-flow filter")
     sub.add_argument("--max-depth", type=int, default=None,
                      help="starcraft technology-tree depth cap")
@@ -381,44 +387,41 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
                         help="JSON file of option defaults (dest names as keys)")
     commands = parser.add_subparsers(dest="command", metavar="command")
 
-    gen = commands.add_parser("gen", parents=[], help="sample instructions to JSONL")
+    gen = commands.add_parser("gen", help="sample instructions to JSONL")
     _add_instruction_opts(gen)
-    gen.add_argument("--count", type=int, default=10, action=_StoreGiven)
+    gen.add_argument("--count", type=int, default=10)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", default="-")
     gen.set_defaults(func=cmd_gen)
 
-    run = commands.add_parser("run", help="play episodes, write a JSONL trace")
+    # the options that run and eval share
+    play = _Parser(add_help=False)
+    play.add_argument("--seed", type=int, default=0)
+    play.add_argument("--policy", default="oracle", help="oracle | random | scripted:<params.json>")
+    play.add_argument("--jobs", type=int, default=1)
+    play.add_argument("--no-disruptions", action="store_true")
+    play.add_argument("--out", default="-")
+
+    run = commands.add_parser("run", parents=[play], help="play episodes, write a JSONL trace")
     _add_instruction_opts(run)
-    run.add_argument("--episodes", type=int, default=10, action=_StoreGiven)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--policy", default="oracle",
-                     help="oracle | random | scripted:<params.json>")
-    run.add_argument("--jobs", type=int, default=1, action=_StoreGiven)
-    run.add_argument("--no-disruptions", action="store_true")
+    run.add_argument("--episodes", type=int, default=10)
     run.add_argument("--no-digests", action="store_true",
                      help="omit per-step world digests from the trace")
     run.add_argument("--failure-buffer", action="store_true",
                      help="retry failed seeds (sequential only)")
-    run.add_argument("--buffer-beta", type=float, default=0.01, action=_StoreGiven)
-    run.add_argument("--buffer-scale", type=float, default=1.0, action=_StoreGiven)
-    run.add_argument("--out", default="-")
+    run.add_argument("--buffer-beta", type=float, default=0.01)
+    run.add_argument("--buffer-scale", type=float, default=1.0)
     run.set_defaults(func=cmd_run)
 
-    ev = commands.add_parser("eval", help="binned success rates to CSV")
+    ev = commands.add_parser("eval", parents=[play], help="binned success rates to CSV")
     _add_instruction_opts(ev)
-    ev.add_argument("--episodes-per-bin", type=int, default=100, action=_StoreGiven)
-    ev.add_argument("--seed", type=int, default=0)
-    ev.add_argument("--policy", default="oracle")
-    ev.add_argument("--jobs", type=int, default=1, action=_StoreGiven)
-    ev.add_argument("--bins", default=None, action=_StoreGiven,
+    ev.add_argument("--episodes-per-bin", type=int, default=100)
+    ev.add_argument("--bins", default=None,
                     help='comma list of lo-hi length ranges, e.g. "1-10,11-20"')
-    ev.add_argument("--no-disruptions", action="store_true")
     ev.add_argument("--longjump", action="store_true",
                     help="sweep two-branch skip instructions by block length")
-    ev.add_argument("--block-min", type=int, default=1, action=_StoreGiven)
-    ev.add_argument("--block-max", type=int, default=40, action=_StoreGiven)
-    ev.add_argument("--out", default="-")
+    ev.add_argument("--block-min", type=int, default=1)
+    ev.add_argument("--block-max", type=int, default=40)
     ev.set_defaults(func=cmd_eval)
 
     rp = commands.add_parser("replay", help="re-simulate and verify a trace")
@@ -428,9 +431,9 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     rp.set_defaults(func=cmd_replay)
 
     sc = commands.add_parser("scan-check", help="verify the movement kernel")
-    sc.add_argument("--trials", type=int, default=1000, action=_StoreGiven)
-    sc.add_argument("--max-len", type=int, default=25, action=_StoreGiven)
-    sc.add_argument("--grad-trials", type=int, default=100, action=_StoreGiven)
+    sc.add_argument("--trials", type=int, default=1000)
+    sc.add_argument("--max-len", type=int, default=25)
+    sc.add_argument("--grad-trials", type=int, default=100)
     sc.add_argument("--mode", choices=pointer.MODES, default=pointer.STOP_PROCESS)
     sc.add_argument("--seed", type=int, default=0)
     sc.add_argument("--out-dir", default=None,

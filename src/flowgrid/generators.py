@@ -191,9 +191,7 @@ def gen_build_tree(
     return BuildTree(prerequisite=prerequisite, producer=producer)
 
 
-def assemble_starcraft(
-    rng: Draws, tree: BuildTree, max_len: int
-) -> Tuple[tuple, BuildTree, list]:
+def assemble_starcraft(rng: Draws, tree: BuildTree, max_len: int) -> tuple:
     """Compose instruction lines for ``tree`` within a line budget.
 
     Units are added one at a time, chosen uniformly among unused units
@@ -202,15 +200,10 @@ def assemble_starcraft(
     building is implicit and never listed.  When the nearest preceding
     building line is not the unit's producer, the producer is re-listed so
     the adjacency encoding stays unambiguous.
-
-    Returns (lines, conveyed fragment, required unit order).
     """
     listed = {NEXUS}
     tail = NEXUS  # building a unit line appended now would attach to
     lines: List[ScLine] = []
-    frag_prereq: dict = {}
-    frag_producer: dict = {}
-    required: List[int] = []
     chosen = set()
     remaining = max_len
     while remaining > 0 and len(chosen) < N_UNITS:
@@ -230,8 +223,6 @@ def assemble_starcraft(
             break
         unit, producer, unlisted, cost = candidates[rng.integers(len(candidates))]
         if unlisted:
-            for prev, building in zip(unlisted, unlisted[1:]):
-                frag_prereq[building] = prev
             for building in unlisted:
                 lines.append(ScLine.building(building))
                 listed.add(building)
@@ -240,12 +231,9 @@ def assemble_starcraft(
             lines.append(ScLine.building(producer))
             tail = producer
         lines.append(ScLine.unit(unit))
-        frag_producer[unit] = tail
-        required.append(unit)
         chosen.add(unit)
         remaining -= cost
-    fragment = BuildTree(prerequisite=frag_prereq, producer=frag_producer)
-    return tuple(lines), fragment, required
+    return tuple(lines)
 
 
 def gen_starcraft(
@@ -263,7 +251,7 @@ def gen_starcraft(
         raise ValueError("max_len must be positive")
     for _ in range(MAX_ATTEMPTS):
         tree = gen_build_tree(rng, max_depth)
-        lines, _, _ = assemble_starcraft(rng, tree, max_len)
+        lines = assemble_starcraft(rng, tree, max_len)
         if lines:
             return tree, Instruction(lines)
     raise GenerationError(f"no instruction fit max_len={max_len} in {MAX_ATTEMPTS} tries")

@@ -196,7 +196,7 @@ class RandomMinecraftPolicy(_RandomPolicy):
 
 
 class RandomStarcraftPolicy(_RandomPolicy):
-    GROUPS = tuple(starcraft.TOKENS[kind] for kind in starcraft.TOKEN_KINDS)
+    GROUPS = tuple(starcraft.TOKENS.values())
 
 
 class ScriptedPointerPolicy(Policy):
@@ -689,9 +689,9 @@ class FailureBuffer:
 
     def __init__(self, beta: float = 0.01, scale: float = 1.0):
         if not 0.0 < beta <= 1.0:
-            raise ValueError("beta must be in (0, 1]")
+            raise ValueError("failure buffer beta must be in (0, 1]")
         if not (math.isfinite(scale) and scale >= 0.0):
-            raise ValueError("scale must be finite and non-negative")
+            raise ValueError("failure buffer scale must be finite and non-negative")
         self.beta = beta
         self.scale = scale
         self.seeds: List[int] = []

@@ -28,7 +28,7 @@ STARCRAFT = "starcraft"
 
 VERBS = ("mine", "sell", "inspect")
 RESOURCES = ("iron", "gold", "wood")
-COMPARANDS = ("iron", "gold", "wood", "merchant")
+COMPARANDS = (*RESOURCES, "merchant")  # so a resource's RESOURCES index is its COMPARANDS index
 # accepted on parse as synonyms, rendered canonically
 VERB_ALIASES = {"pickup": "mine", "transform": "sell"}
 

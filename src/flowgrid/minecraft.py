@@ -27,9 +27,8 @@ from .rngtools import Draws
 GRID = 6
 CELLS = tuple((r, c) for r in range(GRID) for c in range(GRID))
 CELL_INDEX = {cell: i for i, cell in enumerate(CELLS)}
-ENTITY_TYPES = ("iron", "gold", "wood", "merchant")
 ENTITY_CHARS = {"iron": "i", "gold": "g", "wood": "w", "merchant": "m"}
-CHANNELS = ("iron", "gold", "wood", "merchant", "wall", "water", "worker")
+CHANNELS = (*COMPARANDS, "wall", "water", "worker")
 _CHANNEL_INDEX = {name: i for i, name in enumerate(CHANNELS)}
 # placement cap from the sampling recipe: water lines appear only when the
 # entity count leaves room for one
@@ -333,9 +332,10 @@ class MinecraftWorld:
 # --- spawning -------------------------------------------------------------------
 
 
-def required_stream_feasible(instruction: Instruction, type_counts) -> bool:
+def required_stream_feasible(instruction: Instruction, counts) -> bool:
     """Can the demanded subtask stream be satisfied from these entity counts?
 
+    ``counts`` holds one count per comparand, in ``COMPARANDS`` order.
     Simulates the stream on counts alone: mining consumes a map entity,
     selling needs a merchant and consumes one unit (auto-mining first on an
     empty inventory), inspecting needs a live target.  The stream must also
@@ -344,8 +344,7 @@ def required_stream_feasible(instruction: Instruction, type_counts) -> bool:
     flow = instruction.flow
     if not flow.verdict:
         return False
-    given = dict(type_counts)
-    counts = [given.get(kind, 0) for kind in COMPARANDS]
+    counts = list(counts)
     inventory = [0] * len(RESOURCES)
     conditions, tasks = flow.conditions, flow.tasks
     on_true, on_false = flow.on_true, flow.on_false
@@ -462,14 +461,14 @@ def spawn(
     attempts: List[SpawnAttempt] = []
     verdicts: Dict[tuple, bool] = {}  # static check per count of each entity type
     for _ in range(MAX_RESAMPLES + 1):
-        types = rng.integers(0, len(ENTITY_TYPES), size=n)
-        key = tuple(map(types.count, range(len(ENTITY_TYPES))))
+        types = rng.integers(0, len(COMPARANDS), size=n)
+        key = tuple(map(types.count, range(len(COMPARANDS))))
         if key not in verdicts:
-            verdicts[key] = required_stream_feasible(instruction, dict(zip(ENTITY_TYPES, key)))
+            verdicts[key] = required_stream_feasible(instruction, key)
         if not verdicts[key]:
             attempts.append(SpawnAttempt(n, "static_reject"))
             continue
-        kinds = [ENTITY_TYPES[i] for i in types]
+        kinds = [COMPARANDS[i] for i in types]
         water_placed = n <= WATER_MAX_ENTITIES
         water: Set[tuple] = set()
         if water_placed:

@@ -41,13 +41,13 @@ ATTACK_RATE = 0.1
 AMBUSH_RATE = 0.1
 MAX_ENDOWMENT = 36  # sampled upper bound; placement caps at the 35 free cells
 
-TOKEN_KINDS = ("select_probe", "select_coord", "select_building", "select_unit", "commit")
 TOKEN_LIMITS = {
     "select_probe": N_PROBES,
     "select_coord": GRID * GRID,
     "select_building": N_BUILDINGS,
     "select_unit": N_UNITS,
 }
+TOKEN_KINDS = (*TOKEN_LIMITS, "commit")
 
 
 @dataclass(frozen=True)
@@ -68,26 +68,6 @@ class ActionToken:
             if type(self.value) is not int or not 0 <= self.value < TOKEN_LIMITS[self.kind]:
                 raise ValueError(f"bad value {self.value!r} for {self.kind}")
 
-    @classmethod
-    def probe(cls, i: int) -> "ActionToken":
-        return cls("select_probe", i)
-
-    @classmethod
-    def coord(cls, i: int) -> "ActionToken":
-        return cls("select_coord", i)
-
-    @classmethod
-    def building(cls, b: int) -> "ActionToken":
-        return cls("select_building", b)
-
-    @classmethod
-    def unit(cls, u: int) -> "ActionToken":
-        return cls("select_unit", u)
-
-    @classmethod
-    def commit(cls) -> "ActionToken":
-        return cls("commit")
-
     def as_dict(self) -> dict:
         return {"kind": self.kind, "value": self.value}
 
@@ -95,7 +75,7 @@ class ActionToken:
 # every token, validated once at import: TOKENS[kind][value], TOKENS["commit"][0]
 TOKENS = {kind: tuple(ActionToken(kind, v) for v in range(limit))
           for kind, limit in TOKEN_LIMITS.items()}
-TOKENS["commit"] = (ActionToken.commit(),)
+TOKENS["commit"] = (ActionToken("commit"),)
 
 # the command grammar: (open assembly, token kind) -> the assembly the token
 # opens or the command it completes; every other pair resolves as a no-op.
@@ -441,25 +421,18 @@ def classify_assembly(tokens) -> Optional[str]:
 
 
 def enumerate_command_space() -> dict:
-    """Count the grammar's complete command shapes by exhaustive walk."""
-    counts = {"build": 0, "goto": 0, "train": 0}
-    for i in range(N_PROBES):
-        for b in range(N_BUILDINGS):
-            for c in range(len(CELLS)):
-                shape = classify_assembly(
-                    [ActionToken.probe(i), ActionToken.building(b), ActionToken.coord(c)]
-                )
-                if shape == "build":
-                    counts["build"] += 1
-    for i in range(N_PROBES):
-        for c in range(len(CELLS)):
-            if classify_assembly([ActionToken.probe(i), ActionToken.coord(c)]) == "goto":
-                counts["goto"] += 1
-    for c in range(len(CELLS)):
-        for u in range(N_UNITS):
-            if classify_assembly([ActionToken.coord(c), ActionToken.unit(u)]) == "train":
-                counts["train"] += 1
-    return counts
+    """Count each command's token sequences by walking ``GRAMMAR`` from "start";
+    a state that opens nothing is the command its paths complete."""
+    counts: Dict[str, int] = {}
+    paths = [("start", 1)]  # an assembly state and the token sequences that reach it
+    while paths:
+        state, ways = paths.pop()
+        steps = [(step, ways * len(TOKENS[kind]))
+                 for (at, kind), step in GRAMMAR.items() if at == state]
+        paths += steps
+        if not steps:
+            counts[state] = counts.get(state, 0) + ways
+    return dict(sorted(counts.items()))
 
 
 def legal_train_commands(world: StarcraftWorld) -> int:

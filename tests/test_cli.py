@@ -78,13 +78,14 @@ def test_unparseable_bins_are_usage_errors_naming_the_part(bins, part):
     assert f"bad bin {part}" in err
 
 
-def test_empty_bins_from_config_are_a_usage_error_not_the_default_bins(tmp_path):
+def test_empty_bins_from_config_are_the_files_fault_not_the_default_bins(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"bins": ""}))
     out = tmp_path / "eval.csv"
     code, _, err = run_cli("--config", str(config), "eval", "--domain", "minecraft",
                            "--episodes-per-bin", "1", "--out", str(out))
-    assert code == EXIT_USAGE
+    assert code == EXIT_IO
+    assert f"config {config} sets 'bins' to ''" in err
     assert "bad bin ''" in err
     assert not out.exists()
 
@@ -954,6 +955,79 @@ def test_replay_refuses_every_single_edit_that_changes_a_record(fuzz_trace, data
         _known_gap(records, originals))
 
 
+# --- single edits of a --config file --------------------------------------------------
+
+_BASE_CONFIG = {"min_len": 2, "max_len": 3, "count": 2, "episodes": 2, "seed": 1}
+# the base keys each command takes as flags; the other one's key it only checks
+_FLAG_KEYS = {"gen": {"min_len", "max_len", "count", "seed"},
+              "run": {"min_len", "max_len", "episodes", "seed"}}
+# small ints and short digit strings keep a run short; other text holds no digit
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.floats(-3, 9)
+    | st.text(alphabet="0123456789 _+-", max_size=2)
+    | st.text(alphabet=st.characters(blacklist_categories=("Nd", "Cs")), max_size=3),
+    lambda values: st.lists(values, max_size=2) | st.dictionaries(st.text(max_size=2), values,
+                                                                  max_size=2),
+    max_leaves=3,
+)
+
+
+def _config_edit(data) -> bytes:
+    """The base config's JSON with one value replaced, one key deleted, one
+    unknown key added (no option's dest holds a capital), or one byte changed."""
+    config = dict(_BASE_CONFIG)
+    edit = data.draw(st.sampled_from(["replace", "delete", "add", "byte"]), label="edit")
+    if edit == "replace":
+        config[data.draw(st.sampled_from(sorted(config)), label="key")] = data.draw(_JSON_VALUES)
+    elif edit == "delete":
+        del config[data.draw(st.sampled_from(sorted(config)), label="key")]
+    elif edit == "add":
+        config[data.draw(st.from_regex(r"[A-Z0-9 -]{0,4}", fullmatch=True), label="key")] = (
+            data.draw(_JSON_VALUES))
+    raw = json.dumps(config).encode("utf-8")
+    if edit == "byte":
+        at = data.draw(st.integers(0, len(raw) - 1), label="at")
+        raw = raw[:at] + bytes([data.draw(st.integers(0, 255), label="byte")]) + raw[at + 1:]
+    return raw
+
+
+def _as_flags(config: dict, command: str) -> list:
+    """The flags that give ``command`` the config's values of its own options."""
+    return [f"--{key.replace('_', '-')}={value}" for key, value in config.items()
+            if key in _FLAG_KEYS[command] and value is not None]
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_every_single_edit_of_a_config_runs_as_its_flags_or_blames_the_file(tmp_path_factory,
+                                                                           data):
+    raw = _config_edit(data)
+    root = tmp_path_factory.mktemp("config")
+    path = root / "config.json"
+    path.write_bytes(raw)
+    for command in ("gen", "run"):
+        out, flagged = root / f"{command}.out", root / f"{command}.flags"
+        code, stdout, err = run_cli("--config", str(path), command, "--domain", "minecraft",
+                                    "--out", str(out))
+        if code == EXIT_IO:
+            assert err.startswith((f"error: config {path}", "error: cannot read config")), err
+            assert stdout == "" and not out.exists()
+            continue
+        assert code == EXIT_OK, err  # never a usage error: only the file set a value
+        flags = _as_flags(json.loads(raw), command)
+        code, _, err = run_cli(command, "--domain", "minecraft", *flags, "--out", str(flagged))
+        assert code == EXIT_OK, err
+        assert out.read_bytes() == flagged.read_bytes()
+
+
+def test_every_command_prints_its_help(capsys):
+    for argv in ([], ["gen"], ["run"], ["eval"], ["replay"], ["scan-check"]):
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--help"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: flowgrid")
+
+
 def test_replay_tampered_trace_fails_verification(tmp_path):
     trace = tmp_path / "trace.jsonl"
     run_cli(
@@ -1382,9 +1456,25 @@ def test_unreadable_config_is_io_error(tmp_path):
     assert err.startswith("error: cannot read config")
 
 
+# values that only a config file supplies and that a command refuses once it
+# reads them with the others (a spec, a policy, bins); each names its options
+CONFIG_ONLY_REFUSALS = {
+    "max-len-above-cap": ({"max_len": 101}, ["gen", "--domain", "starcraft", "--out"]),
+    "lengths-swapped": ({"min_len": 5, "max_len": 3}, ["gen", "--domain", "starcraft", "--out"]),
+    "multi-too-short": ({"flow": "multi", "max_len": 5}, ["gen", "--domain", "minecraft", "--out"]),
+    "depth-on-minecraft": ({"max_depth": 3, "domain": "minecraft"}, ["run", "--out"]),
+    "scripted-on-starcraft": ({"policy": "scripted:x.json", "domain": "starcraft"},
+                              ["run", "--out"]),
+    "unknown-policy": ({"policy": "clairvoyant"}, ["run", "--domain", "minecraft", "--out"]),
+    "bin-from-zero": ({"bins": "0-3"}, ["eval", "--domain", "minecraft", "--out"]),
+    "empty-bins": ({"bins": ""}, ["eval", "--domain", "minecraft", "--out"]),
+}
+
+
 @pytest.mark.parametrize(
     "config, argv",
     [
+        *CONFIG_ONLY_REFUSALS.values(),
         ({"no_digests": "false"}, ["run", "--domain", "minecraft", "--out"]),
         ({"failure_buffer": "false"}, ["run", "--domain", "minecraft", "--out"]),
         ({"episodes": 2.5}, ["run", "--domain", "minecraft", "--out"]),
@@ -1399,9 +1489,9 @@ def test_unreadable_config_is_io_error(tmp_path):
         ({"buffer_beta": True}, ["run", "--domain", "minecraft", "--out"]),
         ({"buffer_scale": 10**400}, ["run", "--domain", "minecraft", "--out"]),
     ],
-    ids=["string-flag", "string-buffer-flag", "float-int", "bool-int", "mode-choice",
-         "flow-choice", "func", "given", "not-object", "unparsed-int", "unparsed-float",
-         "bool-float", "int-too-large-for-float"],
+    ids=[*CONFIG_ONLY_REFUSALS, "string-flag", "string-buffer-flag", "float-int", "bool-int",
+         "mode-choice", "flow-choice", "func", "given", "not-object", "unparsed-int",
+         "unparsed-float", "bool-float", "int-too-large-for-float"],
 )
 def test_bad_config_is_io_error_naming_the_file(tmp_path, config, argv):
     path = tmp_path / "config.json"
@@ -1412,6 +1502,33 @@ def test_bad_config_is_io_error_naming_the_file(tmp_path, config, argv):
     assert str(path) in err
     assert stdout == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config, argv", CONFIG_ONLY_REFUSALS.values(),
+                         ids=list(CONFIG_ONLY_REFUSALS))
+def test_config_only_refusals_given_as_flags_are_usage_errors(tmp_path, config, argv):
+    flags = [arg for key, value in config.items()
+             for arg in ("--" + key.replace("_", "-"), str(value))]
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(*argv[:-1], *flags, "--out", str(out))
+    assert (code, stdout) == (EXIT_USAGE, ""), err
+    assert "config" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config, argv", [
+    ({"max_len": 3}, ["run", "--domain", "minecraft", "--max-depth", "3"]),
+    ({"policy": "random"}, ["run", "--domain", "minecraft", "--policy", "clairvoyant"]),
+    ({"jobs": 2}, ["run", "--domain", "minecraft", "--failure-buffer"]),
+    ({"max_depth": 2}, ["eval", "--domain", "minecraft", "--longjump"]),
+], ids=["max-depth", "policy", "failure-buffer", "longjump"])
+def test_a_refusal_of_a_flag_with_a_config_value_is_a_usage_error(tmp_path, config, argv):
+    # every option, a store_true flag included, counts as given on the command line
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, stdout, err = run_cli("--config", str(path), *argv, "--out", str(tmp_path / "out"))
+    assert (code, stdout) == (EXIT_USAGE, ""), err
+    assert str(path) not in err
 
 
 def test_config_supplies_a_required_option(tmp_path):

@@ -38,7 +38,6 @@ from flowgrid.instructions import (
 from flowgrid.interpreter import cf_step, eval_condition
 from flowgrid.minecraft import (
     CELLS,
-    ENTITY_TYPES,
     GRID,
     TIME_LIMIT_FACTOR,
     WATER_MAX_ENTITIES,
@@ -224,11 +223,11 @@ def _old_spawn(rng, instruction, max_resamples=50, feasibility_gate=True, seed=N
     n = int(rng.integers(0, 37))
     attempts: List[SpawnAttempt] = []
     for _ in range(max_resamples + 1):
-        kinds = [ENTITY_TYPES[i] for i in rng.integers(0, len(ENTITY_TYPES), size=n)]
+        kinds = [COMPARANDS[i] for i in rng.integers(0, len(COMPARANDS), size=n)]
         if n + 1 > len(CELLS):  # room is judged before kinds: no cell for the worker
             attempts.append(SpawnAttempt(n, "placement_reject"))
             continue
-        type_counts = {kind: kinds.count(kind) for kind in ENTITY_TYPES}
+        type_counts = {kind: kinds.count(kind) for kind in COMPARANDS}
         if not _old_required_stream_feasible(instruction, type_counts):
             attempts.append(SpawnAttempt(n, "static_reject"))
             continue
@@ -397,26 +396,29 @@ def test_vacuous_while_exhausts_the_budget_like_the_earlier_walk():
     assert calls["new"] == calls["old"] > 0
 
 
-type_counts = st.fixed_dictionaries({kind: st.integers(0, 36) for kind in COMPARANDS})
+# one count per comparand, in COMPARANDS order
+type_counts = st.tuples(*(st.integers(0, 36) for _ in COMPARANDS))
 
 
 @given(ins=programs(), counts=type_counts)
 @settings(max_examples=500, deadline=None)
 def test_static_check_matches_the_earlier_walk(ins, counts):
-    assert required_stream_feasible(ins, counts) == _old_required_stream_feasible(ins, counts)
+    assert required_stream_feasible(ins, counts) == _old_required_stream_feasible(
+        ins, dict(zip(COMPARANDS, counts)))
 
 
 @given(seed=st.integers(0, 1_000_000), max_len=st.integers(1, 25), counts=type_counts)
 @settings(max_examples=300, deadline=None)
 def test_static_check_matches_the_earlier_walk_on_generated(seed, max_len, counts):
     ins = gen_minecraft(draws(seed, "flow-static"), (1, max_len))
-    assert required_stream_feasible(ins, counts) == _old_required_stream_feasible(ins, counts)
+    assert required_stream_feasible(ins, counts) == _old_required_stream_feasible(
+        ins, dict(zip(COMPARANDS, counts)))
 
 
 @pytest.mark.parametrize("verb, counts, expected", [
-    ("mine", {"iron": 3, "gold": 0, "wood": 1, "merchant": 0}, True),
-    ("sell", {"iron": 3, "gold": 0, "wood": 1, "merchant": 1}, True),
-    ("inspect", {"iron": 3, "gold": 0, "wood": 1, "merchant": 0}, False),
+    ("mine", (3, 0, 1, 0), True),  # iron, gold, wood, merchant
+    ("sell", (3, 0, 1, 1), True),
+    ("inspect", (3, 0, 1, 0), False),
 ])
 def test_static_check_of_an_inspect_met_again_in_a_loop(verb, counts, expected):
     # the inspect repeats each pass; only a mine or sell in between changes
@@ -428,7 +430,7 @@ def test_static_check_of_an_inspect_met_again_in_a_loop(verb, counts, expected):
         CfLine.endwhile(),
     ))
     assert required_stream_feasible(ins, counts) is expected
-    assert _old_required_stream_feasible(ins, counts) is expected
+    assert _old_required_stream_feasible(ins, dict(zip(COMPARANDS, counts))) is expected
 
 
 def test_compiled_jumps_of_a_nested_program():
@@ -515,7 +517,7 @@ def test_spawn_without_room_for_the_worker_records_distinct_placement_rejects():
     assert len({id(attempt) for attempt in attempts}) == 51  # SpawnAttempt is mutable
     int(old_rng.integers(0, 37))
     for _ in range(51):
-        old_rng.integers(0, len(ENTITY_TYPES), size=36)
+        old_rng.integers(0, len(COMPARANDS), size=36)
     assert new_rng.random() == old_rng.random()  # the skipped draws are the sized ones
 
 

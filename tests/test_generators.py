@@ -313,14 +313,33 @@ def test_max_depth_validation():
 # --- starcraft assembly -------------------------------------------------------------
 
 
+def _listed_fragment(lines):
+    """The edges and producers that a listing states, read line by line: each
+    pair of adjacent building lines is an edge, and each unit line's producer
+    is the nearest building line above it, or the nexus when there is none."""
+    prerequisite, producer, required = {}, {}, []
+    nearest, above_is_building = NEXUS, False
+    for line in lines:
+        if line.is_unit:
+            producer[line.ident] = nearest
+            required.append(line.ident)
+        else:
+            if above_is_building:
+                prerequisite[line.ident] = nearest
+            nearest = line.ident
+        above_is_building = not line.is_unit
+    return prerequisite, producer, required
+
+
 def test_assembly_respects_budget():
     rng = rng_for("budget")
     for max_len in (1, 2, 5, 9, 30):
         tree = gen_build_tree(rng)
-        lines, fragment, required = assemble_starcraft(rng, tree, max_len)
-        assert len(lines) <= max_len
-        assert [line.ident for line in lines if line.is_unit] == required
-        assert set(fragment.producer) == set(required)
+        lines = assemble_starcraft(rng, tree, max_len)
+        assert 1 <= len(lines) <= max_len
+        units = [line.ident for line in lines if line.is_unit]
+        assert len(units) == len(set(units))
+        assert sc_decode(Instruction(lines))[1] == units
 
 
 def test_assembly_round_trips_through_decode():
@@ -328,12 +347,13 @@ def test_assembly_round_trips_through_decode():
     for _ in range(150):
         tree = gen_build_tree(rng)
         max_len = int(rng.integers(1, 31))
-        lines, fragment, required = assemble_starcraft(rng, tree, max_len)
+        lines = assemble_starcraft(rng, tree, max_len)
         if not lines:
             continue
+        prerequisite, producer, required = _listed_fragment(lines)
         decoded, decoded_required = sc_decode(Instruction(lines))
-        assert decoded.prerequisite == fragment.prerequisite
-        assert decoded.producer == fragment.producer
+        assert decoded.prerequisite == prerequisite
+        assert decoded.producer == producer
         assert decoded_required == required
 
 
@@ -341,11 +361,11 @@ def test_conveyed_fragment_agrees_with_truth():
     rng = rng_for("truth")
     for _ in range(150):
         tree = gen_build_tree(rng)
-        _, fragment, required = assemble_starcraft(rng, tree, 20)
-        for building, prereq in fragment.prerequisite.items():
+        prerequisite, producer, _ = _listed_fragment(assemble_starcraft(rng, tree, 20))
+        for building, prereq in prerequisite.items():
             assert tree.prerequisite.get(building) == prereq
-        for unit in required:
-            assert fragment.producer[unit] == tree.producer[unit]
+        for unit, building in producer.items():
+            assert tree.producer[unit] == building
 
 
 def test_gen_starcraft_lengths_and_validity():
@@ -430,5 +450,5 @@ def test_assembly_matches_the_per_iteration_chain_walk(seed, max_depth, max_len)
     new_rng, old_rng = draws(seed, "assemble"), substream(seed, "assemble")
     assert assemble_starcraft(new_rng, tree, max_len) == _old_assemble_starcraft(
         old_rng, tree, max_len
-    )
+    )[0]
     assert new_rng.random() == old_rng.random()  # the same draws were made

@@ -19,11 +19,10 @@ from hypothesis import strategies as st
 from flowgrid import minecraft
 from flowgrid.errors import EpisodeDone, SpawnInfeasible
 from flowgrid.generators import gen_longjump, gen_minecraft
-from flowgrid.instructions import CfLine, Instruction
+from flowgrid.instructions import COMPARANDS, CfLine, Instruction
 from flowgrid.minecraft import (
     CELLS,
     ENTITY_CHARS,
-    ENTITY_TYPES,
     GRID,
     Command,
     MinecraftWorld,
@@ -692,7 +691,7 @@ def test_spawn_removes_the_water_iff_it_cuts_the_worker_off_from_all_wood(axis, 
     # axis 0 lays the water along row ``index``, axis 1 down column ``index``
     open_count = len(CELLS) - GRID
     n = data.draw(st.integers(0, open_count - 1), label="n")  # n entities and the worker
-    kinds = data.draw(st.lists(st.integers(0, len(ENTITY_TYPES) - 1), min_size=n, max_size=n))
+    kinds = data.draw(st.lists(st.integers(0, len(COMPARANDS) - 1), min_size=n, max_size=n))
     order = data.draw(st.permutations(range(open_count)), label="order")
     try:
         first = spawn(_ScriptedReader(n, [kinds, index, axis, order]),
@@ -702,7 +701,7 @@ def test_spawn_removes_the_water_iff_it_cuts_the_worker_off_from_all_wood(axis, 
     water = {cell for cell in CELLS if cell[axis] == index}
     open_cells = [cell for cell in CELLS if cell not in water]
     chosen = [open_cells[i] for i in order[: n + 1]]
-    woods = [cell for cell, kind in zip(chosen, kinds) if ENTITY_TYPES[kind] == "wood"]
+    woods = [cell for cell, kind in zip(chosen, kinds) if COMPARANDS[kind] == "wood"]
     dry = nx.grid_2d_graph(GRID, GRID)
     dry.remove_nodes_from(water)
     assert first.stage != "placement_reject" and first.water_placed
@@ -722,23 +721,25 @@ def test_spawn_longjump_leaves_guard_comparand_absent():
 
 
 def test_required_stream_feasible_counts():
+    # counts in COMPARANDS order: iron, gold, wood, merchant
+    assert COMPARANDS == ("iron", "gold", "wood", "merchant")
     ins = mc(S("mine", "iron"), S("mine", "iron"))
-    assert required_stream_feasible(ins, {"iron": 2})
-    assert not required_stream_feasible(ins, {"iron": 1})
+    assert required_stream_feasible(ins, (2, 0, 0, 0))
+    assert not required_stream_feasible(ins, (1, 0, 0, 0))
     sell = mc(S("sell", "gold"))
-    assert not required_stream_feasible(sell, {"gold": 1})  # no merchant
-    assert required_stream_feasible(sell, {"gold": 1, "merchant": 1})
-    assert not required_stream_feasible(sell, {"merchant": 1})  # nothing to sell
+    assert not required_stream_feasible(sell, (0, 1, 0, 0))  # no merchant
+    assert required_stream_feasible(sell, (0, 1, 0, 1))
+    assert not required_stream_feasible(sell, (0, 0, 0, 1))  # nothing to sell
     inspect = mc(S("inspect", "wood"))
-    assert required_stream_feasible(inspect, {"wood": 1})
-    assert not required_stream_feasible(inspect, {})
+    assert required_stream_feasible(inspect, (0, 0, 1, 0))
+    assert not required_stream_feasible(inspect, (0, 0, 0, 0))
 
 
 # --- digest -------------------------------------------------------------------------
 
 
 ANY_STATE = dict(
-    entities=st.dictionaries(st.sampled_from(CELLS), st.sampled_from(ENTITY_TYPES)),
+    entities=st.dictionaries(st.sampled_from(CELLS), st.sampled_from(COMPARANDS)),
     water=st.sets(st.sampled_from(CELLS)),
     walls=st.frozensets(st.sampled_from(CELLS)),
     worker=st.sampled_from(CELLS),

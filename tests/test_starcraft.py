@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowgrid import starcraft
 from flowgrid.errors import EpisodeDone, SpawnInfeasible
 from flowgrid.generators import gen_build_tree, gen_starcraft
 from flowgrid.harness import (EpisodeSpec, OracleStarcraftPolicy, RandomStarcraftPolicy,
@@ -63,9 +64,9 @@ def feed(world, *tokens):
 
 def test_partial_assemblies_do_not_advance_time():
     world = simple_world()
-    assert world.step_token(ActionToken.probe(0)) is None
+    assert world.step_token(TOKENS["select_probe"][0]) is None
     assert world.step_count == 0
-    assert world.step_token(ActionToken.building(1)) is None
+    assert world.step_token(TOKENS["select_building"][1]) is None
     assert world.step_count == 0
 
 
@@ -73,15 +74,15 @@ def test_build_command_resolves_and_places_on_arrival():
     world = simple_world(grid={(0, 0): 0})
     outcome = feed(
         world,
-        ActionToken.probe(0),
-        ActionToken.building(1),  # prereq of 1 is nexus, alive
-        ActionToken.coord(CELL_INDEX[(0, 2)]),
+        TOKENS["select_probe"][0],
+        TOKENS["select_building"][1],  # prereq of 1 is nexus, alive
+        TOKENS["select_coord"][CELL_INDEX[(0, 2)]],
     )
     assert outcome is not None and not outcome.noop
     assert world.pending_build == {0: (1, (0, 2))}
     assert world.probe_dest[0] == (0, 2)
     assert (0, 2) not in world.grid  # probe still walking
-    feed(world, ActionToken.commit())  # noop advances time; probe arrives
+    feed(world, TOKENS["commit"][0])  # noop advances time; probe arrives
     assert world.grid.get((0, 2)) == 1
     assert world.probes[0] == (0, 2)
 
@@ -90,9 +91,9 @@ def test_build_without_prerequisite_is_noop():
     world = simple_world(grid={(0, 0): 0})
     outcome = feed(
         world,
-        ActionToken.probe(0),
-        ActionToken.building(2),  # needs building 1, not alive
-        ActionToken.coord(CELL_INDEX[(3, 3)]),
+        TOKENS["select_probe"][0],
+        TOKENS["select_building"][2],  # needs building 1, not alive
+        TOKENS["select_coord"][CELL_INDEX[(3, 3)]],
     )
     assert outcome.noop
     assert world.step_count == 1  # illegal commands still cost a step
@@ -104,9 +105,9 @@ def test_build_on_occupied_cell_is_noop():
     world = simple_world(grid={(0, 0): 0, (1, 1): 1})
     outcome = feed(
         world,
-        ActionToken.probe(0),
-        ActionToken.building(1),
-        ActionToken.coord(CELL_INDEX[(1, 1)]),
+        TOKENS["select_probe"][0],
+        TOKENS["select_building"][1],
+        TOKENS["select_coord"][CELL_INDEX[(1, 1)]],
     )
     assert outcome.noop
 
@@ -115,26 +116,26 @@ def test_goto_reassignment_abandons_pending_build():
     world = simple_world(grid={(0, 0): 0})
     feed(
         world,
-        ActionToken.probe(0),
-        ActionToken.building(1),
-        ActionToken.coord(CELL_INDEX[(0, 5)]),
+        TOKENS["select_probe"][0],
+        TOKENS["select_building"][1],
+        TOKENS["select_coord"][CELL_INDEX[(0, 5)]],
     )
     assert 0 in world.pending_build
-    outcome = feed(world, ActionToken.probe(0), ActionToken.coord(CELL_INDEX[(5, 0)]))
+    outcome = feed(world, TOKENS["select_probe"][0], TOKENS["select_coord"][CELL_INDEX[(5, 0)]])
     assert not outcome.noop
     assert world.probe_dest[0] == (5, 0)
     assert 0 not in world.pending_build
     for _ in range(12):
         if world.done:
             break
-        feed(world, ActionToken.commit())
+        feed(world, TOKENS["commit"][0])
     assert (0, 5) not in world.grid  # the abandoned building never lands
 
 
 def test_train_requires_matching_producer():
     world = simple_world(required_units=(1,), grid={(0, 0): 0})
     outcome = feed(
-        world, ActionToken.coord(CELL_INDEX[(0, 0)]), ActionToken.unit(1)
+        world, TOKENS["select_coord"][CELL_INDEX[(0, 0)]], TOKENS["select_unit"][1]
     )
     assert not outcome.noop
     assert world.pending_train == []  # queued, then trained within the resolution
@@ -146,7 +147,7 @@ def test_train_requires_matching_producer():
 def test_train_from_wrong_building_is_noop():
     world = simple_world(required_units=(0,), grid={(0, 0): 0})
     outcome = feed(
-        world, ActionToken.coord(CELL_INDEX[(0, 0)]), ActionToken.unit(0)
+        world, TOKENS["select_coord"][CELL_INDEX[(0, 0)]], TOKENS["select_unit"][0]
     )  # unit 0 needs building 2
     assert outcome.noop
     assert world.units == {}
@@ -154,30 +155,30 @@ def test_train_from_wrong_building_is_noop():
 
 def test_coord_on_empty_cell_opens_nothing():
     world = simple_world()
-    outcome = world.step_token(ActionToken.coord(CELL_INDEX[(5, 5)]))
+    outcome = world.step_token(TOKENS["select_coord"][CELL_INDEX[(5, 5)]])
     assert outcome is not None and outcome.noop
 
 
 def test_commit_from_start_is_explicit_pass():
     world = simple_world()
-    outcome = world.step_token(ActionToken.commit())
+    outcome = world.step_token(TOKENS["commit"][0])
     assert outcome.noop and world.step_count == 1
 
 
 def test_illegal_token_resolves_assembly_as_noop():
     world = simple_world()
-    world.step_token(ActionToken.probe(0))
-    outcome = world.step_token(ActionToken.unit(3))  # unit after probe: illegal
+    world.step_token(TOKENS["select_probe"][0])
+    outcome = world.step_token(TOKENS["select_unit"][3])  # unit after probe: illegal
     assert outcome is not None and outcome.noop
     assert world.assembly == ("start",)
 
 
 def test_step_after_done_raises():
     world = simple_world(required_units=(1,))
-    feed(world, ActionToken.coord(CELL_INDEX[(0, 0)]), ActionToken.unit(1))
+    feed(world, TOKENS["select_coord"][CELL_INDEX[(0, 0)]], TOKENS["select_unit"][1])
     assert world.done
     with pytest.raises(EpisodeDone):
-        world.step_token(ActionToken.commit())
+        world.step_token(TOKENS["commit"][0])
 
 
 # --- probe movement ----------------------------------------------------------------
@@ -185,12 +186,12 @@ def test_step_after_done_raises():
 
 def test_probe_movement_sequence():
     world = simple_world()
-    feed(world, ActionToken.probe(1), ActionToken.coord(CELL_INDEX[(2, 1)]))
+    feed(world, TOKENS["select_probe"][1], TOKENS["select_coord"][CELL_INDEX[(2, 1)]])
     seen = [world.probes[1]]
     for _ in range(4):
         if world.done:
             break
-        feed(world, ActionToken.commit())
+        feed(world, TOKENS["commit"][0])
         seen.append(world.probes[1])
     # from (0,0) to (2,1): row gap dominates, then alternation favours rows
     assert seen[:4] == [(1, 0), (2, 0), (2, 1), (2, 1)]
@@ -200,13 +201,13 @@ def test_build_cancelled_if_cell_occupied_at_arrival():
     world = simple_world(grid={(0, 0): 0})
     feed(
         world,
-        ActionToken.probe(0),
-        ActionToken.building(1),
-        ActionToken.coord(CELL_INDEX[(0, 2)]),
+        TOKENS["select_probe"][0],
+        TOKENS["select_building"][1],
+        TOKENS["select_coord"][CELL_INDEX[(0, 2)]],
     )
     # a second probe trains nothing; meanwhile occupy (0, 2) by a faster build
     world.grid[(0, 2)] = 13  # simulate interference before arrival
-    feed(world, ActionToken.commit())
+    feed(world, TOKENS["commit"][0])
     assert world.grid[(0, 2)] == 13  # original occupant survives
     assert 0 not in world.pending_build  # construction cancelled, not queued
 
@@ -216,7 +217,7 @@ def test_build_cancelled_if_cell_occupied_at_arrival():
 
 def test_success_requires_all_required_types_alive_simultaneously():
     world = simple_world(required_units=(1, 1), grid={(0, 0): 0})
-    feed(world, ActionToken.coord(CELL_INDEX[(0, 0)]), ActionToken.unit(1))
+    feed(world, TOKENS["select_coord"][CELL_INDEX[(0, 0)]], TOKENS["select_unit"][1])
     assert world.done and world.cause == "success"
 
 
@@ -224,15 +225,15 @@ def test_timeout_after_thirty_steps_per_line():
     world = simple_world(required_units=(0,), grid={(0, 0): 0})
     assert world.time_limit == 30
     for _ in range(30):
-        feed(world, ActionToken.commit())
+        feed(world, TOKENS["commit"][0])
     assert world.done and world.cause == "timeout" and world.reward == 0
 
 
 def test_success_takes_precedence_over_timeout():
     world = simple_world(required_units=(1,), grid={(0, 0): 0})
     for _ in range(29):
-        feed(world, ActionToken.commit())
-    outcome = feed(world, ActionToken.coord(CELL_INDEX[(0, 0)]), ActionToken.unit(1))
+        feed(world, TOKENS["commit"][0])
+    outcome = feed(world, TOKENS["select_coord"][CELL_INDEX[(0, 0)]], TOKENS["select_unit"][1])
     assert world.step_count == 30
     assert outcome.cause == "success" and outcome.reward == 1
 
@@ -251,9 +252,9 @@ class _AllUnitsWorld(StarcraftWorld):
 
 # tokens that can train TREE's units 0-2 on a grid of its buildings 0, 2 and 5
 _TRAINING_TOKENS = (
-    [ActionToken.coord(CELL_INDEX[(0, c)]) for c in range(4)]
-    + [ActionToken.unit(u) for u in range(3)]
-    + [ActionToken.commit(), ActionToken.probe(0)]
+    [TOKENS["select_coord"][CELL_INDEX[(0, c)]] for c in range(4)]
+    + [TOKENS["select_unit"][u] for u in range(3)]
+    + [TOKENS["commit"][0], TOKENS["select_probe"][0]]
 )
 
 
@@ -298,7 +299,7 @@ def _constructed_act(rng):
     """``RandomStarcraftPolicy.act`` as it was, building each token."""
     kind = TOKEN_KINDS[int(rng.integers(len(TOKEN_KINDS)))]
     if kind == "commit":
-        return ActionToken.commit()
+        return TOKENS["commit"][0]
     return ActionToken(kind, int(rng.integers(TOKEN_LIMITS[kind])))
 
 
@@ -370,13 +371,13 @@ def test_ambush_message_resets_next_step():
     # wait for an ambush, then advance once more: the message must reflect
     # only the latest step, never a stale hit
     for _ in range(150):
-        feed(world, ActionToken.commit())
+        feed(world, TOKENS["commit"][0])
         if world.ambush_message is not None:
             break
     else:
         pytest.fail("no ambush in 150 steps")
     assert world.ambush_message == 3
-    feed(world, ActionToken.commit())
+    feed(world, TOKENS["commit"][0])
     if world.last_disruption.ambush:
         assert world.ambush_message == 3
     else:
@@ -416,15 +417,39 @@ def test_command_space_circumference():
     assert counts == {"build": 1512, "goto": 108, "train": 576}
 
 
+def _weighted_shapes():
+    """Every token-kind sequence of length 1 to 3 that ``classify_assembly``
+    calls a command, weighted by the tokens each of its kinds offers."""
+    counts = {}
+    for seq in (seq for n in range(1, 4) for seq in itertools.product(TOKEN_KINDS, repeat=n)):
+        shape = classify_assembly([TOKENS[kind][0] for kind in seq])
+        if shape is not None:
+            ways = 1
+            for kind in seq:
+                ways *= len(TOKENS[kind])
+            counts[shape] = counts.get(shape, 0) + ways
+    return counts
+
+
+def test_command_space_walk_counts_every_sequence_the_grammar_classifies():
+    assert enumerate_command_space() == _weighted_shapes()
+
+
+def test_command_space_walk_counts_a_command_added_to_the_grammar(monkeypatch):
+    # a probe then a unit: a hand-listed audit of build, goto and train misses it
+    monkeypatch.setitem(starcraft.GRAMMAR, ("probe", "select_unit"), "escort")
+    counts = enumerate_command_space()
+    assert counts == {"build": 1512, "escort": N_PROBES * N_UNITS, "goto": 108, "train": 576}
+    monkeypatch.setattr(starcraft, "COMMANDS", starcraft.COMMANDS | {"escort"})
+    assert counts == _weighted_shapes()
+
+
 def test_classify_assembly_rejects_malformed():
-    assert classify_assembly([ActionToken.commit()]) is None
-    assert classify_assembly([ActionToken.probe(0), ActionToken.unit(0)]) is None
-    assert (
-        classify_assembly(
-            [ActionToken.probe(0), ActionToken.building(0), ActionToken.coord(0), ActionToken.coord(1)]
-        )
-        is None
-    )
+    assert classify_assembly([TOKENS["commit"][0]]) is None
+    assert classify_assembly([TOKENS["select_probe"][0], TOKENS["select_unit"][0]]) is None
+    probe, building, coord = (TOKENS[kind] for kind in ("select_probe", "select_building",
+                                                           "select_coord"))
+    assert classify_assembly([probe[0], building[0], coord[0], coord[1]]) is None
 
 
 def _chain_classify(tokens):
@@ -648,9 +673,9 @@ def test_observation_hides_the_tree():
 
 def test_token_value_validation():
     with pytest.raises(ValueError):
-        ActionToken.probe(3)
+        ActionToken("select_probe", 3)
     with pytest.raises(ValueError):
-        ActionToken.coord(36)
+        ActionToken("select_coord", 36)
     with pytest.raises(ValueError):
         ActionToken("commit", 1)
     with pytest.raises(ValueError):
