@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import itertools
 import json
 import logging
 import os
@@ -231,9 +232,13 @@ def cmd_run(args) -> int:
             successes.append(episode["end"]["outcome"] == "success")
             yield episode
 
-    # each trace is written as it arrives; none is held until the end
-    with _refused(GenerationError, *_RUN_SPEC), _open_out(args.out) as handle:
-        write_traces(handle, tallied())
+    # each trace is written as it arrives; none is held until the end, but the
+    # first is played before --out is opened, so a refused spec leaves it as it was
+    episodes = tallied()
+    with _refused(GenerationError, *_RUN_SPEC):
+        first = next(episodes)
+        with _open_out(args.out) as handle:
+            write_traces(handle, itertools.chain((first,), episodes))
     wins = sum(successes)
     print(f"episodes={len(successes)} successes={wins} rate={wins / len(successes):.4f}",
           file=sys.stderr)

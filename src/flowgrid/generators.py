@@ -201,37 +201,32 @@ def assemble_starcraft(rng: Draws, tree: BuildTree, max_len: int) -> tuple:
     building line is not the unit's producer, the producer is re-listed so
     the adjacency encoding stays unambiguous.
     """
-    listed = {NEXUS}
     tail = NEXUS  # building a unit line appended now would attach to
     lines: List[ScLine] = []
-    chosen = set()
+    # each unused unit's producer and the unlisted part of its chain, in unit
+    # order; those parts shrink only when a pick lists buildings
+    unused = {unit: (producer, [b for b in tree.chain(producer) if b != NEXUS])
+              for unit, producer in sorted(tree.producer.items())}
     remaining = max_len
-    while remaining > 0 and len(chosen) < N_UNITS:
+    while remaining > 0 and unused:
         candidates = []
-        for unit in range(N_UNITS):
-            if unit in chosen:
-                continue
-            producer = tree.producer[unit]
-            unlisted = [b for b in tree.chain(producer) if b not in listed]
-            if unlisted:
-                cost = len(unlisted) + 1
-            else:
-                cost = 1 if tail == producer else 2
+        for unit, (producer, unlisted) in unused.items():
+            cost = len(unlisted) + 1 if unlisted else 1 if tail == producer else 2
             if cost <= remaining:
-                candidates.append((unit, producer, unlisted, cost))
+                candidates.append((unit, cost))
         if not candidates:
             break
-        unit, producer, unlisted, cost = candidates[rng.integers(len(candidates))]
+        unit, cost = candidates[rng.integers(len(candidates))]
+        producer, unlisted = unused.pop(unit)
         if unlisted:
-            for building in unlisted:
-                lines.append(ScLine.building(building))
-                listed.add(building)
+            lines += map(ScLine.building, unlisted)
             tail = unlisted[-1]
+            unused = {u: (p, [b for b in part if b not in unlisted])
+                      for u, (p, part) in unused.items()}
         elif tail != producer:
             lines.append(ScLine.building(producer))
             tail = producer
         lines.append(ScLine.unit(unit))
-        chosen.add(unit)
         remaining -= cost
     return tuple(lines)
 

@@ -122,6 +122,14 @@ class OracleMinecraftPolicy(Policy):
         return Command(line.verb, line.target)
 
 
+def _head_plan(tree, required, alive_buildings, alive_units: dict) -> list:
+    """``sc_plan`` for the first required unit not alive, whose commands lead
+    the plan for all of ``required``; empty when every one is alive."""
+    first = next((i for i, unit in enumerate(required) if alive_units.get(unit, 0) <= 0),
+                 len(required))
+    return sc_plan(tree, required[first:first + 1], alive_buildings, alive_units)
+
+
 class OracleStarcraftPolicy(Policy):
     """Plans from the world's true technology tree and never emits no-ops.
 
@@ -145,7 +153,7 @@ class OracleStarcraftPolicy(Policy):
 
     def _decide(self, world) -> List[ActionToken]:
         tokens, grid = starcraft.TOKENS, world.grid
-        plan = sc_plan(world.tree, world.required, grid.values(), world.units)
+        plan = _head_plan(world.tree, world.required, grid.values(), world.units)
         if plan:
             head = plan[0]
             if head.op == "build":

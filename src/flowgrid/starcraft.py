@@ -15,7 +15,6 @@ instruction line.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from string import hexdigits
@@ -146,7 +145,8 @@ class StarcraftWorld:
     last_disruption: Optional[DisruptionReport] = None
     endowment: int = 0
     pc = None  # a build order has no program counter
-    _digest_grid = None  # the grid items that digest() last laid out, as _digest_rows
+    _digest_grid = None  # a copy of the grid that digest() last laid out, as _digest_rows
+    _digest_units = None  # and of the units, as _digest_unit_text
 
     def __post_init__(self):
         self.required = tuple(
@@ -183,8 +183,11 @@ class StarcraftWorld:
 
     @cached_property
     def _tree_json(self) -> str:
-        # the tree never changes, so digest() encodes it once
-        return json.dumps(self._tree_snapshot(), sort_keys=True, separators=(",", ":"))
+        # the tree never changes, so digest() lays it out once, its keys in
+        # sort_keys' string order ("10" before "2")
+        maps = tuple("{%s}" % ",".join('"%d":%d' % (k, m[k]) for k in sorted(m, key=str))
+                     for m in (self.tree.prerequisite, self.tree.producer))
+        return '{"hidden":true,"prerequisite":%s,"producer":%s}' % maps
 
     def snapshot(self) -> dict:
         return {
@@ -202,16 +205,18 @@ class StarcraftWorld:
 
     def digest(self) -> str:
         """sha256 of snapshot() as sort_keys JSON, laid out here key by key."""
-        grid = tuple(self.grid.items())  # the grid rows are joined again only when this moves
-        if grid != self._digest_grid:
-            self._digest_grid, self._digest_rows = grid, '","'.join(self._grid_rows())
-        units = ",".join('"%s":%d' % pair for pair in sorted(
-            (UNIT_NAMES[u], n) for u, n in self.units.items() if n > 0))
+        if self.grid != self._digest_grid:  # the grid rows are joined again only when it moves
+            self._digest_grid, self._digest_rows = dict(self.grid), '","'.join(self._grid_rows())
+        if self.units != self._digest_units:
+            self._digest_units, self._digest_unit_text = dict(self.units), ",".join(
+                '"%s":%d' % pair for pair in sorted(
+                    (UNIT_NAMES[u], n) for u, n in self.units.items() if n > 0))
         (r0, c0), (r1, c1), (r2, c2) = self.probes
         blob = ('{"grid":["%s"],"probes":[[%d,%d],[%d,%d],[%d,%d]],"seed":%s,"step":%d,'
                 '"tree":%s,"units":{%s}}') % (
             self._digest_rows, r0, c0, r1, c1, r2, c2,
-            "null" if self.seed is None else self.seed, self.step_count, self._tree_json, units)
+            "null" if self.seed is None else self.seed, self.step_count, self._tree_json,
+            self._digest_unit_text)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
     def render(self) -> str:

@@ -539,6 +539,25 @@ def test_unreachable_starcraft_lengths_are_a_usage_error_like_gen(tmp_path, comm
     assert err == "error: no starcraft instruction of 41-50 lines in 1000 draws; lower --min-len\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "--min-len", "41", "--max-len", "50"),
+        ("run", "--min-len", "41", "--max-len", "50", "--episodes", "2"),
+        ("run", "--min-len", "41", "--max-len", "50", "--episodes", "2", "--jobs", "2"),
+        ("eval", "--bins", "41-50", "--episodes-per-bin", "2"),
+    ],
+    ids=["gen", "run", "run-jobs2", "eval"],
+)
+def test_refused_starcraft_lengths_leave_a_filled_out_file_as_it_was(tmp_path, argv):
+    out = tmp_path / "out"
+    out.write_bytes(b"held before the refusal\n")
+    code, _, err = run_cli(*argv, "--domain", "starcraft", "--out", str(out))
+    assert code == EXIT_USAGE
+    assert err == "error: no starcraft instruction of 41-50 lines in 1000 draws; lower --min-len\n"
+    assert out.read_bytes() == b"held before the refusal\n"
+
+
 def test_no_world_for_any_drawn_instruction_still_fails_verification(monkeypatch):
     def infeasible(*args, **kwargs):
         raise harness.SpawnInfeasible("no placement")

@@ -38,8 +38,9 @@ from flowgrid.harness import (
 )
 from flowgrid import harness
 from flowgrid.evaluate import evaluate, longjump_sweep, write_csv
-from flowgrid.generators import gen_longjump
-from flowgrid.instructions import RESOURCES, VERBS
+from flowgrid.generators import gen_build_tree, gen_longjump
+from flowgrid.instructions import N_BUILDINGS, N_UNITS, RESOURCES, VERBS
+from flowgrid.interpreter import sc_plan
 from flowgrid.minecraft import Command, spawn_longjump
 from flowgrid.rngtools import draws
 from flowgrid.starcraft import TOKENS
@@ -388,6 +389,25 @@ def test_benchmark_spans_install_finds_every_name_it_wraps():
     assert result.returncode == 0, result.stderr
 
 
+def test_a_starcraft_oracle_episode_calls_the_names_the_benchmark_times(monkeypatch):
+    """bench/spans.py times the oracle's planning at ``harness.sc_plan`` and the digest
+    at ``StarcraftWorld.digest``; an episode that stops calling either would read 0."""
+    calls = {"sc_plan": 0, "digest": 0}
+
+    def counting(name, fn):
+        def stand_in(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return stand_in
+
+    monkeypatch.setattr(harness, "sc_plan", counting("sc_plan", harness.sc_plan))
+    monkeypatch.setattr(harness.starcraft.StarcraftWorld, "digest",
+                        counting("digest", harness.starcraft.StarcraftWorld.digest))
+    steps = run_episode(SC_SPEC, "oracle", 0)["steps"]
+    assert calls["sc_plan"] > 0
+    assert calls["digest"] == sum(step["digest"] is not None for step in steps) > 0
+
+
 # --- policies -----------------------------------------------------------------------
 
 
@@ -503,6 +523,28 @@ def test_play_world_ends_where_drive_world_does(domain, policy_name, max_jump, w
         play(world, policy.build(seed))
         ends.append((world.cause, world.reward, world.step_count, world.digest()))
     assert ends[0] == ends[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tree_seed=st.integers(0, 2**32),
+    max_depth=st.none() | st.integers(1, 6),
+    required=st.lists(st.integers(0, N_UNITS - 1), max_size=N_UNITS),
+    # any subset may stand: a destroyed prerequisite under a standing building too
+    buildings=st.lists(st.integers(0, N_BUILDINGS - 1)),
+    # an ambushed unit has no entry, or a count of 0 in a hand-made world: not alive
+    units=st.dictionaries(st.integers(0, N_UNITS - 1), st.integers(0, 3)),
+)
+def test_the_starcraft_oracle_plans_the_head_of_the_full_plan(
+    tree_seed, max_depth, required, buildings, units
+):
+    tree = gen_build_tree(draws(tree_seed, "tree"), max_depth)
+    required = tuple(required)
+    full = sc_plan(tree, required, buildings, units)
+    head = harness._head_plan(tree, required, buildings, units)
+    assert bool(head) == bool(full)
+    if full:
+        assert head[0] == full[0]
 
 
 def test_random_policies_emit_valid_actions():

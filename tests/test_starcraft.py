@@ -685,6 +685,11 @@ def test_token_value_validation():
 # --- digest -------------------------------------------------------------------------
 
 
+def _snapshot_digest(world):
+    blob = json.dumps(world.snapshot(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     tree_seed=st.integers(0, 2**32),
@@ -706,17 +711,11 @@ def test_digest_is_hash_of_sorted_snapshot_json_on_any_state(
         step_count=step,
         seed=seed,
     )
-    blob = json.dumps(world.snapshot(), sort_keys=True, separators=(",", ":"))
-    assert world.digest() == hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+    assert world.digest() == _snapshot_digest(world)
 
 
 def test_digest_follows_in_place_grid_edits():
     world = simple_world()
-
-    def snapshot_digest():
-        blob = json.dumps(world.snapshot(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
     digests = [world.digest()]
     for edit in ("add", "replace", "delete"):
         if edit == "delete":
@@ -724,8 +723,49 @@ def test_digest_follows_in_place_grid_edits():
         else:
             world.grid[(3, 4)] = 1 if edit == "add" else 2
         digests.append(world.digest())
-        assert digests[-1] == snapshot_digest()
+        assert digests[-1] == _snapshot_digest(world)
     assert len(set(digests)) == 3 and digests[0] == digests[-1]
+
+
+def test_digest_follows_in_place_unit_edits():
+    world = simple_world()
+    digests = [world.digest()]
+    for edit in ("add", "bump", "zero", "delete"):
+        if edit == "delete":
+            del world.units[3]
+        else:
+            world.units[3] = {"add": 1, "bump": 2, "zero": 0}[edit]
+        digests.append(world.digest())
+        assert digests[-1] == _snapshot_digest(world)
+    # a count of 0 lays out as no unit at all
+    assert len(set(digests)) == 3 and digests[0] == digests[3] == digests[4]
+
+
+_IN_PLACE_EDITS = (
+    st.tuples(st.just("grid"), st.sampled_from(CELLS), st.none() | st.integers(0, N_BUILDINGS - 1))
+    | st.tuples(st.just("units"), st.integers(0, N_UNITS - 1), st.none() | st.integers(0, 3))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree_seed=st.integers(0, 2**32), edits=st.lists(_IN_PLACE_EDITS, max_size=40))
+def test_digest_follows_any_run_of_in_place_edits_on_one_world(tree_seed, edits):
+    """Each edit sets (or, with None, deletes) one grid cell or unit count, and the
+    digest after it is laid out partly from what the digest before it kept."""
+    world = StarcraftWorld(
+        tree=gen_build_tree(draws(tree_seed, "tree")),
+        instruction=Instruction((ScLine.unit(0),)),
+        grid={},
+        probes=[CELLS[0]] * N_PROBES,
+    )
+    assert world.digest() == _snapshot_digest(world)
+    for field, key, value in edits:
+        mapping = getattr(world, field)
+        if value is None:
+            mapping.pop(key, None)
+        else:
+            mapping[key] = value
+        assert world.digest() == _snapshot_digest(world)
 
 
 def _snapshot_render(world):
