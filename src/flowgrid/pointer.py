@@ -34,6 +34,10 @@ ORACLE_TOL = 1e-12
 GRADIENT_TOL = 1e-4
 FD_STEP = 1e-6  # logit bump of the central finite differences
 REL_ERR_FLOOR = 1e-8  # gradient_sweep skips jacobian entries below this in both forms
+# the sweeps check columns of one length a stack at a time: at most this many
+# oracle columns, and at most this many jacobian entries (4 columns at L = 25)
+ORACLE_BATCH = 32
+GRADIENT_BATCH = 10_000
 
 
 def deltas(length: int) -> np.ndarray:
@@ -74,9 +78,10 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _check_sigmas(sigmas) -> np.ndarray:
-    s = np.asarray(sigmas, dtype=np.float64)
-    if s.ndim != 1 or s.size == 0 or s.size % 2:
-        raise ValueError("sigma vector must have even positive length")
+    # a column, or a stack along the last axis, contiguous so each sums as one column does
+    s = np.ascontiguousarray(sigmas, dtype=np.float64)
+    if s.shape[-1] == 0 or s.shape[-1] % 2:
+        raise ValueError("sigma columns must have even positive length")
     if not np.all((s >= 0.0) & (s <= 1.0)):
         raise ValueError("sigmas must lie in [0, 1]")
     return s
@@ -124,19 +129,22 @@ def _rule(mode: str):
     return _RULES[mode]
 
 
-def scan_column(sigmas, mode: str = STOP_PROCESS) -> Tuple[np.ndarray, float]:
-    """Delta distribution for one column of heads-probabilities.
+def scan_column(sigmas, mode: str = STOP_PROCESS) -> Tuple[np.ndarray, float | np.ndarray]:
+    """Delta distribution for one column of heads-probabilities, or a (k, 2L) stack.
 
-    Returns (probabilities indexed by row, residual no-move mass).
+    Returns (probabilities indexed by row, residual no-move mass); the
+    residual is a float for one column and an array for a stack.
     """
     s = _check_sigmas(sigmas)
     probs, residual = _rule(mode)(s)
-    return probs, float(residual)
+    return probs, float(residual) if s.ndim == 1 else residual
 
 
 def brute_force_oracle(sigmas) -> Tuple[np.ndarray, float]:
     """Literal sequential simulation of the stop process, one coin at a time."""
     s = _check_sigmas(sigmas)
+    if s.ndim != 1:
+        raise ValueError("the oracles take one column at a time")
     length = s.size // 2
     probs = [0.0] * s.size
     not_stopped = 1.0
@@ -149,6 +157,8 @@ def brute_force_oracle(sigmas) -> Tuple[np.ndarray, float]:
 def product_rule_oracle(sigmas) -> Tuple[np.ndarray, float]:
     """Direct per-delta evaluation of the exactly-one-heads rule."""
     s = _check_sigmas(sigmas)
+    if s.ndim != 1:
+        raise ValueError("the oracles take one column at a time")
     probs = np.empty_like(s)
     for i in range(s.size):
         product = 1.0
@@ -275,16 +285,16 @@ def update_pointer(position: int, gate: int, delta: int, length: int) -> int:
 
 
 def _check_logits(logits) -> np.ndarray:
-    h = np.asarray(logits, dtype=np.float64)
-    if h.ndim != 1 or h.size == 0 or h.size % 2:
-        raise ValueError("logit vector must have even positive length")
+    h = np.ascontiguousarray(logits, dtype=np.float64)
+    if h.shape[-1] == 0 or h.shape[-1] % 2:
+        raise ValueError("logit columns must have even positive length")
     if np.isnan(h).any():
         raise ValueError("logits must not be NaN")
     return h
 
 
 def scan_jacobian(logits) -> np.ndarray:
-    """d probs / d logits for one column under the stop process.
+    """d probs / d logits for one column or a (k, 2L) stack under the stop process.
 
     With sigmas s in scan order and P_m = s_m * prod_{j<m}(1 - s_j):
     dP_m/dh_m = (1 - s_m) P_m, dP_m/dh_k = -s_k P_m for k earlier in the
@@ -292,32 +302,59 @@ def scan_jacobian(logits) -> np.ndarray:
     so saturated sigmas stay exact.  Rows and columns use row indexing.
     """
     h = _check_logits(logits)
-    order = scan_order(h.size // 2)
+    order = scan_order(h.shape[-1] // 2)
     s = sigmoid(h)
-    so = s[order]
-    p = _stop_process(s)[0][order]
-    jac = np.tril(-np.outer(p, so), -1)
-    np.fill_diagonal(jac, (1.0 - so) * p)
-    out = np.empty((h.size, h.size))
-    out[np.ix_(order, order)] = jac
+    so = s[..., order]
+    p = _stop_process(s)[0][..., order]
+    jac = np.tril(-(p[..., :, None] * so[..., None, :]), -1)
+    diagonal = np.arange(order.size)
+    jac[..., diagonal, diagonal] = (1.0 - so) * p
+    out = np.empty(jac.shape)
+    out[..., order[:, None], order] = jac
     return out
 
 
 def finite_difference_jacobian(logits) -> np.ndarray:
     """Central finite differences of the stop process wrt each logit.
 
-    Row k of each batch bumps logit k alone, so column k of the result is
-    the difference quotient for logit k.  Takes O(L^2) memory, as the
-    jacobian itself does.
+    Row k of each column's batch bumps logit k alone, so column k of the
+    result is the difference quotient for logit k.  Takes O(L^2) memory a
+    column, as the jacobian itself does.
     """
-    h = _check_logits(logits)
-    bump = np.eye(h.size) * FD_STEP
+    h = _check_logits(logits)[..., None, :]
+    bump = np.eye(h.shape[-1]) * FD_STEP
     high, _ = _stop_process(sigmoid(h + bump))
     low, _ = _stop_process(sigmoid(h - bump))
-    return (high.T - low.T) / (2.0 * FD_STEP)
+    return (high - low).swapaxes(-1, -2) / (2.0 * FD_STEP)
 
 
 # --- verification sweeps ------------------------------------------------------------
+
+
+def _batched(rng: Draws, trials: int, max_len: int, draw, size, check) -> list:
+    """Per-trial rows of ``trials`` random columns, checked a stack at a time.
+
+    Each trial draws its length, then its ``draw(2 * length)`` column, which
+    waits in its length's bucket until ``size(length)`` are there or the draws
+    end; ``check`` gives one row per column of the bucket's (k, 2L) stack."""
+    rows = [None] * trials
+    buckets = {}
+
+    def flush(length):
+        indices, columns = buckets.pop(length)
+        for trial, row in zip(indices, check(np.array(columns))):
+            rows[trial] = {"trial": trial, "length": length, **row}
+
+    for trial in range(trials):
+        length = rng.integers(1, max_len + 1)
+        indices, columns = buckets.setdefault(length, ([], []))
+        indices.append(trial)
+        columns.append(draw(2 * length))
+        if len(columns) == size(length):
+            flush(length)
+    for length in list(buckets):
+        flush(length)
+    return rows
 
 
 def oracle_sweep(rng: Draws, trials: int, max_len: int, mode: str = STOP_PROCESS) -> dict:
@@ -325,30 +362,24 @@ def oracle_sweep(rng: Draws, trials: int, max_len: int, mode: str = STOP_PROCESS
 
     Returns per-trial rows and overall maxima for the probability
     difference, normalisation error, and (stop mode) residual-product error.
+    The kernel takes each stack whole; the oracle takes one column a call.
     """
     oracle = brute_force_oracle if mode == STOP_PROCESS else product_rule_oracle
-    rows = []
-    for trial in range(trials):
-        length = rng.integers(1, max_len + 1)
-        sigmas = rng.random(2 * length)
+
+    def check(sigmas):
         probs, residual = scan_column(sigmas, mode)
-        ref_probs, ref_residual = oracle(sigmas)
-        prob_diff = float(np.max(np.abs(probs - ref_probs)))
-        prob_diff = max(prob_diff, abs(residual - ref_residual))
-        norm_err = abs(probs.sum() + residual - 1.0)
-        if mode == STOP_PROCESS:
-            residual_err = abs(residual - float(np.prod(1.0 - sigmas)))
-        else:
-            residual_err = 0.0
-        rows.append(
-            {
-                "trial": trial,
-                "length": length,
-                "max_abs_diff": prob_diff,
-                "norm_err": norm_err,
-                "residual_err": residual_err,
+        refs = [oracle(column) for column in sigmas]
+        prob_diff = np.max(np.abs(probs - np.array([ref for ref, _ in refs])), axis=-1)
+        norm_err = np.abs(probs.sum(axis=-1) + residual - 1.0)
+        residual_err = np.abs(residual - np.prod(1.0 - sigmas, axis=-1))
+        for i, (_, ref_residual) in enumerate(refs):
+            yield {
+                "max_abs_diff": max(float(prob_diff[i]), abs(float(residual[i]) - ref_residual)),
+                "norm_err": norm_err[i],
+                "residual_err": float(residual_err[i]) if mode == STOP_PROCESS else 0.0,
             }
-        )
+
+    rows = _batched(rng, trials, max_len, rng.random, lambda length: ORACLE_BATCH, check)
     return {
         "rows": rows,
         "max_abs_diff": max((row["max_abs_diff"] for row in rows), default=0.0),
@@ -360,24 +391,19 @@ def oracle_sweep(rng: Draws, trials: int, max_len: int, mode: str = STOP_PROCESS
 def gradient_sweep(rng: Draws, trials: int, max_len: int) -> dict:
     """Analytic-versus-numeric jacobian errors on random logit columns.
 
-    Logits are drawn from a moderate range so the finite differences stay
-    well conditioned; entries below ``REL_ERR_FLOOR`` in both jacobians are
-    skipped.
+    Logits are drawn from (-4, 4), bit for bit numpy's uniform, so the finite
+    differences stay well conditioned; entries below ``REL_ERR_FLOOR`` in both
+    jacobians are skipped.
     """
-    rows = []
-    for trial in range(trials):
-        length = rng.integers(1, max_len + 1)
-        logits = -4.0 + 8.0 * rng.random(2 * length)  # numpy's uniform(-4, 4), bit for bit
-        analytic = scan_jacobian(logits)
-        numeric = finite_difference_jacobian(logits)
+
+    def check(logits):
+        analytic, numeric = scan_jacobian(logits), finite_difference_jacobian(logits)
         scale = np.maximum(np.abs(analytic), np.abs(numeric))
-        mask = scale > REL_ERR_FLOOR
-        if mask.any():
-            rel = float(
-                np.max(np.abs(analytic[mask] - numeric[mask]) / scale[mask])
-            )
-        else:
-            rel = 0.0
-        rows.append({"trial": trial, "length": length, "max_rel_err": rel})
+        rel = np.divide(np.abs(analytic - numeric), scale, out=np.zeros_like(scale),
+                        where=scale > REL_ERR_FLOOR)
+        return [{"max_rel_err": float(worst)} for worst in rel.max(axis=(-2, -1))]
+
+    rows = _batched(rng, trials, max_len, lambda size: -4.0 + 8.0 * rng.random(size),
+                    lambda length: max(1, GRADIENT_BATCH // (2 * length) ** 2), check)
     worst = max((row["max_rel_err"] for row in rows), default=0.0)
     return {"rows": rows, "max_rel_err": worst}

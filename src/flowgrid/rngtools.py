@@ -127,6 +127,8 @@ class Draws:
 
     def _sized(self, low: int, n: int, size: int) -> list:
         """``size`` draws from ``range(low, low + n)``, n a power of two below 2**32."""
+        if size < 0:  # refused before any draw, as numpy refuses it
+            raise ValueError("negative dimensions are not allowed")
         bits = n.bit_length() - 1
         if n < 2 or n & (n - 1) or bits >= 32:
             raise ValueError(f"a sized draw needs a power-of-two range in [2, 2**31], not {n}")
@@ -173,7 +175,17 @@ class Draws:
     def random(self, size: Optional[int] = None):
         if size is None:
             return (self._word() >> 11) * 2.0 ** -53
-        return (np.array([self._word() for _ in range(size)], np.uint64) >> 11) * 2.0 ** -53
+        if size < 0:
+            raise ValueError("negative dimensions are not allowed")
+        out = []
+        while len(out) < size:  # whole words, by slices of the block; the saved half stays
+            if not self._words:
+                self._words = _block(self._key, self._block)
+                self._block += 1
+            words, take = self._words, min(size - len(out), len(self._words))
+            out += words[:-take - 1:-1]
+            del words[-take:]
+        return (np.array(out, np.uint64) >> 11) * 2.0 ** -53
 
     def permutation(self, n: int) -> list:
         """numpy's Fisher-Yates shuffle of ``range(n)``, as a list."""

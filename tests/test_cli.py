@@ -991,10 +991,11 @@ _JSON_VALUES = st.recursive(
 )
 
 
-def _config_edit(data) -> bytes:
-    """The base config's JSON with one value replaced, one key deleted, one
-    unknown key added (no option's dest holds a capital), or one byte changed."""
-    config = dict(_BASE_CONFIG)
+def _config_edit(data, base=_BASE_CONFIG) -> bytes:
+    """The JSON of ``base`` with one value replaced, one key deleted, one
+    unknown key added (no option's dest or parameter holds a capital), or one
+    byte changed."""
+    config = dict(base)
     edit = data.draw(st.sampled_from(["replace", "delete", "add", "byte"]), label="edit")
     if edit == "replace":
         config[data.draw(st.sampled_from(sorted(config)), label="key")] = data.draw(_JSON_VALUES)
@@ -1037,6 +1038,52 @@ def test_every_single_edit_of_a_config_runs_as_its_flags_or_blames_the_file(tmp_
         code, _, err = run_cli(command, "--domain", "minecraft", *flags, "--out", str(flagged))
         assert code == EXIT_OK, err
         assert out.read_bytes() == flagged.read_bytes()
+
+
+# --- single edits of a scripted: params file ---------------------------------------------
+
+_BASE_PARAMS = {"max_jump": 2, "walk": False}
+# max_jump 1 to 5 and walk each change this command's table
+_LONGJUMP = ("eval", "--domain", "minecraft", "--longjump", "--block-min", "1", "--block-max",
+             "3", "--episodes-per-bin", "2", "--seed", "1")
+
+
+def _params_values(raw: bytes):
+    """The max_jump and walk that params file ``raw`` gives, or None for a
+    file that must be refused."""
+    try:
+        params = json.loads(raw.decode("utf-8"))
+    except ValueError:
+        return None
+    if not isinstance(params, dict) or params.keys() - _BASE_PARAMS.keys():
+        return None
+    values = {"max_jump": params.get("max_jump", 1), "walk": params.get("walk", False)}
+    if type(values["max_jump"]) is not int or values["max_jump"] < 1:
+        return None
+    return values if type(values["walk"]) is bool else None
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_every_single_edit_of_scripted_params_runs_as_its_values_or_blames_the_file(
+        tmp_path_factory, data):
+    raw = _config_edit(data, _BASE_PARAMS)
+    root = tmp_path_factory.mktemp("params")
+    path, out = root / "params.json", root / "edited.csv"
+    path.write_bytes(raw)
+    code, stdout, err = run_cli(*_LONGJUMP, "--policy", f"scripted:{path}", "--out", str(out))
+    values = _params_values(raw)
+    if values is None:
+        assert code == EXIT_IO, err
+        assert err.startswith("error:") and str(path) in err and len(err.splitlines()) == 1, err
+        assert stdout == "" and not out.exists()
+        return
+    assert code == EXIT_OK, err
+    path.write_text(json.dumps(values))
+    canonical = root / "canonical.csv"
+    assert run_cli(*_LONGJUMP, "--policy", f"scripted:{path}", "--out", str(canonical)) == (
+        EXIT_OK, stdout, err)
+    assert out.read_bytes() == canonical.read_bytes()
 
 
 def test_every_command_prints_its_help(capsys):

@@ -5,6 +5,9 @@ hand: P(scan position m) = sigma_m * prod of earlier tails, in the fixed
 order +1, -1, +2, -2, ...
 """
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from flowgrid import pointer
+from flowgrid.cli import EXIT_OK, main
 from flowgrid.pointer import (
     EdgeChoice,
     MovementDistribution,
@@ -149,6 +153,9 @@ def test_sigma_validation():
         scan_column([])
     with pytest.raises(ValueError):
         scan_column([0.5, 1.5])
+    for oracle in (brute_force_oracle, product_rule_oracle):  # one column a call
+        with pytest.raises(ValueError):
+            oracle(np.full((2, 4), 0.5))
 
 
 # --- matrix form -------------------------------------------------------------------
@@ -336,6 +343,29 @@ def test_batched_stop_process_is_bitwise_per_column(logits, pin):
     assert finite_difference_jacobian(h).tobytes() == _finite_difference_reference(h).tobytes()
 
 
+@given(length=st.integers(1, 25), batch=st.integers(1, 8), mode=st.sampled_from(pointer.MODES),
+       seed=st.integers(0, 2**32 - 1), pins=st.lists(st.booleans(), max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_stacks_give_the_bits_of_column_by_column_calls(length, batch, mode, seed, pins):
+    rng = np.random.default_rng(seed)
+    logits = rng.uniform(-6.0, 6.0, size=(batch, 2 * length))
+    for pin in pins:  # logits of +-800 give sigmas of exactly 1 and 0
+        logits[rng.integers(batch), rng.integers(2 * length)] = 800.0 if pin else -800.0
+    sigmas = sigmoid(logits)
+    assert set(sigmas[logits == 800.0]) <= {1.0} and set(sigmas[logits == -800.0]) <= {0.0}
+    probs, residual = scan_column(sigmas, mode)
+    analytic, numeric = scan_jacobian(logits), finite_difference_jacobian(logits)
+    assert residual.shape == (batch,) and analytic.shape == numeric.shape == (batch,) + 2 * (
+        2 * length,)
+    for row in range(batch):
+        column_probs, column_residual = scan_column(sigmas[row], mode)
+        assert type(column_residual) is float
+        assert probs[row].tobytes() == column_probs.tobytes()
+        assert residual[row].tobytes() == np.float64(column_residual).tobytes()
+        assert analytic[row].tobytes() == scan_jacobian(logits[row]).tobytes()
+        assert numeric[row].tobytes() == finite_difference_jacobian(logits[row]).tobytes()
+
+
 # --- mixing and sampling ------------------------------------------------------------
 
 
@@ -429,3 +459,102 @@ def test_sweeps_report_tight_errors():
     gradient = pointer.gradient_sweep(rng, trials=20, max_len=10)
     assert gradient["max_rel_err"] < pointer.GRADIENT_TOL
     assert len(oracle["rows"]) == 50 and len(gradient["rows"]) == 20
+
+
+# --- batched sweeps against the per-trial loops they replaced ------------------------
+#
+# These are the sweep bodies from before the sweeps checked columns a stack at a
+# time.  scan-check writes str() of each value to its tables, so the batched
+# sweeps must give the same values of the same types, in trial order, and leave
+# the reader where these leave it.
+
+
+def _oracle_sweep_reference(rng, trials, max_len, mode=pointer.STOP_PROCESS):
+    oracle = brute_force_oracle if mode == pointer.STOP_PROCESS else product_rule_oracle
+    rows = []
+    for trial in range(trials):
+        length = rng.integers(1, max_len + 1)
+        sigmas = rng.random(2 * length)
+        probs, residual = scan_column(sigmas, mode)
+        ref_probs, ref_residual = oracle(sigmas)
+        prob_diff = float(np.max(np.abs(probs - ref_probs)))
+        prob_diff = max(prob_diff, abs(residual - ref_residual))
+        norm_err = abs(probs.sum() + residual - 1.0)
+        if mode == pointer.STOP_PROCESS:
+            residual_err = abs(residual - float(np.prod(1.0 - sigmas)))
+        else:
+            residual_err = 0.0
+        rows.append(
+            {
+                "trial": trial,
+                "length": length,
+                "max_abs_diff": prob_diff,
+                "norm_err": norm_err,
+                "residual_err": residual_err,
+            }
+        )
+    return {
+        "rows": rows,
+        "max_abs_diff": max((row["max_abs_diff"] for row in rows), default=0.0),
+        "max_norm_err": max((row["norm_err"] for row in rows), default=0.0),
+        "max_residual_err": max((row["residual_err"] for row in rows), default=0.0),
+    }
+
+
+def _gradient_sweep_reference(rng, trials, max_len):
+    rows = []
+    for trial in range(trials):
+        length = rng.integers(1, max_len + 1)
+        logits = -4.0 + 8.0 * rng.random(2 * length)
+        analytic = scan_jacobian(logits)
+        numeric = finite_difference_jacobian(logits)
+        scale = np.maximum(np.abs(analytic), np.abs(numeric))
+        mask = scale > pointer.REL_ERR_FLOOR
+        if mask.any():
+            rel = float(
+                np.max(np.abs(analytic[mask] - numeric[mask]) / scale[mask])
+            )
+        else:
+            rel = 0.0
+        rows.append({"trial": trial, "length": length, "max_rel_err": rel})
+    worst = max((row["max_rel_err"] for row in rows), default=0.0)
+    return {"rows": rows, "max_rel_err": worst}
+
+
+def _typed(value):
+    """``value`` with each number beside its type: 0.0 == np.float64(0.0)."""
+    if isinstance(value, dict):
+        return {key: _typed(inner) for key, inner in value.items()}
+    if isinstance(value, list):
+        return [_typed(inner) for inner in value]
+    return type(value), value
+
+
+@given(seed=st.integers(0, 2**32), trials=st.integers(1, 200), max_len=st.integers(1, 30),
+       mode=st.sampled_from(pointer.MODES))
+@settings(max_examples=100, deadline=None)
+def test_batched_sweeps_equal_the_per_trial_loops(seed, trials, max_len, mode):
+    mine, theirs = draws(seed, "sweeps"), draws(seed, "sweeps")
+    assert _typed(pointer.oracle_sweep(mine, trials, max_len, mode)) == _typed(
+        _oracle_sweep_reference(theirs, trials, max_len, mode))
+    assert mine.random() == theirs.random()
+    assert _typed(pointer.gradient_sweep(mine, trials // 4, max_len)) == _typed(
+        _gradient_sweep_reference(theirs, trials // 4, max_len))
+    assert mine.integers(2**32) == theirs.integers(2**32)
+
+
+def test_scan_check_calls_each_traced_kernel_name(monkeypatch):
+    # the benchmark times the kernel by wrapping these module names; a sweep
+    # that stopped calling one would leave that layer reading 0
+    calls = dict.fromkeys(("scan_column", "brute_force_oracle", "scan_jacobian",
+                           "finite_difference_jacobian"), 0)
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(pointer, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(pointer, name, counting)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["scan-check", "--trials", "150", "--grad-trials", "12", "--seed", "3"])
+    assert code == EXIT_OK and out.getvalue().endswith("PASS\n")
+    assert min(calls.values()) >= 1, calls
+    assert calls["brute_force_oracle"] == 150

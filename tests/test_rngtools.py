@@ -94,6 +94,25 @@ def test_sized_draw_of_a_range_that_is_no_power_of_two_below_2_32_is_refused(low
         draws(0, "sized").integers(low, high, size=4)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda r: r.integers(0, 4, size=-1), lambda r: r.integers(0, 4, size=-3),
+     lambda r: r.random(-3)],
+    ids=["integers-1", "integers-3", "random-3"],
+)
+@pytest.mark.parametrize("carried", [False, True], ids=["whole", "half-saved"])
+def test_negative_sizes_are_refused_like_numpy_before_any_draw(call, carried):
+    reader, fresh = draws(0, "negative"), draws(0, "negative")
+    if carried:  # a saved half stays saved
+        assert reader.integers(7) == fresh.integers(7)
+    with pytest.raises(ValueError, match="negative dimensions are not allowed"):
+        call(substream(0, "negative"))
+    with pytest.raises(ValueError, match="negative dimensions are not allowed"):
+        call(reader)
+    assert reader.integers(2**32) == fresh.integers(2**32)
+    assert reader.random() == fresh.random()
+
+
 def _stream(seed: int, reader) -> list:
     out = []
     for i in range(3 * BLOCK):
