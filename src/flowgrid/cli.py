@@ -309,7 +309,7 @@ def cmd_replay(args) -> int:
             log.info("episode %d replayed: %s", replayed, episode["header"]["seed"])
             replayed += 1
     if not replayed:
-        print("error: trace holds no episodes", file=sys.stderr)
+        print(f"error: trace {args.trace} holds no episodes", file=sys.stderr)
         return EXIT_IO
     print(f"replay ok: {replayed} episode(s) verified", file=sys.stderr)
     return EXIT_OK
@@ -500,8 +500,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             try:
                 with open(known.config, "r", encoding="utf-8") as handle:
                     defaults = json.load(handle)
-            except (OSError, ValueError) as exc:  # ValueError: not JSON, not UTF-8
-                print(f"error: cannot read config: {exc}", file=sys.stderr)
+            # ValueError: not JSON, not UTF-8, an over-long integer; RecursionError: nested too deep
+            except (OSError, ValueError, RecursionError) as exc:
+                print(f"error: cannot read config {known.config}: {exc}", file=sys.stderr)
                 return EXIT_IO
         try:
             if not isinstance(defaults, dict):
@@ -525,7 +526,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TraceFormatError as exc:
-        print(f"error: malformed trace: {exc}", file=sys.stderr)
+        print(f"error: malformed trace {args.trace}: {exc}", file=sys.stderr)  # from replay
         return EXIT_IO
     except PolicyParamsError as exc:
         print(f"error: {exc}", file=sys.stderr)

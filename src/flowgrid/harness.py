@@ -290,7 +290,8 @@ def _read_scripted_params(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             params = json.load(handle)
-    except (OSError, ValueError) as exc:  # ValueError: not JSON, not UTF-8
+    # ValueError: not JSON, not UTF-8, an over-long integer; RecursionError: nested too deep
+    except (OSError, ValueError, RecursionError) as exc:
         raise PolicyParamsError(f"cannot read policy params {path}: {exc}") from None
     if not isinstance(params, dict):
         raise PolicyParamsError(f"policy params {path} must hold a JSON object")
@@ -554,9 +555,11 @@ def read_trace_records(handle: IO):
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            # ValueError: bad JSON, or an integer past Python's digit limit;
+            # RecursionError: arrays or objects nested too deep
+            except (ValueError, RecursionError) as exc:
                 raise TraceFormatError(
-                    f"line {line_number}: invalid JSON ({exc.msg})", line_number
+                    f"line {line_number}: invalid JSON ({getattr(exc, 'msg', exc)})", line_number
                 ) from None
             if not isinstance(record, dict):
                 raise TraceFormatError(f"line {line_number}: not a JSON object", line_number)

@@ -34,9 +34,9 @@ ORACLE_TOL = 1e-12
 GRADIENT_TOL = 1e-4
 FD_STEP = 1e-6  # logit bump of the central finite differences
 REL_ERR_FLOOR = 1e-8  # gradient_sweep skips jacobian entries below this in both forms
-# the sweeps check columns of one length a stack at a time: at most this many
-# oracle columns, and at most this many jacobian entries (4 columns at L = 25)
-ORACLE_BATCH = 32
+# the sweeps check columns of one length a stack at a time, a stack holding one column
+# or at most this many sigmas (32 columns at L = 25) or jacobian entries (4 at L = 25)
+ORACLE_BATCH = 1_600
 GRADIENT_BATCH = 10_000
 
 
@@ -122,13 +122,6 @@ _RULES = {STOP_PROCESS: _stop_process, PRINTED_FORMULA: _printed_formula}
 MODES = tuple(_RULES)
 
 
-def _rule(mode: str):
-    """The batch core of movement rule ``mode``."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    return _RULES[mode]
-
-
 def scan_column(sigmas, mode: str = STOP_PROCESS) -> Tuple[np.ndarray, float | np.ndarray]:
     """Delta distribution for one column of heads-probabilities, or a (k, 2L) stack.
 
@@ -136,7 +129,9 @@ def scan_column(sigmas, mode: str = STOP_PROCESS) -> Tuple[np.ndarray, float | n
     residual is a float for one column and an array for a stack.
     """
     s = _check_sigmas(sigmas)
-    probs, residual = _rule(mode)(s)
+    if mode not in _RULES:
+        raise ValueError(f"unknown mode {mode!r}")
+    probs, residual = _RULES[mode](s)
     return probs, float(residual) if s.ndim == 1 else residual
 
 
@@ -183,14 +178,6 @@ class ScanLogits:
             raise ValueError("logits must be finite")
         object.__setattr__(self, "values", v)
 
-    @property
-    def length(self) -> int:
-        return self.values.shape[0] // 2
-
-    @property
-    def n_edges(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class MovementDistribution:
@@ -219,14 +206,11 @@ class MovementDistribution:
 
 
 def scan_matrix(logits: ScanLogits, mode: str = STOP_PROCESS) -> MovementDistribution:
-    """Column-wise delta distributions for a full logit matrix."""
+    """Column-wise delta distributions for a full logit matrix, one stack row an edge."""
     if not isinstance(logits, ScanLogits):
         logits = ScanLogits(np.asarray(logits))
-    # the cores run along the last axis; a contiguous copy makes each column
-    # a contiguous row, summed as scan_column sums it
-    probs, residual = _rule(mode)(np.ascontiguousarray(sigmoid(logits.values).T))
-    probs = np.ascontiguousarray(probs.T)
-    return MovementDistribution(probs=probs, residual=residual)
+    probs, residual = scan_column(sigmoid(logits.values).T, mode)
+    return MovementDistribution(probs=np.ascontiguousarray(probs.T), residual=residual)
 
 
 @dataclass(frozen=True)
@@ -379,7 +363,8 @@ def oracle_sweep(rng: Draws, trials: int, max_len: int, mode: str = STOP_PROCESS
                 "residual_err": float(residual_err[i]) if mode == STOP_PROCESS else 0.0,
             }
 
-    rows = _batched(rng, trials, max_len, rng.random, lambda length: ORACLE_BATCH, check)
+    rows = _batched(rng, trials, max_len, rng.random,
+                    lambda length: max(1, ORACLE_BATCH // (2 * length)), check)
     return {
         "rows": rows,
         "max_abs_diff": max((row["max_abs_diff"] for row in rows), default=0.0),

@@ -30,6 +30,12 @@ def run_cli(*argv):
     return code, stdout.getvalue(), stderr.getvalue()
 
 
+# valid JSON syntax that json.load refuses with no JSONDecodeError: a
+# RecursionError for the nesting, a ValueError past Python's integer digit limit
+TOO_DEEP = "[" * 200_000 + "]" * 200_000
+TOO_LONG_INT = "9" * 5_000
+
+
 # --- usage errors -------------------------------------------------------------------
 
 
@@ -171,9 +177,9 @@ def test_bad_policy_is_usage_error_before_any_output(tmp_path, monkeypatch, argv
     "content",
     [None, "{not json", "[1]", '{"max_jump": "x"}', '{"max_jump": 0}',
      '{"max_jump": 2.5}', '{"max_jump": true}', '{"walk": "no"}',
-     '{"max_jmp": 5, "walk": true}'],
+     '{"max_jmp": 5, "walk": true}', TOO_DEEP],
     ids=["missing", "malformed", "not-object", "max-jump-not-int", "max-jump-zero",
-         "max-jump-float", "max-jump-bool", "walk-string", "unknown-key"],
+         "max-jump-float", "max-jump-bool", "walk-string", "unknown-key", "nested-too-deep"],
 )
 @pytest.mark.parametrize("command", ["run", "eval"])
 def test_unreadable_scripted_params_is_io_error_before_any_output(tmp_path, command, content):
@@ -612,15 +618,18 @@ def test_replay_malformed_trace_is_io_error(tmp_path):
 @pytest.mark.parametrize(
     "content",
     ["[1, 2]\n", '{"kind": "step"}\n', '{"kind": "mystery"}\n',
-     '{"kind": "header", "v": 99}\n', "", b"\xff\xfe\n"],
-    ids=["not-object", "step-first", "unknown-kind", "bad-version", "empty", "not-utf8"],
+     '{"kind": "header", "v": 99}\n', "", b"\xff\xfe\n", "not json\n", TOO_DEEP + "\n",
+     f'{{"kind": "header", "v": {TOO_LONG_INT}}}\n'],
+    ids=["not-object", "step-first", "unknown-kind", "bad-version", "empty", "not-utf8",
+         "not-json", "nested-too-deep", "integer-too-long"],
 )
 def test_replay_malformed_records_are_io_errors(tmp_path, content):
     bad = tmp_path / "bad.jsonl"
     bad.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
     code, _, err = run_cli("replay", "--trace", str(bad))
     assert code == EXIT_IO
-    assert err.startswith("error:")
+    assert err.startswith("error:") and str(bad) in err
+    assert len(err.splitlines()) == 1  # a message, not a traceback
 
 
 def _recorded_records(tmp_path, domain):
@@ -1513,13 +1522,14 @@ def test_unreadable_config_is_io_error(tmp_path):
                          "--domain", "minecraft")
     assert code == EXIT_IO
     broken = tmp_path / "broken.json"
-    broken.write_text("{nope")
-    code, _, _ = run_cli("--config", str(broken), "gen", "--domain", "minecraft")
-    assert code == EXIT_IO
-    broken.write_bytes(b"\xff\xfe")  # not UTF-8
-    code, _, err = run_cli("--config", str(broken), "gen", "--domain", "minecraft")
-    assert code == EXIT_IO
-    assert err.startswith("error: cannot read config")
+    # not JSON, not UTF-8, nested too deep, an integer past the digit limit
+    for content in (b"{nope", b"\xff\xfe", TOO_DEEP.encode(),
+                    f'{{"count": {TOO_LONG_INT}}}'.encode()):
+        broken.write_bytes(content)
+        code, _, err = run_cli("--config", str(broken), "gen", "--domain", "minecraft")
+        assert code == EXIT_IO
+        assert err.startswith(f"error: cannot read config {broken}: ")
+        assert len(err.splitlines()) == 1  # a message, not a traceback
 
 
 # values that only a config file supplies and that a command refuses once it

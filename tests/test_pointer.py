@@ -7,6 +7,7 @@ order +1, -1, +2, -2, ...
 
 import contextlib
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -558,3 +559,43 @@ def test_scan_check_calls_each_traced_kernel_name(monkeypatch):
     assert code == EXIT_OK and out.getvalue().endswith("PASS\n")
     assert min(calls.values()) >= 1, calls
     assert calls["brute_force_oracle"] == 150
+
+
+def test_scan_matrix_scores_its_edges_in_one_scan_column_call(monkeypatch):
+    # so the benchmark's pointer.scan_column span covers every stack the kernel scores
+    stacks = []
+
+    def counting(sigmas, mode=pointer.STOP_PROCESS, _original=pointer.scan_column):
+        stacks.append(np.shape(sigmas))
+        return _original(sigmas, mode)
+
+    monkeypatch.setattr(pointer, "scan_column", counting)
+    for mode in pointer.MODES:
+        scan_matrix(ScanLogits(np.zeros((6, 4))), mode)
+    assert stacks == [(4, 6)] * len(pointer.MODES)
+    with pytest.raises(ValueError, match="unknown mode"):
+        scan_matrix(ScanLogits(np.zeros((6, 4))), "bogus")
+
+
+def test_sweep_stacks_hold_at_most_their_entry_budget(monkeypatch):
+    # an oracle stack holds at most ORACLE_BATCH sigmas, a gradient stack at most
+    # GRADIENT_BATCH jacobian entries, and each at least one column
+    bounds = {
+        "scan_column": lambda length: max(1, pointer.ORACLE_BATCH // (2 * length)),
+        "scan_jacobian": lambda length: max(1, pointer.GRADIENT_BATCH // (2 * length) ** 2),
+    }
+    stacks = {name: [] for name in bounds}
+    for name, shapes in stacks.items():
+        def counting(values, *args, _shapes=shapes, _original=getattr(pointer, name)):
+            _shapes.append(np.shape(values))
+            return _original(values, *args)
+        monkeypatch.setattr(pointer, name, counting)
+    sweeps = {"scan_column": pointer.oracle_sweep(draws(4, "buckets"), 1_000, 200),
+              "scan_jacobian": pointer.gradient_sweep(draws(4, "buckets"), 300, 40)}
+    for name, sweep in sweeps.items():
+        bound = bounds[name]
+        assert sum(k for k, _ in stacks[name]) == len(sweep["rows"])
+        assert all(k <= bound(width // 2) for k, width in stacks[name]), name
+        # some length drew more columns than one stack may hold
+        drawn = Counter(row["length"] for row in sweep["rows"])
+        assert any(count > bound(length) for length, count in drawn.items()), name
