@@ -23,13 +23,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import evaluate as evaluate_mod
 from . import pointer
-from .errors import (
-    FlowgridError,
-    GenerationError,
-    PolicyParamsError,
-    ReplayMismatch,
-    TraceFormatError,
-)
+from .errors import (FlowgridError, GenerationError, PolicyParamsError, ReplayMismatch,
+                     TraceFormatError, clipped)
 from .generators import FLOW_FILTERS, LONGJUMP_MAX_BLOCK
 from .harness import (
     EpisodeSpec,
@@ -117,8 +112,8 @@ def _parse_bins(text: str) -> List[Tuple[int, int]]:
             else:
                 lo = hi = int(part)
         except ValueError:
-            raise UsageError(f"bad bin {part!r}: need lo-hi or one length", "bins") from None
-        _require(1 <= lo <= hi, f"bad bin {part!r}: need 1 <= lo <= hi", "bins")
+            raise UsageError(f"bad bin {clipped(part)}: need lo-hi or one length", "bins") from None
+        _require(1 <= lo <= hi, f"bad bin {clipped(part)}: need 1 <= lo <= hi", "bins")
         bins.append((lo, hi))
     return bins
 
@@ -469,7 +464,7 @@ def _check_config(defaults: dict, actions) -> None:
     for key, value in defaults.items():
         options = [a for a in actions if a.dest == key and a.default is not argparse.SUPPRESS]
         if not options:
-            raise ValueError(f"{key!r} names no option")
+            raise ValueError(f"{clipped(key)} names no option")
         for action in options:
             if action.choices is not None:
                 ok = value in action.choices
@@ -486,7 +481,7 @@ def _check_config(defaults: dict, actions) -> None:
                 ok = type(value) in (action.type, type(action.default)) and not (
                     value is None and action.required)
             if not ok:
-                raise ValueError(f"{key!r} cannot be {value!r}")
+                raise ValueError(f"{clipped(key)} cannot be {clipped(value)}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -520,7 +515,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         # a check that read only config values, none from the command line, blames the file
         if not given.intersection(exc.dests) and defaults.keys() & set(exc.dests):
-            values = ", ".join(f"{d!r} to {defaults[d]!r}" for d in exc.dests if d in defaults)
+            values = ", ".join(f"{clipped(d)} to {clipped(defaults[d])}"
+                               for d in exc.dests if d in defaults)
             print(f"error: config {known.config} sets {values}: {exc}", file=sys.stderr)
             return EXIT_IO
         print(f"error: {exc}", file=sys.stderr)

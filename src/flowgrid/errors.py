@@ -1,5 +1,7 @@
 """Exception types shared across the suite."""
 
+import reprlib
+
 
 class FlowgridError(Exception):
     """Base class for all library errors."""
@@ -52,3 +54,9 @@ class TraceFormatError(FlowgridError):
 
 class ReplayMismatch(FlowgridError):
     """Replayed state digests diverged from the recorded trace."""
+
+
+def clipped(value) -> str:
+    """``repr(value)``, cut by reprlib to one line of at most 200 characters for a message."""
+    text = reprlib.repr(value)
+    return text if len(text) <= 200 else text[:197] + "..."

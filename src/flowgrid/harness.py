@@ -16,13 +16,8 @@ from functools import lru_cache
 from typing import IO, List, Optional, Union
 
 from . import minecraft, starcraft
-from .errors import (
-    GenerationError,
-    PolicyParamsError,
-    SpawnInfeasible,
-    TraceFormatError,
-    ReplayMismatch,
-)
+from .errors import (GenerationError, PolicyParamsError, ReplayMismatch, SpawnInfeasible,
+                     TraceFormatError, clipped)
 from .generators import (FLOW_FILTERS, LONGJUMP_FRAME_LINES, LONGJUMP_MAX_BLOCK, MAX_LINES,
                          MULTI_MIN_LINES)
 from .generators import gen_minecraft, gen_starcraft
@@ -54,21 +49,22 @@ class EpisodeSpec:
 
     def __post_init__(self):
         if self.domain not in (MINECRAFT, STARCRAFT):
-            raise ValueError(f"unknown domain {self.domain!r}")
+            raise ValueError(f"unknown domain {clipped(self.domain)}")
         # type(), not isinstance: a JSON true is a bool, which is an int subclass
         lengths = (self.min_len, self.max_len)
         if any(type(x) is not int for x in lengths) or not 1 <= self.min_len <= self.max_len:
-            raise ValueError(f"need integers 1 <= min_len <= max_len, not {lengths}")
+            raise ValueError(f"need integers 1 <= min_len <= max_len, not {clipped(lengths)}")
         if self.max_len > MAX_LINES:
-            raise ValueError(f"max_len {self.max_len} is above {MAX_LINES}, the longest "
+            raise ValueError(f"max_len {clipped(self.max_len)} is above {MAX_LINES}, the longest "
                              "instruction an episode may have")
         if self.flow not in FLOW_FILTERS:
-            raise ValueError(f"unknown flow filter {self.flow!r}")
+            raise ValueError(f"unknown flow filter {clipped(self.flow)}")
         # each domain refuses the other's field, which its generator would ignore
         if self.domain == STARCRAFT and self.flow != "any":
-            raise ValueError(f"flow={self.flow!r} applies to the minecraft domain only")
+            raise ValueError(f"flow={clipped(self.flow)} applies to the minecraft domain only")
         if self.domain == MINECRAFT and self.max_depth is not None:
-            raise ValueError(f"max_depth={self.max_depth!r} applies to the starcraft domain only")
+            raise ValueError(
+                f"max_depth={clipped(self.max_depth)} applies to the starcraft domain only")
         if self.domain == MINECRAFT and self.disruptions is False:
             raise ValueError("disruptions=False applies to the starcraft domain only")
         if self.flow == "multi" and self.max_len < MULTI_MIN_LINES:
@@ -85,9 +81,9 @@ class EpisodeSpec:
                 f"{LONGJUMP_FRAME_LINES + 1} <= min_len <= max_len <= {longest}"
             )
         if self.max_depth is not None and (type(self.max_depth) is not int or self.max_depth < 1):
-            raise ValueError(f"need an integer max_depth >= 1, not {self.max_depth!r}")
+            raise ValueError(f"need an integer max_depth >= 1, not {clipped(self.max_depth)}")
         if type(self.disruptions) is not bool:
-            raise ValueError(f"disruptions must be true or false, not {self.disruptions!r}")
+            raise ValueError(f"disruptions must be true or false, not {clipped(self.disruptions)}")
 
 
 # --- policies --------------------------------------------------------------------
@@ -262,14 +258,14 @@ class PolicySpec:
 
     def __post_init__(self):
         if self.domain not in (MINECRAFT, STARCRAFT):
-            raise ValueError(f"unknown domain {self.domain!r}")
+            raise ValueError(f"unknown domain {clipped(self.domain)}")
         if not isinstance(self.name, str):
-            raise ValueError(f"policy name {self.name!r} is not a string")
+            raise ValueError(f"policy name {clipped(self.name)} is not a string")
         if self.name.startswith("scripted:"):
             if self.domain != MINECRAFT:
                 raise ValueError("scripted pointer policies drive the minecraft domain")
         elif self.name not in ("oracle", "random"):
-            raise ValueError(f"unknown policy {self.name!r}")
+            raise ValueError(f"unknown policy {clipped(self.name)}")
 
     def build(self, seed: int) -> Policy:
         """A fresh policy for episode ``seed``; only ``random`` builds its "policy" substream."""
@@ -297,16 +293,17 @@ def _read_scripted_params(path: str) -> dict:
         raise PolicyParamsError(f"policy params {path} must hold a JSON object")
     unknown = sorted(params.keys() - {"max_jump", "walk"})
     if unknown:
-        raise PolicyParamsError(f"policy params {path}: {unknown[0]!r} names no parameter")
+        raise PolicyParamsError(f"policy params {path}: {clipped(unknown[0])} names no parameter")
     max_jump = params.get("max_jump", 1)
     # type(), not isinstance: a JSON true is a bool, which is an int subclass
     if type(max_jump) is not int or max_jump < 1:
         raise PolicyParamsError(
-            f"policy params {path}: max_jump must be a positive integer, not {max_jump!r}"
+            f"policy params {path}: max_jump must be a positive integer, not {clipped(max_jump)}"
         )
     walk = params.get("walk", False)
     if not isinstance(walk, bool):
-        raise PolicyParamsError(f"policy params {path}: walk must be true or false, not {walk!r}")
+        raise PolicyParamsError(
+            f"policy params {path}: walk must be true or false, not {clipped(walk)}")
     return {"max_jump": max_jump, "walk": walk}
 
 
@@ -580,13 +577,14 @@ def split_episodes(records):
         kind = record.get("kind")
         episode = record.get("episode", 0)
         if type(episode) is not int or episode < 0:  # not true, not 1.0, not "1"
-            raise TraceFormatError(f"{kind} record: episode {episode!r} is not an int >= 0")
+            raise TraceFormatError(
+                f"{clipped(kind)} record: episode {clipped(episode)} is not an int >= 0")
         if kind == "header":
             if current is not None:
                 raise TraceFormatError(f"episode {number} has no end record")
             version = record.get("v")
             if type(version) is not int or version != TRACE_VERSION:  # not true, not 1.0
-                raise TraceFormatError(f"unsupported trace version {version!r}")
+                raise TraceFormatError(f"unsupported trace version {clipped(version)}")
             current = {"header": record, "steps": [], "end": None}
         elif kind == "step":
             if current is None:
@@ -600,7 +598,7 @@ def split_episodes(records):
             current = None
             number += 1
         else:
-            raise TraceFormatError(f"unknown record kind {kind!r}")
+            raise TraceFormatError(f"unknown record kind {clipped(kind)}")
     if current is not None:
         raise TraceFormatError(f"episode {number} has no end record")
 
@@ -619,8 +617,8 @@ class _RecordedCommands(Policy):
             raise ReplayMismatch(f"world still running after {position} steps at the end record")
         try:
             return self.action_type(**self.steps[position]["command"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TraceFormatError(f"step {position}: bad step record: {exc}") from None
+        except (KeyError, TypeError, ValueError) as exc:  # cut as a bad header's is
+            raise TraceFormatError(f"step {position}: bad step record: {exc!s:.300}") from None
 
 
 def _compare(where: str, actual: dict, recorded: dict) -> None:
@@ -633,13 +631,14 @@ def _compare(where: str, actual: dict, recorded: dict) -> None:
         return
     odd = actual.keys() ^ recorded.keys()
     if odd:
-        raise TraceFormatError(f"{where}: keys {sorted(odd)} are not in both records")
+        raise TraceFormatError(f"{where}: keys {clipped(sorted(odd))} are not in both records")
     key = next(key for key, value in actual.items() if _dumps(recorded[key]) != _dumps(value))
     if key == "instruction":
         raise ReplayMismatch("header instruction differs from the one its seed generates")
     if key == "digest" and recorded[key] is None:  # replay digests resolved steps only
         raise ReplayMismatch(f"{where}: resolved step has no digest")
-    raise ReplayMismatch(f"{where}: {key} {actual[key]!r} != recorded {recorded[key]!r}")
+    raise ReplayMismatch(
+        f"{where}: {key} {clipped(actual[key])} != recorded {clipped(recorded[key])}")
 
 
 def replay_episode(episode: dict, check_digests: bool = True):
@@ -657,10 +656,10 @@ def replay_episode(episode: dict, check_digests: bool = True):
         spec = EpisodeSpec(**header["spec"])
         seed = header["seed"]
         PolicySpec(header["policy"], spec.domain)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TraceFormatError(f"bad episode header: {exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:  # cut: a TypeError names a stray key whole
+        raise TraceFormatError(f"bad episode header: {exc!s:.300}") from None
     if not isinstance(seed, int) or isinstance(seed, bool):
-        raise TraceFormatError(f"bad episode header: seed {seed!r} is not an integer")
+        raise TraceFormatError(f"bad episode header: seed {clipped(seed)} is not an integer")
     world = spawn_episode_world(spec, seed)
     numbered = {"episode": header["episode"]} if "episode" in header else {}
     _compare("header", dict(_header_record(spec, header["policy"], seed, world), **numbered),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
-from .errors import DecodeError
+from .errors import DecodeError, clipped
 
 MINECRAFT = "minecraft"
 STARCRAFT = "starcraft"
@@ -431,13 +431,13 @@ _CODE_KEYS = {MINECRAFT: lambda item: tuple(map(operator.index, item)), STARCRAF
 def _look_up(items: Sequence, domain: str, tables: dict, key) -> Instruction:
     """The line ``tables[domain]`` holds under ``key(item)`` for each item."""
     if domain not in tables:
-        raise ValueError(f"unknown domain {domain!r}")
+        raise ValueError(f"unknown domain {clipped(domain)}")
     lines = []
     for i, item in enumerate(items):
         try:
             lines.append(tables[domain][key(item)])
         except (AttributeError, KeyError, TypeError):  # AttributeError: text that is not a str
-            raise DecodeError(f"line {i}: no {domain} line {item!r}") from None
+            raise DecodeError(f"line {i}: no {domain} line {clipped(item)}") from None
     if not lines:
         raise DecodeError("empty instruction")
     return Instruction(tuple(lines))

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .errors import EpisodeDone, SpawnInfeasible
+from .errors import EpisodeDone, SpawnInfeasible, clipped
 from .instructions import COMPARANDS, RESOURCES, VERBS, CfLine, Instruction
 from .interpreter import cf_step, checked_flow, eval_condition
 from .rngtools import Draws
@@ -48,9 +48,9 @@ class Command:
 
     def __post_init__(self):
         if self.verb not in VERBS:
-            raise ValueError(f"unknown verb {self.verb!r}")
+            raise ValueError(f"unknown verb {clipped(self.verb)}")
         if self.target not in RESOURCES:
-            raise ValueError(f"unknown resource {self.target!r}")
+            raise ValueError(f"unknown resource {clipped(self.target)}")
 
     def as_dict(self) -> dict:
         return {"verb": self.verb, "target": self.target}

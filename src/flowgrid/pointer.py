@@ -19,6 +19,7 @@ rule; it exists for comparison.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -82,7 +83,7 @@ def _check_sigmas(sigmas) -> np.ndarray:
     s = np.ascontiguousarray(sigmas, dtype=np.float64)
     if s.shape[-1] == 0 or s.shape[-1] % 2:
         raise ValueError("sigma columns must have even positive length")
-    if not np.all((s >= 0.0) & (s <= 1.0)):
+    if not ((s >= 0.0) & (s <= 1.0)).all():
         raise ValueError("sigmas must lie in [0, 1]")
     return s
 
@@ -140,12 +141,13 @@ def brute_force_oracle(sigmas) -> Tuple[np.ndarray, float]:
     s = _check_sigmas(sigmas)
     if s.ndim != 1:
         raise ValueError("the oracles take one column at a time")
-    length = s.size // 2
-    probs = [0.0] * s.size
+    column = s.tolist()  # Python floats: the same doubles, cheaper arithmetic than numpy scalars
+    probs = [0.0] * len(column)
     not_stopped = 1.0
-    for row in scan_order(length):
-        probs[row] = not_stopped * s[row]
-        not_stopped = not_stopped * (1.0 - s[row])
+    for row in scan_order(len(column) // 2).tolist():
+        sigma = column[row]
+        probs[row] = not_stopped * sigma
+        not_stopped *= 1.0 - sigma
     return np.array(probs), not_stopped
 
 
@@ -154,14 +156,15 @@ def product_rule_oracle(sigmas) -> Tuple[np.ndarray, float]:
     s = _check_sigmas(sigmas)
     if s.ndim != 1:
         raise ValueError("the oracles take one column at a time")
+    column = s.tolist()
     probs = np.empty_like(s)
-    for i in range(s.size):
+    for i, sigma in enumerate(column):
         product = 1.0
-        for j in range(s.size):
+        for j, other in enumerate(column):
             if j != i:
-                product *= 1.0 - s[j]
-        probs[i] = s[i] * product
-    return probs, float(1.0 - probs.sum())
+                product *= 1.0 - other
+        probs[i] = sigma * product
+    return probs, float(1.0 - probs.sum())  # numpy's pairwise sum, not Python's
 
 
 @dataclass(frozen=True)
@@ -341,35 +344,39 @@ def _batched(rng: Draws, trials: int, max_len: int, draw, size, check) -> list:
     return rows
 
 
+def _worst(rows, key: str):
+    """Python's ``max`` of ``row[key]`` over ``rows``, 0.0 for none, or NaN if any is NaN."""
+    values = [row[key] for row in rows]
+    return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
+
+
 def oracle_sweep(rng: Draws, trials: int, max_len: int, mode: str = STOP_PROCESS) -> dict:
     """Compare the closed form against literal enumeration on random sigmas.
 
-    Returns per-trial rows and overall maxima for the probability
-    difference, normalisation error, and (stop mode) residual-product error.
+    Returns per-trial rows and overall maxima (NaN if any row is NaN) for the
+    probability difference, normalisation error, and (stop mode) residual-product error.
     The kernel takes each stack whole; the oracle takes one column a call.
     """
     oracle = brute_force_oracle if mode == STOP_PROCESS else product_rule_oracle
 
     def check(sigmas):
         probs, residual = scan_column(sigmas, mode)
-        refs = [oracle(column) for column in sigmas]
-        prob_diff = np.max(np.abs(probs - np.array([ref for ref, _ in refs])), axis=-1)
-        norm_err = np.abs(probs.sum(axis=-1) + residual - 1.0)
-        residual_err = np.abs(residual - np.prod(1.0 - sigmas, axis=-1))
-        for i, (_, ref_residual) in enumerate(refs):
-            yield {
-                "max_abs_diff": max(float(prob_diff[i]), abs(float(residual[i]) - ref_residual)),
-                "norm_err": norm_err[i],
-                "residual_err": float(residual_err[i]) if mode == STOP_PROCESS else 0.0,
-            }
+        ref_probs, ref_residuals = zip(*[oracle(column) for column in sigmas])
+        diff = np.maximum(np.abs(probs - ref_probs).max(axis=-1),
+                          np.abs(residual - ref_residuals))
+        norm_err = np.abs(probs.sum(axis=-1) + residual - 1.0)  # rows keep np.float64 here
+        residual_err = (np.abs(residual - np.prod(1.0 - sigmas, axis=-1)).tolist()
+                        if mode == STOP_PROCESS else [0.0] * len(sigmas))
+        for row in zip(diff.tolist(), norm_err, residual_err):
+            yield dict(zip(("max_abs_diff", "norm_err", "residual_err"), row))
 
     rows = _batched(rng, trials, max_len, rng.random,
                     lambda length: max(1, ORACLE_BATCH // (2 * length)), check)
     return {
         "rows": rows,
-        "max_abs_diff": max((row["max_abs_diff"] for row in rows), default=0.0),
-        "max_norm_err": max((row["norm_err"] for row in rows), default=0.0),
-        "max_residual_err": max((row["residual_err"] for row in rows), default=0.0),
+        "max_abs_diff": _worst(rows, "max_abs_diff"),
+        "max_norm_err": _worst(rows, "norm_err"),
+        "max_residual_err": _worst(rows, "residual_err"),
     }
 
 
@@ -378,17 +385,16 @@ def gradient_sweep(rng: Draws, trials: int, max_len: int) -> dict:
 
     Logits are drawn from (-4, 4), bit for bit numpy's uniform, so the finite
     differences stay well conditioned; entries below ``REL_ERR_FLOOR`` in both
-    jacobians are skipped.
+    jacobians are skipped, and a NaN entry makes its row and the maximum NaN.
     """
 
     def check(logits):
         analytic, numeric = scan_jacobian(logits), finite_difference_jacobian(logits)
         scale = np.maximum(np.abs(analytic), np.abs(numeric))
         rel = np.divide(np.abs(analytic - numeric), scale, out=np.zeros_like(scale),
-                        where=scale > REL_ERR_FLOOR)
-        return [{"max_rel_err": float(worst)} for worst in rel.max(axis=(-2, -1))]
+                        where=~(scale <= REL_ERR_FLOOR))  # a NaN scale is divided, not skipped
+        return [{"max_rel_err": worst} for worst in rel.max(axis=(-2, -1)).tolist()]
 
     rows = _batched(rng, trials, max_len, lambda size: -4.0 + 8.0 * rng.random(size),
                     lambda length: max(1, GRADIENT_BATCH // (2 * length) ** 2), check)
-    worst = max((row["max_rel_err"] for row in rows), default=0.0)
-    return {"rows": rows, "max_rel_err": worst}
+    return {"rows": rows, "max_rel_err": _worst(rows, "max_rel_err")}

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .errors import EpisodeDone, SpawnInfeasible
+from .errors import EpisodeDone, SpawnInfeasible, clipped
 from .instructions import (
     NEXUS,
     N_BUILDINGS,
@@ -58,14 +58,14 @@ class ActionToken:
 
     def __post_init__(self):
         if self.kind not in TOKEN_KINDS:
-            raise ValueError(f"unknown token kind {self.kind!r}")
+            raise ValueError(f"unknown token kind {clipped(self.kind)}")
         if self.kind == "commit":
             if self.value is not None:
                 raise ValueError("commit carries no value")
         else:
             # type(), not isinstance: a JSON true is a bool, which is an int subclass
             if type(self.value) is not int or not 0 <= self.value < TOKEN_LIMITS[self.kind]:
-                raise ValueError(f"bad value {self.value!r} for {self.kind}")
+                raise ValueError(f"bad value {clipped(self.value)} for {self.kind}")
 
     def as_dict(self) -> dict:
         return {"kind": self.kind, "value": self.value}

@@ -717,6 +717,32 @@ def test_replay_header_longer_than_max_lines_is_io_error(tmp_path, domain):
     assert f"bad episode header: max_len {2**70} is above {MAX_LINES}" in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("min_len", "a" * 1_000_000),
+    ("min_len", json.loads("[" * 900 + "]" * 900)),
+    ("b" * 1_000_000, 1),
+], ids=["long-string", "nested-900-deep", "long-unknown-key"])
+def test_replay_refusal_clips_the_value_it_echoes(tmp_path, key, value):
+    trace, records = _recorded_records(tmp_path, "minecraft")
+    records[0]["spec"][key] = value
+    _rewrite(trace, records)
+    code, _, err = run_cli("replay", "--trace", str(trace), "--quiet")
+    assert code == EXIT_IO
+    assert err.startswith(f"error: malformed trace {trace}: bad episode header: ")
+    assert len(err.splitlines()) == 1 and len(err.encode("utf-8")) < 1024
+
+
+@pytest.mark.parametrize("config", [{"seed": "s" * 1_000_000}, {"s" * 1_000_000: 1}],
+                         ids=["long-value", "long-unknown-key"])
+def test_config_refusal_clips_the_value_it_echoes(tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, stdout, err = run_cli("--config", str(path), "scan-check")
+    assert (code, stdout) == (EXIT_IO, "")
+    assert err.startswith(f"error: config {path}: ")
+    assert len(err.splitlines()) == 1 and len(err.encode("utf-8")) < 1024
+
+
 @pytest.mark.parametrize("argv", [
     ("gen", "--count", "1"),
     ("run", "--episodes", "1"),

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from flowgrid import pointer
-from flowgrid.cli import EXIT_OK, main
+from flowgrid.cli import EXIT_OK, EXIT_VERIFY, main
 from flowgrid.pointer import (
     EdgeChoice,
     MovementDistribution,
@@ -157,6 +157,91 @@ def test_sigma_validation():
     for oracle in (brute_force_oracle, product_rule_oracle):  # one column a call
         with pytest.raises(ValueError):
             oracle(np.full((2, 4), 0.5))
+
+
+# The oracles' loops on numpy scalars, with the validator that they called: the
+# oracles loop over Python floats, which must give the same bits and refusals.
+
+
+def _check_sigmas_reference(sigmas):
+    s = np.ascontiguousarray(sigmas, dtype=np.float64)
+    if s.shape[-1] == 0 or s.shape[-1] % 2:
+        raise ValueError("sigma columns must have even positive length")
+    if not np.all((s >= 0.0) & (s <= 1.0)):
+        raise ValueError("sigmas must lie in [0, 1]")
+    if s.ndim != 1:
+        raise ValueError("the oracles take one column at a time")
+    return s
+
+
+def _brute_force_reference(sigmas):
+    s = _check_sigmas_reference(sigmas)
+    probs = [0.0] * s.size
+    not_stopped = 1.0
+    for row in scan_order(s.size // 2):
+        probs[row] = not_stopped * s[row]
+        not_stopped = not_stopped * (1.0 - s[row])
+    return np.array(probs), not_stopped
+
+
+def _product_rule_reference(sigmas):
+    s = _check_sigmas_reference(sigmas)
+    probs = np.empty_like(s)
+    for i in range(s.size):
+        product = 1.0
+        for j in range(s.size):
+            if j != i:
+                product *= 1.0 - s[j]
+        probs[i] = s[i] * product
+    return probs, float(1.0 - probs.sum())
+
+
+_ORACLES = [(brute_force_oracle, _brute_force_reference),
+            (product_rule_oracle, _product_rule_reference)]
+
+pinned_sigma_columns = st.integers(1, 60).flatmap(
+    lambda length: hnp.arrays(
+        np.float64,
+        (2 * length,),
+        elements=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0, allow_nan=False)),
+    )
+)
+
+
+@given(sigmas=pinned_sigma_columns)
+@settings(max_examples=100, deadline=None)
+def test_oracles_give_the_bits_of_their_numpy_scalar_loops(sigmas):
+    for oracle, reference in _ORACLES:
+        (probs, residual), (ref_probs, ref_residual) = oracle(sigmas), reference(sigmas)
+        assert probs.dtype == ref_probs.dtype and probs.tobytes() == ref_probs.tobytes()
+        assert residual == ref_residual
+
+
+@pytest.mark.parametrize("sigmas", [np.full((2, 4), 0.5), [0.5], [], [0.5, 1.5], [-0.1, 0.5],
+                                    [np.nan, 0.5]],
+                         ids=["stack", "odd", "empty", "above-one", "below-zero", "nan"])
+def test_oracles_refuse_what_their_numpy_scalar_loops_refused(sigmas):
+    for oracle, reference in _ORACLES:
+        with pytest.raises(ValueError) as expected:
+            reference(sigmas)
+        with pytest.raises(ValueError) as refused:
+            oracle(sigmas)
+        assert str(refused.value) == str(expected.value)
+
+
+def test_oracles_do_not_run_the_kernel_they_check(monkeypatch):
+    # a speed-up that routed an oracle through the kernel would check it against itself
+    def kernel(*args, **kwargs):
+        raise AssertionError("an oracle ran the kernel")
+
+    for name in ("_stop_process", "_printed_formula", "scan_column"):
+        monkeypatch.setattr(pointer, name, kernel)
+    monkeypatch.setattr(pointer, "_RULES", {mode: kernel for mode in pointer.MODES})
+    sigmas = draws(2, "independent").random(14)
+    sigmas[[3, 8]] = 0.0, 1.0
+    for oracle, reference in _ORACLES:
+        (probs, residual), (ref_probs, ref_residual) = oracle(sigmas), reference(sigmas)
+        assert np.array_equal(probs, ref_probs) and residual == ref_residual
 
 
 # --- matrix form -------------------------------------------------------------------
@@ -599,3 +684,36 @@ def test_sweep_stacks_hold_at_most_their_entry_budget(monkeypatch):
         # some length drew more columns than one stack may hold
         drawn = Counter(row["length"] for row in sweep["rows"])
         assert any(count > bound(length) for length, count in drawn.items()), name
+
+
+def _poisoned(name, index, returned=None):
+    """A stand-in for ``pointer.<name>`` that writes NaN at ``index`` of its result (of
+    its ``returned``-th value, if given) for each stack of two or more columns, so the
+    NaN never lands in a sweep's first row."""
+    original = getattr(pointer, name)
+
+    def stand_in(values, *args):
+        result = original(values, *args)
+        if np.ndim(values) == 2 and len(values) > 1:
+            (result if returned is None else result[returned])[index] = np.nan
+        return result
+    return stand_in
+
+
+@pytest.mark.parametrize("mode", pointer.MODES)
+@pytest.mark.parametrize("returned", [0, 1], ids=["probs", "residual"])
+def test_scan_check_fails_on_a_nan_from_the_kernel(monkeypatch, mode, returned):
+    monkeypatch.setattr(pointer, "scan_column", _poisoned("scan_column", 1, returned))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["scan-check", "--mode", mode, "--trials", "1000", "--grad-trials", "0",
+                     "--seed", "0"])
+    assert code == EXIT_VERIFY and out.getvalue().endswith("FAIL\n")
+    assert "oracle max abs diff      : nan" in out.getvalue()
+
+
+def test_scan_check_fails_on_a_nan_jacobian_entry(monkeypatch):
+    monkeypatch.setattr(pointer, "scan_jacobian", _poisoned("scan_jacobian", (1, 0, 0)))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["scan-check", "--trials", "30", "--grad-trials", "300", "--seed", "0"])
+    assert code == EXIT_VERIFY and out.getvalue().endswith("FAIL\n")
+    assert "gradient max rel err     : nan" in out.getvalue()
