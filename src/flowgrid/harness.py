@@ -217,8 +217,7 @@ class ScriptedPointerPolicy(Policy):
     reads_observation = False
 
     def __init__(self, max_jump: int = 1, walk: bool = False):
-        if max_jump < 1:
-            raise ValueError("max_jump must be positive")
+        _check_scripted_params(max_jump, walk)
         self.max_jump = max_jump
         self.walk = walk
         self.pointer = 0
@@ -248,7 +247,9 @@ class PolicySpec:
 
     Holds the parsed params of a ``scripted:`` policy, so a command reads
     its file once, not once per episode, and pool workers get it pickled.
-    An unknown name, or a policy the domain cannot run, is a ValueError.
+    An unknown name, a policy the domain cannot run, scripted params that
+    break the params file's rules, or params other than the defaults on
+    another policy is a ValueError.
     """
 
     name: str
@@ -264,8 +265,13 @@ class PolicySpec:
         if self.name.startswith("scripted:"):
             if self.domain != MINECRAFT:
                 raise ValueError("scripted pointer policies drive the minecraft domain")
+            _check_scripted_params(self.max_jump, self.walk)
         elif self.name not in ("oracle", "random"):
             raise ValueError(f"unknown policy {clipped(self.name)}")
+        # type(), not ==: True == 1 and 0 == False
+        elif type(self.max_jump) is not int or self.max_jump != 1 or self.walk is not False:
+            raise ValueError(f"max_jump and walk apply to scripted policies only, not to "
+                             f"{self.name}")
 
     def build(self, seed: int) -> Policy:
         """A fresh policy for episode ``seed``; only ``random`` builds its "policy" substream."""
@@ -281,6 +287,15 @@ class PolicySpec:
         return ScriptedPointerPolicy(max_jump=self.max_jump, walk=self.walk)
 
 
+def _check_scripted_params(max_jump, walk) -> None:
+    """The rules of a scripted policy's params; a ValueError names the value refused."""
+    # type(), not isinstance: a JSON true is a bool, which is an int subclass
+    if type(max_jump) is not int or max_jump < 1:
+        raise ValueError(f"max_jump must be a positive integer, not {clipped(max_jump)}")
+    if not isinstance(walk, bool):
+        raise ValueError(f"walk must be true or false, not {clipped(walk)}")
+
+
 def _read_scripted_params(path: str) -> dict:
     """``max_jump`` and ``walk`` from a scripted policy's params file."""
     try:
@@ -294,16 +309,11 @@ def _read_scripted_params(path: str) -> dict:
     unknown = sorted(params.keys() - {"max_jump", "walk"})
     if unknown:
         raise PolicyParamsError(f"policy params {path}: {clipped(unknown[0])} names no parameter")
-    max_jump = params.get("max_jump", 1)
-    # type(), not isinstance: a JSON true is a bool, which is an int subclass
-    if type(max_jump) is not int or max_jump < 1:
-        raise PolicyParamsError(
-            f"policy params {path}: max_jump must be a positive integer, not {clipped(max_jump)}"
-        )
-    walk = params.get("walk", False)
-    if not isinstance(walk, bool):
-        raise PolicyParamsError(
-            f"policy params {path}: walk must be true or false, not {clipped(walk)}")
+    max_jump, walk = params.get("max_jump", 1), params.get("walk", False)
+    try:
+        _check_scripted_params(max_jump, walk)
+    except ValueError as exc:
+        raise PolicyParamsError(f"policy params {path}: {exc}") from None
     return {"max_jump": max_jump, "walk": walk}
 
 

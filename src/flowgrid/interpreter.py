@@ -26,12 +26,6 @@ from .instructions import (
 )
 
 
-def eval_condition(condition: Tuple[str, str], counts) -> bool:
-    """True iff count(a) > count(b).  Both comparands must be present."""
-    a, b = condition
-    return counts[a] > counts[b]
-
-
 def checked_flow(instruction: Instruction) -> Flow:
     """The instruction's compiled flow; StructuralError if it is malformed."""
     flow = instruction.flow
@@ -46,11 +40,13 @@ def checked_flow(instruction: Instruction) -> Flow:
 def cf_step(
     instruction: Instruction,
     pc: int,
-    cond_eval: Callable[[Tuple[str, str]], bool],
+    cond_eval: Callable[[Tuple[int, int]], bool],
 ) -> int:
     """Advance ``pc`` through structural lines until a subtask or the end.
 
-    ``cond_eval`` is called once per if/while encounter, in encounter order.
+    ``cond_eval`` is called once per if/while encounter, in encounter order,
+    with the line's ``Flow.conditions`` entry: the (a, b) ``COMPARANDS``
+    indexes of the condition count(a) > count(b).
     Returns the resting index: either a subtask line or ``len(instruction)``.
     Resolution is budgeted; instructions that can loop without reaching a
     subtask (e.g. a while over an empty body whose condition stays true)
@@ -65,7 +61,8 @@ def cf_step(
     for _ in range(4 * length + 8):
         if pc == length or tasks[pc] is not None:
             return pc
-        if conditions[pc] is None or cond_eval(instruction.lines[pc].condition):
+        condition = conditions[pc]
+        if condition is None or cond_eval(condition):
             pc = on_true[pc]
         else:
             pc = on_false[pc]

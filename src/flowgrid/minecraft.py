@@ -18,9 +18,9 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .errors import EpisodeDone, SpawnInfeasible, clipped
+from .errors import EpisodeDone, SpawnInfeasible, StructuralError, clipped
 from .instructions import COMPARANDS, RESOURCES, VERBS, CfLine, Instruction
-from .interpreter import cf_step, checked_flow, eval_condition
+from .interpreter import cf_step, checked_flow
 from .rngtools import Draws
 
 # the grid and the time limit are shared with the starcraft world
@@ -97,11 +97,10 @@ class MinecraftWorld:
 
     # -- queries ---------------------------------------------------------
 
-    def counts(self) -> Dict[str, int]:
-        out = {name: 0 for name in COMPARANDS}
-        for kind in self.entities.values():
-            out[kind] += 1
-        return out
+    def counts(self) -> List[int]:
+        """Entities on the map, one count per comparand in ``COMPARANDS`` order."""
+        kinds = list(self.entities.values())
+        return [kinds.count(name) for name in COMPARANDS]
 
     def required_subtask(self) -> Optional[CfLine]:
         """The subtask the instruction currently demands, or None when done."""
@@ -182,7 +181,7 @@ class MinecraftWorld:
             nonlocal counts
             if counts is None:  # no entity changes while the pc resolves
                 counts = self.counts()
-            return eval_condition(condition, counts)
+            return counts[condition[0]] > counts[condition[1]]
 
         self.pc = cf_step(self.instruction, self.pc, cond_eval)
         if self.pc == len(self.instruction) and not self.done:
@@ -346,8 +345,7 @@ def required_stream_feasible(instruction: Instruction, counts) -> bool:
         return False
     counts = list(counts)
     inventory = [0] * len(RESOURCES)
-    conditions, tasks = flow.conditions, flow.tasks
-    on_true, on_false = flow.on_true, flow.on_false
+    tasks = flow.tasks
     length = len(instruction)
     limit = TIME_LIMIT_FACTOR * length
     # inspects met since the last mine or sell; these change no count, so
@@ -355,20 +353,18 @@ def required_stream_feasible(instruction: Instruction, counts) -> bool:
     inspected = set()
     pc = 0
     emitted = 0
+
+    def holds(condition) -> bool:
+        return counts[condition[0]] > counts[condition[1]]
+
     while True:
-        # cf_step on the tables, with its resolution budget
-        for _ in range(4 * length + 8):
+        if pc == length or tasks[pc] is None:  # a subtask needs no resolving
+            try:
+                pc = cf_step(instruction, pc, holds)
+            except StructuralError:  # the resolution budget ran out
+                return False
             if pc == length:
                 return True
-            if tasks[pc] is not None:
-                break
-            condition = conditions[pc]
-            if condition is None or counts[condition[0]] > counts[condition[1]]:
-                pc = on_true[pc]
-            else:
-                pc = on_false[pc]
-        else:
-            return False
         emitted += 1
         if emitted > limit:
             return False

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -236,6 +237,8 @@ def mix(distribution: MovementDistribution, mixer_logits) -> Tuple[np.ndarray, f
     u = np.asarray(mixer_logits, dtype=np.float64)
     if u.shape != (distribution.probs.shape[1],):
         raise ValueError("one mixer logit per edge required")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("mixer logits must be finite")
     shifted = u - u.max()
     w = np.exp(shifted)
     w /= w.sum()
@@ -260,7 +263,16 @@ def mix_and_sample(distribution: MovementDistribution, mixer_logits, rng: Draws)
 
 
 def update_pointer(position: int, gate: int, delta: int, length: int) -> int:
-    """Gated, clamped pointer update onto 0..length-1."""
+    """Gated, clamped pointer update onto 0..length-1, as a Python int.
+
+    Each argument must be an integer that ``operator.index`` takes, and not a bool.
+    """
+    try:
+        if any(isinstance(x, bool) for x in (position, gate, delta, length)):
+            raise TypeError
+        position, gate, delta, length = map(operator.index, (position, gate, delta, length))
+    except TypeError:
+        raise ValueError("position, gate, delta and length must be integers") from None
     if length < 1:
         raise ValueError("length must be positive")
     if not 0 <= position < length:

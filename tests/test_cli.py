@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -18,7 +19,7 @@ from flowgrid import evaluate, harness
 from flowgrid.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from flowgrid.generators import MAX_LINES
 from flowgrid.instructions import COMPARANDS, decode, parse_text
-from flowgrid.interpreter import cf_step, eval_condition
+from flowgrid.interpreter import cf_step
 from flowgrid.minecraft import MinecraftWorld
 from flowgrid.starcraft import StarcraftWorld
 
@@ -374,8 +375,8 @@ def test_gen_longjump_prints_blocks_that_are_never_taken(tmp_path):
         assert len(row["text"]) == len(instruction) == 8
         # the long-jump spawner places every comparand but the guard's left one
         absent = instruction.lines[0].condition[0]
-        counts = {name: int(name != absent) for name in COMPARANDS}
-        resting = cf_step(instruction, 0, lambda condition: eval_condition(condition, counts))
+        counts = [int(name != absent) for name in COMPARANDS]
+        resting = cf_step(instruction, 0, lambda cond: counts[cond[0]] > counts[cond[1]])
         assert resting == 7  # past the block and its closer, at the final subtask
 
 
@@ -1514,6 +1515,21 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     assert result.stdout == "[]\n"
 
 
+def test_pointer_import_loads_the_kernel_alone():
+    """The package init imports nothing, so the kernel loads without the worlds and the
+    harness."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    probe = ("import sys, flowgrid.pointer; "
+             "print(sorted(name for name in sys.modules if name.split('.')[0] == 'flowgrid'))")
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "['flowgrid', 'flowgrid.pointer', 'flowgrid.rngtools']\n"
+
+
 # --- config file --------------------------------------------------------------------
 
 
@@ -1725,3 +1741,40 @@ def test_config_values_of_each_kind_are_taken(tmp_path):
     steps = [json.loads(line) for line in trace.read_text().splitlines()]
     assert sum(r["kind"] == "header" for r in steps) == 2
     assert all(r["digest"] is None for r in steps if r["kind"] == "step")
+
+
+# --- README ---------------------------------------------------------------------------
+
+
+def _readme_example(text, command):
+    """``command``'s argv as README gives it, and the first fenced block after it."""
+    words = command.split()
+    at = re.search(r"\s+".join(map(re.escape, words)), text)
+    assert at, f"README no longer gives {command!r}"
+    blocks = re.finditer(r"^```\w*\n(.*?)^```$", text, re.S | re.M)
+    return words, next(block[1] for block in blocks if block.start() > at.end())
+
+
+def test_readme_examples_print_what_readme_quotes(tmp_path, monkeypatch):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as handle:
+        text = handle.read()
+    monkeypatch.chdir(tmp_path)  # scan-check writes under a relative --out-dir
+    # README wraps the gen lines, so they are compared as JSON values
+    argv, quoted = _readme_example(
+        text, "gen --domain minecraft --count 2 --seed 7 --min-len 4 --max-len 6")
+    code, stdout, err = run_cli(*argv)
+    assert code == EXIT_OK, err
+    values = json.loads("[" + quoted.replace("}\n{", "},{") + "]")
+    assert [json.loads(line) for line in stdout.splitlines()] == values
+    for command in (
+        "run --domain minecraft --policy oracle --min-len 2 --max-len 3 --episodes 1 --seed 0",
+        "scan-check --trials 1000 --max-len 25 --out-dir scan/",
+    ):
+        argv, quoted = _readme_example(text, command)
+        code, stdout, err = run_cli(*argv)
+        assert code == EXIT_OK, err
+        assert stdout == quoted, command
+    _, library = _readme_example(text, "## Library use")
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(compile(library, "README.md", "exec"), {})

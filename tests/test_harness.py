@@ -430,6 +430,28 @@ def test_policy_spec_refuses_what_parse_policy_refuses(name, domain):
     assert isinstance(PolicySpec("scripted:p.json", "minecraft").build(0), ScriptedPointerPolicy)
 
 
+@pytest.mark.parametrize("params", [
+    {"max_jump": 0}, {"max_jump": 2.5}, {"max_jump": True}, {"max_jump": "2"},
+    {"walk": "no"}, {"walk": 1}, {"walk": None},
+])
+def test_scripted_params_are_refused_where_they_are_made(params):
+    # the params file's rules, applied without a file: nothing waits for build()
+    with pytest.raises(ValueError):
+        PolicySpec("scripted:x", "minecraft", **params)
+    with pytest.raises(ValueError):
+        ScriptedPointerPolicy(**params)
+
+
+@pytest.mark.parametrize("name", ["oracle", "random"])
+@pytest.mark.parametrize("params", [
+    {"max_jump": 2}, {"max_jump": True}, {"max_jump": 1.0}, {"walk": True}, {"walk": 0},
+])
+def test_policy_spec_refuses_params_on_a_policy_that_is_not_scripted(name, params):
+    with pytest.raises(ValueError, match="apply to scripted policies only"):
+        PolicySpec(name, "minecraft", **params)
+    assert PolicySpec(name, "minecraft", max_jump=1, walk=False) == PolicySpec(name, "minecraft")
+
+
 def test_parsed_policy_builds_fresh_instances(tmp_path):
     params = tmp_path / "p.json"
     params.write_text('{"max_jump": 4, "walk": true}')

@@ -18,7 +18,6 @@ from flowgrid.instructions import N_BUILDINGS, N_UNITS, BuildTree, CfLine, Instr
 from flowgrid.interpreter import (
     ScCommand,
     cf_step,
-    eval_condition,
     required_sequence,
     sc_decode,
     sc_plan,
@@ -200,9 +199,13 @@ def test_trace_exhaustion():
         required_sequence(ins, [True])
 
 
-def test_eval_condition_is_strict_greater():
-    assert eval_condition(("iron", "gold"), {"iron": 2, "gold": 1})
-    assert not eval_condition(("iron", "gold"), {"iron": 1, "gold": 1})
+def test_cf_step_hands_cond_eval_the_comparand_indexes():
+    # COMPARANDS: iron 0, gold 1, wood 2, merchant 3
+    ins = mc(CfLine.if_("wood", "merchant"), CfLine.else_(), CfLine.while_("gold", "iron"),
+             S("mine", "iron"), CfLine.endwhile(), CfLine.endif())
+    seen = []
+    assert cf_step(ins, 0, lambda c: seen.append(c)) == 6
+    assert seen == [(2, 3), (1, 0)]
 
 
 # --- build-order decoding --------------------------------------------------------

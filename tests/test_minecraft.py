@@ -715,7 +715,7 @@ def test_spawn_longjump_leaves_guard_comparand_absent():
         world = spawn_longjump(rng, ins, seed=block)
         assert world.spawn_attempts is None  # one permutation, nothing resampled
         a, _ = ins.lines[0].condition
-        assert world.counts()[a] == 0
+        assert world.counts()[COMPARANDS.index(a)] == 0
         assert world.pc == len(ins) - 1  # demand jumped past the block
         assert not world.done
 
@@ -733,6 +733,36 @@ def test_required_stream_feasible_counts():
     inspect = mc(S("inspect", "wood"))
     assert required_stream_feasible(inspect, (0, 0, 1, 0))
     assert not required_stream_feasible(inspect, (0, 0, 0, 0))
+
+
+def test_a_while_over_equal_counts_is_skipped():
+    # a condition holds iff count(a) > count(b), strictly, in the world and the static check
+    ins = mc(CfLine.while_("iron", "gold"), S("mine", "wood"), CfLine.endwhile(),
+             S("inspect", "iron"))
+    world = world_from(["ig....", "......", "......", "......", "......", "....@."], ins)
+    assert world.pc == 3
+    assert required_stream_feasible(ins, (1, 1, 0, 0))  # no wood, so the body must be skipped
+    world = world_from(["iig...", "w.....", "......", "......", "......", "....@."], ins)
+    assert world.pc == 1
+    assert not required_stream_feasible(ins, (2, 1, 0, 0))
+
+
+@pytest.mark.parametrize("lines, counts", [
+    ((CfLine.if_("iron", "gold"), S("mine", "iron"), CfLine.endif()), (1, 0, 0, 0)),
+    ((CfLine.while_("iron", "gold"), S("mine", "iron"), CfLine.endwhile()), (2, 0, 0, 0)),
+])
+def test_static_check_resolves_through_cf_step(monkeypatch, lines, counts):
+    """The static check walks the flow through the interpreter's ``cf_step``, at the
+    module global that the benchmark times."""
+    calls, cf_step = [], minecraft.cf_step
+
+    def counting(instruction, pc, cond_eval):
+        calls.append(pc)
+        return cf_step(instruction, pc, cond_eval)
+
+    monkeypatch.setattr(minecraft, "cf_step", counting)
+    assert required_stream_feasible(mc(*lines), counts)
+    assert calls and calls[0] == 0
 
 
 # --- digest -------------------------------------------------------------------------

@@ -493,6 +493,16 @@ def test_zero_mass_blend_signals_no_move():
     assert not choice.moved
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mix_refuses_a_mixer_logit_that_is_not_finite(bad):
+    dist = scan_matrix(ScanLogits(np.zeros((4, 2))))
+    for mixer in ([bad, 0.0], [bad, bad]):
+        with pytest.raises(ValueError, match="mixer logits must be finite"):
+            mix(dist, mixer)
+        with pytest.raises(ValueError, match="mixer logits must be finite"):
+            mix_and_sample(dist, mixer, draws(6, "not-finite"))
+
+
 def test_sampled_delta_matches_row():
     dist = MovementDistribution(
         probs=np.array([[0.0], [0.0], [1.0], [0.0]]), residual=np.array([0.0])
@@ -524,6 +534,22 @@ def test_update_pointer_validation():
         update_pointer(5, 1, 0, 5)
     with pytest.raises(ValueError):
         update_pointer(0, 2, 1, 5)
+
+
+@pytest.mark.parametrize("args", [
+    (2, 1.0, 1, 5), (2, 1, 1.5, 5), (2.0, 1, 1, 5), (2, 1, 1, 5.0),
+    (2, True, 1, 5), (True, 1, 1, 5), (2, 1, True, 5), (2, 1, 1, True),
+    (2, 1, "1", 5), (2, 1, None, 5), (np.float64(2), 1, 1, 5),
+])
+def test_update_pointer_refuses_what_is_not_an_integer(args):
+    with pytest.raises(ValueError, match="must be integers"):
+        update_pointer(*args)
+
+
+def test_update_pointer_returns_a_python_int():
+    new = update_pointer(np.int64(2), np.int8(1), np.int32(-1), np.int64(5))
+    assert type(new) is int and new == 1
+    assert type(update_pointer(2, 0, 7, 5)) is int
 
 
 def test_long_range_rows_reachable_in_one_hop():
