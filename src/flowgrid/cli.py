@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import functools
 import itertools
 import json
 import logging
@@ -182,13 +181,6 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _play(spec: EpisodeSpec, policy: PolicySpec, base_seed: int, record_digests: bool,
-          index: int):
-    """Episode ``index`` of `run`; module-level, so a process pool can send it."""
-    seed = derived_seed(base_seed, f"ep{index}")
-    return run_episode(spec, policy, seed, record_digests=record_digests)
-
-
 def _buffered_traces(args, spec: EpisodeSpec, policy: PolicySpec, buffer: FailureBuffer):
     """Episodes whose seeds ``buffer`` picks, one after another."""
     buffer_rng = draws(args.seed, "buffer")
@@ -218,7 +210,9 @@ def cmd_run(args) -> int:
             buffer = FailureBuffer(beta=args.buffer_beta, scale=args.buffer_scale)
         traces = _buffered_traces(args, spec, policy, buffer)
     else:
-        play = functools.partial(_play, spec, policy, args.seed, not args.no_digests)
+        def play(index):
+            seed = derived_seed(args.seed, f"ep{index}")
+            return run_episode(spec, policy, seed, record_digests=not args.no_digests)
         traces = map_episodes(play, range(args.episodes), args.jobs)
     successes = []
 

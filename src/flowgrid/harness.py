@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
+import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import IO, List, Optional, Union
@@ -33,7 +35,7 @@ from .rngtools import substream  # noqa: F401
 
 TRACE_VERSION = 1
 MAX_REGENERATIONS = 1000
-MAX_CHUNK = 16  # items per process-pool task in map_episodes
+MAX_CHUNK = 16  # items per worker slice in map_episodes
 
 
 @dataclass(frozen=True)
@@ -246,7 +248,7 @@ class PolicySpec:
     """A policy checked once by its CLI name; ``build`` makes a fresh instance.
 
     Holds the parsed params of a ``scripted:`` policy, so a command reads
-    its file once, not once per episode, and pool workers get it pickled.
+    its file once, not once per episode, and forked workers inherit it.
     An unknown name, a policy the domain cannot run, scripted params that
     break the params file's rules, or params other than the defaults on
     another policy is a ValueError.
@@ -448,57 +450,71 @@ def run_episode(spec: EpisodeSpec, policy: Union[str, PolicySpec], seed: int,
 def pool_workers(jobs: int, items: int) -> int:
     """Worker processes to run ``items`` tasks when ``jobs`` are asked for.
 
-    Never more than there are tasks or CPUs: a forking pool starts every
-    worker up front, so an unbounded count would fork that many processes.
+    Never more than there are tasks or CPUs this process may run on: every
+    worker is forked up front, so an unbounded count would fork that many.
     """
-    return max(1, min(jobs, items, os.cpu_count() or 1))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(jobs, items, cpus or 1))
 
 
-def _run_chunk(fn, chunk) -> list:
-    return [fn(item) for item in chunk]
+def _worker(fn, items, starts, size: int, read: int, write: int) -> None:
+    """A forked worker: pickle each slice's results, or its exception, to ``write``."""
+    try:  # leave by os._exit alone: no atexit handler, no flush of inherited stdio
+        os.close(read)
+        with os.fdopen(write, "wb") as pipe:
+            for start in starts:
+                try:
+                    pipe.write(pickle.dumps([fn(item) for item in items[start:start + size]]))
+                    pipe.flush()  # else the parent waits for this worker's whole share
+                except Exception as exc:
+                    try:  # loads: an exception whose __init__ takes other arguments fails there
+                        pickle.loads(message := pickle.dumps(exc))
+                    except Exception:
+                        message = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+                    return pipe.write(message)
+    finally:
+        os._exit(0)
 
 
 def map_episodes(fn, items, jobs: int = 1):
     """Yield ``fn(item)`` for every item of the sequence ``items``, in order.
 
-    With one worker (see ``pool_workers``) this runs in-process.  Otherwise
-    slices of ``items`` go to a process pool, at most two per worker at a
-    time, so the results held do not grow with the item count.  ``fn`` must
-    then pickle (a module-level function, or a functools.partial of one),
-    and so must the items and results.  A worker's exception is raised here
-    at its item's position, after the results before it; slices not yet
-    started are cancelled.
+    With one worker (see ``pool_workers``), without ``os.fork``, or while other
+    threads run, this runs in-process.  Else forked worker ``w`` of ``W`` plays
+    slices ``w, w + W, ...`` and pickles their results to its own pipe; the
+    pipes are read in turn, so one pipe per worker bounds what is held.  A
+    worker's exception is raised here at its slice's position, after the
+    results before it.  Every worker is killed and reaped when this ends.
     """
     workers = pool_workers(jobs, len(items))
-    if workers == 1:
-        yield from map(fn, items)
+    if workers == 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        yield from map(fn, items)  # forking is unsafe while other threads run
         return
-    # imported here: multiprocessing would add ~17 ms to every CLI start
-    import multiprocessing
-    import threading
-    from collections import deque
-    from concurrent.futures import ProcessPoolExecutor
-
-    # fork skips re-importing flowgrid in every worker, but is unsafe once
-    # the calling process runs other threads
-    forkable = "fork" in multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context(
-        "fork" if forkable and threading.active_count() == 1 else "spawn"
-    )
+    import signal  # imported here: the in-process path needs none of it
     # about four slices per worker even out the load; the cap bounds each result
     size = max(1, min(MAX_CHUNK, len(items) // (4 * workers)))
-    pending = deque()
-    with ProcessPoolExecutor(workers, mp_context=context) as pool:
-        try:
-            for start in range(0, len(items), size):
-                pending.append(pool.submit(_run_chunk, fn, items[start:start + size]))
-                if len(pending) > 2 * workers:
-                    yield from pending.popleft().result()
-            while pending:
-                yield from pending.popleft().result()
-        finally:
-            for future in pending:
-                future.cancel()
+    starts = range(0, len(items), size)
+    children = []  # (pid, read end of its pipe)
+    try:
+        for worker in range(workers):
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:
+                _worker(fn, items, starts[worker::workers], size, read, write)
+            os.close(write)
+            children.append((pid, os.fdopen(read, "rb")))
+        for index, start in enumerate(starts):
+            try:
+                results = pickle.load(children[index % workers][1])
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"a --jobs worker died before sending item {start}") from None
+            if isinstance(results, Exception):
+                raise results
+            yield from results
+    finally:
+        for pid, pipe in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
 
 
 # --- trace files ------------------------------------------------------------------

@@ -237,7 +237,7 @@ def test_scripted_params_are_read_once(tmp_path, monkeypatch, argv):
 
 
 def test_scripted_run_is_the_same_in_workers(tmp_path, monkeypatch):
-    # the parsed params travel to the pool workers with each task
+    # the forked workers inherit the parsed params
     monkeypatch.chdir(tmp_path)
     (tmp_path / "p.json").write_text('{"max_jump": 3}')
     base = ["run", "--domain", "minecraft", "--policy", "scripted:p.json",
@@ -431,6 +431,29 @@ def test_run_jobs_byte_identical(tmp_path):
     assert run_cli(*base, "--jobs", "1", "--out", str(solo))[0] == EXIT_OK
     assert run_cli(*base, "--jobs", "3", "--out", str(multi))[0] == EXIT_OK
     assert solo.read_bytes() == multi.read_bytes()
+
+
+def test_run_jobs_to_stdout_is_byte_identical():
+    """Workers leave by ``os._exit``, so none flushes the stdout buffer it inherited."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    probe = ("import sys; from flowgrid import cli; sys.stdout.write('buffered at the fork\\n'); "
+             "sys.exit(cli.main(sys.argv[1:]))")
+
+    def stdout(jobs):
+        result = subprocess.run(
+            [sys.executable, "-c", probe, "run", "--domain", "minecraft", "--episodes", "6",
+             "--seed", "13", "--max-len", "6", "--jobs", jobs, "--out", "-"],
+            # unbuffered, stdout would hold nothing at the fork
+            env=dict({k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+                     PYTHONPATH=os.path.join(root, "src")),
+            capture_output=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        return result.stdout
+
+    solo = stdout("1")
+    assert solo.startswith(b"buffered at the fork\n{") and solo.count(b"buffered") == 1
+    assert stdout("2") == solo
 
 
 def test_run_stdout_and_file_bytes_agree(tmp_path):
@@ -1500,19 +1523,21 @@ def test_commands_draw_nothing_through_numpys_generator(tmp_path, monkeypatch, a
     assert outputs() == plain
 
 
-def test_cli_import_leaves_the_process_pool_unloaded():
-    """``map_episodes`` imports the process pool lazily: loading it at import
-    would add about 17 ms to every CLI start."""
+def test_cli_import_leaves_the_process_pool_unloaded(tmp_path):
+    """``--jobs`` forks its workers itself, so neither a CLI start nor a call with
+    workers pays for importing ``multiprocessing`` and its process pool."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    probe = ("import sys, flowgrid.cli; "
-             "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    pool = "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    argv = ["eval", "--domain", "starcraft", "--policy", "random", "--bins", "1-5",
+            "--episodes-per-bin", "8", "--jobs", "2", "--out", str(tmp_path / "eval.csv")]
+    probe = f"import sys, flowgrid.cli; {pool}; assert flowgrid.cli.main({argv!r}) == 0; {pool}"
     result = subprocess.run(
         [sys.executable, "-c", probe],
         env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    assert result.stdout == "[]\n[]\n"
 
 
 def test_pointer_import_loads_the_kernel_alone():

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -95,22 +96,44 @@ def test_outcomes_and_rewards_recorded():
 
 
 def test_pool_workers_is_bounded_by_tasks_and_cpus(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     assert pool_workers(1, 100) == 1
     assert pool_workers(3, 100) == 3
     assert pool_workers(5000, 100) == 4
     assert pool_workers(5000, 2) == 2
     assert pool_workers(8, 0) == 1
+    # pinned to one CPU (taskset, a cgroup) on a machine of many
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert pool_workers(4, 100) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")  # as where the platform lacks it
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert pool_workers(5000, 100) == 4
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert pool_workers(8, 100) == 1
 
 
-@pytest.mark.parametrize("busy_thread", [False, True], ids=["fork", "spawn"])
-def test_map_episodes_yields_in_item_order(busy_thread):
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """``--jobs 2`` forks two workers whatever the machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("busy_thread", [False, True], ids=["fork", "in-process"])
+def test_map_episodes_yields_in_item_order(busy_thread, two_cpus, monkeypatch):
     items = list(range(-20, 20))
     release = threading.Event()
     helper = threading.Thread(target=release.wait, args=(30,))
     if busy_thread:  # another thread alive rules out fork
+        def no_fork():
+            raise AssertionError("forked while another thread ran")
+
+        monkeypatch.setattr(os, "fork", no_fork)
         helper.start()
     try:
         assert list(map_episodes(abs, items, jobs=2)) == [abs(i) for i in items]
@@ -119,6 +142,80 @@ def test_map_episodes_yields_in_item_order(busy_thread):
         if busy_thread:
             helper.join(timeout=30)
     assert not helper.is_alive()
+    assert_no_child_left()
+
+
+def test_map_episodes_raises_a_workers_exception_after_every_earlier_result(two_cpus):
+    parent = os.getpid()
+
+    def double(item):
+        if item == 23 and os.getpid() != parent:
+            raise ValueError("no double for 23")
+        return 2 * item
+
+    got = []
+    with pytest.raises(ValueError, match="no double for 23"):
+        for value in map_episodes(double, range(40), jobs=2):
+            got.append(value)
+    # slices of five: items 20-24 are one slice, played by the first worker
+    assert got == [2 * item for item in range(20)]
+    assert_no_child_left()
+
+
+class TwoArgumentError(Exception):
+    """Pickles, but unpickling calls ``__init__`` with the message alone."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")
+
+
+@pytest.mark.parametrize("kind", ["local-class", "two-argument-init"])
+def test_map_episodes_reports_an_exception_that_does_not_pickle(two_cpus, kind):
+    class LocalError(Exception):  # pickle cannot find a class defined in a function
+        pass
+
+    error = (LocalError("seven: refused") if kind == "local-class"
+             else TwoArgumentError("seven", "refused"))
+
+    def fail(item):
+        if item == 7:
+            raise error
+        return item
+
+    with pytest.raises(RuntimeError, match=f"^{type(error).__name__}: seven: refused$"):
+        list(map_episodes(fail, range(40), jobs=2))
+    assert_no_child_left()
+
+
+def test_map_episodes_raises_when_a_worker_dies(two_cpus):
+    parent = os.getpid()
+
+    def die_on_13(item):
+        if item == 13 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return item
+
+    with pytest.raises(RuntimeError, match="worker died before sending item 10$"):
+        list(map_episodes(die_on_13, range(40), jobs=2))
+    assert_no_child_left()
+
+
+def test_map_episodes_leaves_no_worker_when_it_ends_early(two_cpus):
+    def padded(item):  # a slice's results outgrow a pipe, so the workers block writing
+        return item, bytes(10_000)
+
+    results = map_episodes(padded, range(400), jobs=2)
+    assert next(results)[0] == 0
+    results.close()
+    assert_no_child_left()
+
+    def consume():  # the generator lives on this frame alone, as in the CLI
+        for item, _ in map_episodes(padded, range(400), jobs=2):
+            raise KeyError(item)
+
+    with pytest.raises(KeyError, match="0"):
+        consume()
+    assert_no_child_left()
 
 
 # --- trace files --------------------------------------------------------------------
