@@ -288,9 +288,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    replayed = 0
+    replayed, previous = 0, None
     with open(args.trace, "r", encoding="utf-8") as handle:  # main reports an OSError
         for episode in split_episodes(read_trace_records(handle)):
+            number = episode["header"].get("episode")
+            if number is None:  # split_episodes refuses a null
+                raise TraceFormatError(f"header after {replayed} episode(s) has no episode number")
+            if number != 0 and number - 1 != previous:  # 0 starts a run; runs may be joined
+                after = "the trace's start" if previous is None else f"episode {previous}"
+                raise ReplayMismatch(f"episode {number} follows {after}; a run counts from 0 up")
+            previous = number
             for world in replay_episode(episode, check_digests=not args.no_check_digests):
                 if not args.quiet:
                     print(world.render())

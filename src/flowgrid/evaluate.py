@@ -73,18 +73,18 @@ def _binned(policy: PolicySpec, bins: list, per_bin: int, base_seed: int, jobs: 
     """Summarise ``per_bin`` episodes of each ((lo, hi), spec, seed tag) in ``bins``."""
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    tasks = [(spec, policy, derived_seed(base_seed, tag, f"ep{i}"))
+
+    def outcome(task) -> Tuple[str, int]:
+        spec, seed = task
+        world = spawn_episode_world(spec, seed)
+        play_world(world, policy.build(seed))
+        return world.cause, world.reward
+
+    tasks = [(spec, derived_seed(base_seed, tag, f"ep{i}"))
              for _, spec, tag in bins for i in range(per_bin)]
-    outcomes = list(map_episodes(_episode_outcome, tasks, jobs))
+    outcomes = list(map_episodes(outcome, tasks, jobs))
     return [_summarize(lo, hi, outcomes[k * per_bin:(k + 1) * per_bin])
             for k, ((lo, hi), _, _) in enumerate(bins)]
-
-
-def _episode_outcome(task) -> Tuple[str, int]:
-    spec, policy, seed = task
-    world = spawn_episode_world(spec, seed)
-    play_world(world, policy.build(seed))
-    return world.cause, world.reward
 
 
 def evaluate(

@@ -629,24 +629,6 @@ def split_episodes(records):
         raise TraceFormatError(f"episode {number} has no end record")
 
 
-class _RecordedCommands(Policy):
-    """Plays the commands of recorded step records in order."""
-
-    reads_observation = False
-
-    def __init__(self, action_type, steps: List[dict]):
-        self.action_type, self.steps, self.played = action_type, steps, 0
-
-    def act(self, observation, world):
-        position, self.played = self.played, self.played + 1
-        if position == len(self.steps):
-            raise ReplayMismatch(f"world still running after {position} steps at the end record")
-        try:
-            return self.action_type(**self.steps[position]["command"])
-        except (KeyError, TypeError, ValueError) as exc:  # cut as a bad header's is
-            raise TraceFormatError(f"step {position}: bad step record: {exc!s:.300}") from None
-
-
 def _compare(where: str, actual: dict, recorded: dict) -> None:
     """Raise TraceFormatError when the two records' keys differ, else ReplayMismatch
     on the first value that encodes differently; return when they encode alike.
@@ -668,11 +650,11 @@ def _compare(where: str, actual: dict, recorded: dict) -> None:
 
 
 def replay_episode(episode: dict, check_digests: bool = True):
-    """Re-play a recorded episode's commands, yielding the live world once after
-    spawn and again after each resolved step, for a caller to ``render()``.
+    """Apply a recorded episode's commands one by one, yielding the live world once
+    after spawn and again after each resolved step, for a caller to ``render()``.
 
-    Each record that ``run_episode``'s loop and builders make must equal the
-    recorded one, JSON types included, given the header's policy name and episode
+    Each record that ``run_episode``'s builders make must equal the recorded
+    one, JSON types included, given the header's policy name and episode
     number: a key in only one is a TraceFormatError, any other difference a
     ReplayMismatch.
     Digests count when ``check_digests`` is set and the episode records any.
@@ -692,10 +674,16 @@ def replay_episode(episode: dict, check_digests: bool = True):
              header)
     steps = episode["steps"]
     digested = check_digests and any(r.get("digest") is not None for r in steps)
-    commands = _RecordedCommands(Command if spec.domain == MINECRAFT else ActionToken, steps)
+    action_type = Command if spec.domain == MINECRAFT else ActionToken
     yield world
-    for position, record in enumerate(_step_records(world, commands, digested)):
-        recorded = steps[position]
+    for position, recorded in enumerate(steps):
+        if world.done:
+            raise ReplayMismatch(f"step {position}: recorded after the episode ended")
+        try:
+            action = action_type(**recorded["command"])
+        except (KeyError, TypeError, ValueError) as exc:  # cut as a bad header's is
+            raise TraceFormatError(f"step {position}: bad step record: {exc!s:.300}") from None
+        record = _step_record(world, action, world.apply(action), digested)
         if not check_digests:
             record["digest"] = recorded.get("digest")
         # == first, as it is cheap; a step's values are scalars or a command that
@@ -705,8 +693,8 @@ def replay_episode(episode: dict, check_digests: bool = True):
             _compare(f"step {position}", record, recorded)
         if record["resolved"]:
             yield world
-    if commands.played < len(steps):
-        raise ReplayMismatch(f"step {commands.played}: recorded after the episode ended")
+    if not world.done:
+        raise ReplayMismatch(f"world still running after {len(steps)} steps at the end record")
     _compare("end", dict(_end_record(world, len(steps)), **numbered), episode["end"])
 
 

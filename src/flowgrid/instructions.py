@@ -17,7 +17,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import DecodeError, clipped
 
@@ -211,9 +211,6 @@ class ScLine:
         return self.word.spellings[0]
 
 
-Line = Union[CfLine, ScLine]
-
-
 @dataclass(frozen=True)
 class Instruction:
     """A non-empty, domain-homogeneous sequence of lines."""
@@ -235,9 +232,6 @@ class Instruction:
 
     def __len__(self) -> int:
         return len(self.lines)
-
-    def __iter__(self) -> Iterator[Line]:
-        return iter(self.lines)
 
     def __getitem__(self, index):
         return self.lines[index]

@@ -455,13 +455,9 @@ def spawn(
             attempts=[SpawnAttempt(n, "placement_reject") for _ in range(MAX_RESAMPLES + 1)],
         )
     attempts: List[SpawnAttempt] = []
-    verdicts: Dict[tuple, bool] = {}  # static check per count of each entity type
     for _ in range(MAX_RESAMPLES + 1):
         types = rng.integers(0, len(COMPARANDS), size=n)
-        key = tuple(map(types.count, range(len(COMPARANDS))))
-        if key not in verdicts:
-            verdicts[key] = required_stream_feasible(instruction, key)
-        if not verdicts[key]:
+        if not required_stream_feasible(instruction, map(types.count, range(len(COMPARANDS)))):
             attempts.append(SpawnAttempt(n, "static_reject"))
             continue
         kinds = [COMPARANDS[i] for i in types]

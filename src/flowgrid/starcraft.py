@@ -358,13 +358,12 @@ class StarcraftWorld:
 
 
 def _step_toward(cell: tuple, dest: tuple) -> tuple:
+    """One step from ``cell`` to ``dest``, another cell; the row axis first on ties."""
     r, c = cell
     dr, dc = dest[0] - r, dest[1] - c
-    if abs(dr) >= abs(dc) and dr != 0:
+    if abs(dr) >= abs(dc):
         return (r + (1 if dr > 0 else -1), c)
-    if dc != 0:
-        return (r, c + (1 if dc > 0 else -1))
-    return cell
+    return (r, c + (1 if dc > 0 else -1))
 
 
 def spawn(

@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import io
 import json
+import logging
 import os
 import re
 import subprocess
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowgrid import evaluate, harness
-from flowgrid.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from flowgrid.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, _setup_logging, main
 from flowgrid.generators import MAX_LINES
 from flowgrid.instructions import COMPARANDS, decode, parse_text
 from flowgrid.interpreter import cf_step
@@ -38,6 +39,18 @@ TOO_LONG_INT = "9" * 5_000
 
 
 # --- usage errors -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("value, level", [
+    ("debug", logging.DEBUG), ("Info", logging.INFO), ("chatty", logging.WARNING),
+    ("basic_format", logging.WARNING),  # logging.BASIC_FORMAT is a string, not a level
+])
+def test_flowgrid_log_sets_the_level_or_falls_back_to_warning(monkeypatch, value, level):
+    given = {}
+    monkeypatch.setenv("FLOWGRID_LOG", value)
+    monkeypatch.setattr(logging, "basicConfig", lambda **kwargs: given.update(kwargs))
+    _setup_logging()
+    assert given["level"] == level
 
 
 def test_no_command_is_usage_error():
@@ -393,6 +406,54 @@ def test_run_then_replay_round_trip(tmp_path):
     code, _, err = run_cli("replay", "--trace", str(trace), "--quiet")
     assert code == EXIT_OK
     assert "3 episode(s)" in err
+
+
+def _run_text(episodes, seed):
+    code, out, _ = run_cli("run", "--domain", "minecraft", "--policy", "random", "--min-len",
+                           "2", "--max-len", "4", "--episodes", str(episodes), "--seed", str(seed))
+    assert code == EXIT_OK
+    return out
+
+
+def _episodes(text):
+    """The lines of ``text``, a trace, joined per episode."""
+    episodes = []
+    for line in text.splitlines(keepends=True):
+        if json.loads(line)["kind"] == "header":
+            episodes.append("")
+        episodes[-1] += line
+    return episodes
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda eps: [eps[0], eps[2]], "episode 2 follows episode 0"),
+    (lambda eps: [eps[0], eps[2], eps[1]], "episode 2 follows episode 0"),
+    (lambda eps: [eps[1], eps[0], eps[2]], "episode 1 follows the trace's start"),
+], ids=["middle-deleted", "last-two-swapped", "first-two-swapped"])
+def test_replay_ties_each_episode_to_its_place_in_its_run(tmp_path, edit, reason):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("".join(edit(_episodes(_run_text(3, 5)))))
+    code, _, err = run_cli("replay", "--trace", str(trace), "--quiet")
+    assert code == EXIT_VERIFY
+    assert "replay mismatch" in err and reason in err
+
+
+def test_replay_verifies_runs_joined_into_one_trace(tmp_path):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(_run_text(2, 5) + _run_text(3, 6))
+    code, _, err = run_cli("replay", "--trace", str(trace), "--quiet")
+    assert code == EXIT_OK
+    assert "replay ok: 5 episode(s) verified" in err
+
+
+def test_replay_refuses_a_header_without_an_episode_number(tmp_path):
+    trace, records = _recorded_records(tmp_path, "minecraft")
+    for record in (records[0], records[-1]):  # both, so their keys still agree
+        del record["episode"]
+    _rewrite(trace, records)
+    code, _, err = run_cli("replay", "--trace", str(trace), "--quiet")
+    assert code == EXIT_IO
+    assert f"malformed trace {trace}: header after 0 episode(s) has no episode number" in err
 
 
 @pytest.mark.parametrize("scripted", [False, True], ids=["oracle", "scripted"])

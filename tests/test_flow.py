@@ -4,10 +4,10 @@
 tables once; ``validate``, ``cf_step``, ``required_stream_feasible`` and
 ``spawn`` read those tables.  The functions below are the earlier
 implementations, which rebuilt a peer map and dispatched on line kinds on
-every call, and ``spawn`` without its per-call static-check memo or its
-early exit at n = 36, judging the water cut by breadth-first search rather
-than by the side of the line: it makes every draw through numpy.  They stay here as
-the oracles the property tests compare against.
+every call, and ``spawn`` without its early exit at n = 36, judging the water
+cut by breadth-first search rather than by the side of the line: it makes every
+draw through numpy.  They stay here as the oracles the property tests compare
+against.
 """
 
 from collections import deque
@@ -465,7 +465,7 @@ def test_malformed_world_raises_the_earlier_structural_error():
         MinecraftWorld(ins, {}, set(), frozenset(), (0, 0), {r: 0 for r in RESOURCES})
 
 
-# --- spawn with and without the static-check memo -----------------------------------
+# --- spawn against the earlier spawn ------------------------------------------------
 
 
 def _same_spawn(make_ins, seed):
@@ -492,13 +492,13 @@ def _same_spawn(make_ins, seed):
 
 @given(seed=st.integers(0, 1_000_000), max_len=st.integers(1, 25))
 @settings(max_examples=150, deadline=None)
-def test_spawn_matches_spawn_without_memo(seed, max_len):
+def test_spawn_matches_the_earlier_spawn(seed, max_len):
     _same_spawn(lambda: gen_minecraft(draws(seed, "flow-gen"), (1, max_len)), seed)
 
 
 @given(seed=st.integers(0, 1_000_000), ins=programs())
 @settings(max_examples=150, deadline=None)
-def test_spawn_matches_spawn_without_memo_on_any_program(seed, ins):
+def test_spawn_matches_the_earlier_spawn_on_any_program(seed, ins):
     _same_spawn(lambda: ins, seed)
 
 

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -328,6 +329,13 @@ def test_read_trace_reports_bad_line_number():
     assert err.value.line_number == 2
 
 
+def test_read_trace_skips_blank_lines():
+    blob = trace_bytes([run_episode(MC_SPEC, "oracle", 21)]).decode("utf-8")
+    spaced = "\n" + blob.replace("\n", "\n  \n\t\n")
+    assert list(read_trace_records(io.StringIO(spaced))) == list(
+        read_trace_records(io.StringIO(blob)))
+
+
 def test_split_rejects_orphan_records():
     with pytest.raises(TraceFormatError):
         list(split_episodes([{"kind": "step"}]))
@@ -454,6 +462,39 @@ def _noqa_imports(src_dir):
             ):
                 found += [(filename[:-3], alias.asname or alias.name) for alias in node.names]
     return found
+
+
+def _private_top_level_names(source):
+    """Each ``_name`` that a module-level def, class or assignment in ``source`` binds."""
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for target in targets for n in ast.walk(target)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_") and not name.endswith("__"))
+
+
+def test_every_private_top_level_name_in_src_is_used_in_src():
+    """A private name that nothing in ``src/`` mentions besides its definition is a
+    leftover, such as a worker function whose one caller moved."""
+    src_dir = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "src", "flowgrid")
+    sources = {}
+    for filename in sorted(os.listdir(src_dir)):
+        if filename.endswith(".py"):
+            with open(os.path.join(src_dir, filename), encoding="utf-8") as handle:
+                sources[filename] = handle.read()
+    text = "\n".join(sources.values())
+    defined = [(filename, name) for filename, source in sources.items()
+               for name in _private_top_level_names(source)]
+    assert ("harness.py", "_step_record") in defined  # the parse found the names
+    orphans = [f"{filename}: {name}" for filename, name in defined
+               if len(re.findall(rf"\b{re.escape(name)}\b", text)) < 2]
+    assert not orphans
 
 
 _INSTALL_SPANS = """

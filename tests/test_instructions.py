@@ -93,6 +93,13 @@ def test_instructions_are_nonempty_and_homogeneous():
     assert Instruction((ScLine.unit(3),)).domain == "starcraft"
 
 
+def test_an_instruction_iterates_over_its_lines():
+    for ins in (mc(CfLine.if_("iron", "gold"), S("mine", "iron"), CfLine.endif()),
+                Instruction((ScLine.building(2), ScLine.unit(3)))):
+        assert list(ins) == list(ins.lines)
+        assert [line for line in ins] == [ins[i] for i in range(len(ins))]
+
+
 # --- validation ---------------------------------------------------------------
 
 
