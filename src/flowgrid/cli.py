@@ -181,20 +181,6 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _buffered_traces(args, spec: EpisodeSpec, policy: PolicySpec, buffer: FailureBuffer):
-    """Episodes whose seeds ``buffer`` picks, one after another."""
-    buffer_rng = draws(args.seed, "buffer")
-    for index in range(args.episodes):
-        seed = buffer.sample(buffer_rng)
-        if seed is None:
-            seed = derived_seed(args.seed, f"ep{index}")
-        else:
-            log.debug("episode %d retries buffered seed %d", index, seed)
-        episode = run_episode(spec, policy, seed, record_digests=not args.no_digests)
-        buffer.update(seed, episode["end"]["outcome"] == "success")
-        yield episode
-
-
 def cmd_run(args) -> int:
     _require(args.episodes >= 1, "--episodes must be at least 1", "episodes")
     _require(args.jobs >= 1, "--jobs must be at least 1", "jobs")
@@ -205,19 +191,29 @@ def cmd_run(args) -> int:
              "--buffer-beta/--buffer-scale apply only with --failure-buffer")
     spec = _episode_spec(args, _RUN_SPEC, disruptions=not args.no_disruptions)
     policy = _parse_policy(args.policy, spec.domain)
+    buffer = None
     if args.failure_buffer:
         with _refused(ValueError, "buffer_beta", "buffer_scale"):
             buffer = FailureBuffer(beta=args.buffer_beta, scale=args.buffer_scale)
-        traces = _buffered_traces(args, spec, policy, buffer)
-    else:
-        def play(index):
+        buffer_rng = draws(args.seed, "buffer")
+
+    def play(index):
+        """Episode ``index`` on the failure buffer's seed, if it offers one, else on one
+        derived from --seed.  --failure-buffer needs --jobs 1, played in-process in order."""
+        seed = None if buffer is None else buffer.sample(buffer_rng)
+        if seed is None:
             seed = derived_seed(args.seed, f"ep{index}")
-            return run_episode(spec, policy, seed, record_digests=not args.no_digests)
-        traces = map_episodes(play, range(args.episodes), args.jobs)
+        else:
+            log.debug("episode %d retries buffered seed %d", index, seed)
+        episode = run_episode(spec, policy, seed, record_digests=not args.no_digests)
+        if buffer is not None:
+            buffer.update(seed, episode["end"]["outcome"] == "success")
+        return episode
+
     successes = []
 
     def tallied():
-        for episode in traces:
+        for episode in map_episodes(play, range(args.episodes), args.jobs):
             successes.append(episode["end"]["outcome"] == "success")
             yield episode
 

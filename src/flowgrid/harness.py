@@ -409,18 +409,15 @@ def _end_record(world, steps: int) -> dict:
     return {"kind": "end", "outcome": world.cause, "reward": world.reward, "steps": steps}
 
 
-def _step_records(world, policy: Policy, record_digests: bool):
-    """Run ``policy`` on ``world`` until the episode ends, yielding each step record."""
-    policy.reset(world)
-    reads_observation = policy.reads_observation
-    while not world.done:
-        action = policy.act(world.observe() if reads_observation else None, world)
-        yield _step_record(world, action, world.apply(action), record_digests)
-
-
 def drive_world(world, policy: Policy, record_digests: bool = True) -> List[dict]:
     """Run ``policy`` on ``world`` until the episode ends; returns its step records."""
-    return list(_step_records(world, policy, record_digests))
+    policy.reset(world)
+    reads_observation = policy.reads_observation
+    steps = []
+    while not world.done:
+        action = policy.act(world.observe() if reads_observation else None, world)
+        steps.append(_step_record(world, action, world.apply(action), record_digests))
+    return steps
 
 
 def play_world(world, policy: Policy) -> None:
@@ -458,20 +455,25 @@ def pool_workers(jobs: int, items: int) -> int:
 
 
 def _worker(fn, items, starts, size: int, read: int, write: int) -> None:
-    """A forked worker: pickle each slice's results, or its exception, to ``write``."""
+    """A forked worker: pickle ``(results, error)`` per slice to ``write``: the results
+    of the slice's items up to the first that raised, and that exception or None."""
     try:  # leave by os._exit alone: no atexit handler, no flush of inherited stdio
         os.close(read)
         with os.fdopen(write, "wb") as pipe:
             for start in starts:
+                results, error = [], None
                 try:
-                    pipe.write(pickle.dumps([fn(item) for item in items[start:start + size]]))
-                    pipe.flush()  # else the parent waits for this worker's whole share
+                    for item in items[start:start + size]:
+                        results.append(fn(item))
                 except Exception as exc:
                     try:  # loads: an exception whose __init__ takes other arguments fails there
-                        pickle.loads(message := pickle.dumps(exc))
+                        pickle.loads(pickle.dumps(error := exc))
                     except Exception:
-                        message = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-                    return pipe.write(message)
+                        error = RuntimeError(f"{type(exc).__name__}: {exc}")
+                pipe.write(pickle.dumps((results, error)))
+                pipe.flush()  # else the parent waits for this worker's whole share
+                if error is not None:
+                    return
     finally:
         os._exit(0)
 
@@ -482,9 +484,9 @@ def map_episodes(fn, items, jobs: int = 1):
     With one worker (see ``pool_workers``), without ``os.fork``, or while other
     threads run, this runs in-process.  Else forked worker ``w`` of ``W`` plays
     slices ``w, w + W, ...`` and pickles their results to its own pipe; the
-    pipes are read in turn, so one pipe per worker bounds what is held.  A
-    worker's exception is raised here at its slice's position, after the
-    results before it.  Every worker is killed and reaped when this ends.
+    pipes are read in turn, so one pipe per worker bounds what is held.  An
+    item's exception is raised here after the results of every item before
+    it, as in-process.  Every worker is killed and reaped when this ends.
     """
     workers = pool_workers(jobs, len(items))
     if workers == 1 or not hasattr(os, "fork") or threading.active_count() > 1:
@@ -504,12 +506,12 @@ def map_episodes(fn, items, jobs: int = 1):
             children.append((pid, os.fdopen(read, "rb")))
         for index, start in enumerate(starts):
             try:
-                results = pickle.load(children[index % workers][1])
+                results, error = pickle.load(children[index % workers][1])
             except (EOFError, pickle.UnpicklingError):
                 raise RuntimeError(f"a --jobs worker died before sending item {start}") from None
-            if isinstance(results, Exception):
-                raise results
             yield from results
+            if error is not None:
+                raise error
     finally:
         for pid, pipe in children:
             os.kill(pid, signal.SIGKILL)
@@ -595,10 +597,10 @@ def split_episodes(records):
     """Group trace records into {header, steps, end} episodes.
 
     Yields each episode at its end record, so a trace is read one episode
-    at a time.  An episode without an end record is a format error.
+    at a time.  An episode without an end record is a format error that
+    names its header's ``episode``, as runs joined into one trace repeat them.
     """
     current = None
-    number = 0
     for record in records:
         kind = record.get("kind")
         episode = record.get("episode", 0)
@@ -611,7 +613,7 @@ def split_episodes(records):
             version = record.get("v")
             if type(version) is not int or version != TRACE_VERSION:  # not true, not 1.0
                 raise TraceFormatError(f"unsupported trace version {clipped(version)}")
-            current = {"header": record, "steps": [], "end": None}
+            current, number = {"header": record, "steps": [], "end": None}, episode
         elif kind == "step":
             if current is None:
                 raise TraceFormatError("step record outside an episode")
@@ -622,7 +624,6 @@ def split_episodes(records):
             current["end"] = record
             yield current
             current = None
-            number += 1
         else:
             raise TraceFormatError(f"unknown record kind {clipped(kind)}")
     if current is not None:

@@ -397,16 +397,6 @@ class BuildTree:
             "producer": {str(k): v for k, v in sorted(self.producer.items())},
         }
 
-    def max_depth(self) -> int:
-        buildings = (
-            set(self.prerequisite)
-            | set(self.prerequisite.values())
-            | set(self.producer.values())
-        )
-        if not buildings:
-            return 0
-        return max(len(self.chain(b)) for b in buildings)
-
 
 # --- decode and parse: inverse lookups in the vocabulary -------------------
 

@@ -104,6 +104,10 @@ class Draws:
     def integers(self, low: int, high: Optional[int] = None, size: Optional[int] = None):
         if high is None:
             low, high = 0, low
+        elif low < -1 << 63:  # numpy's int64 bounds, low checked first as numpy does
+            raise ValueError("low is out of bounds for int64")
+        if high > 1 << 63:
+            raise ValueError("high is out of bounds for int64")
         n = high - low
         if size is not None:
             return self._sized(low, n, size)

@@ -16,12 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowgrid import evaluate, harness
+from flowgrid import cli, evaluate, harness
 from flowgrid.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, _setup_logging, main
+from flowgrid.errors import GenerationError
 from flowgrid.generators import MAX_LINES
+from flowgrid.harness import map_episodes
 from flowgrid.instructions import COMPARANDS, decode, parse_text
 from flowgrid.interpreter import cf_step
 from flowgrid.minecraft import MinecraftWorld
+from flowgrid.rngtools import derived_seed
 from flowgrid.starcraft import StarcraftWorld
 
 
@@ -620,6 +623,45 @@ def test_episode_error_exits_alike_in_process_and_in_workers(argv, jobs):
     assert err == "error: no starcraft instruction of 60-60 lines in 1000 draws; lower --min-len\n"
 
 
+def test_a_run_that_fails_part_way_leaves_the_same_file_at_any_jobs(tmp_path, monkeypatch):
+    """Episode 4 fails in the middle of a worker's slice (3, 4, 5); the trace
+    still holds episodes 0-3, as when the episodes play in-process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    real, failing = harness.spawn_episode_world, derived_seed(9, "ep4")
+
+    def spawn(spec, seed):  # forked workers inherit the patch
+        if seed == failing:
+            raise GenerationError("no instruction for episode 4")
+        return real(spec, seed)
+
+    monkeypatch.setattr(harness, "spawn_episode_world", spawn)
+    results = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.jsonl"
+        code, _, err = run_cli("run", "--domain", "minecraft", "--max-len", "3", "--episodes",
+                               "24", "--seed", "9", "--jobs", jobs, "--out", str(out))
+        results.append((code, err, out.read_bytes()))
+    assert results[0] == results[1]
+    code, err, trace = results[0]
+    assert (code, err) == (EXIT_USAGE, "error: no instruction for episode 4\n")
+    assert [json.loads(line)["episode"] for line in trace.splitlines()
+            if b'"header"' in line] == [0, 1, 2, 3]
+
+
+def test_a_failure_buffer_run_plays_through_map_episodes(monkeypatch):
+    calls = []
+
+    def counting(fn, items, jobs=1):
+        calls.append((items, jobs))
+        return map_episodes(fn, items, jobs)
+
+    monkeypatch.setattr(cli, "map_episodes", counting)
+    code, out, _ = run_cli("run", "--domain", "minecraft", "--max-len", "3", "--episodes", "5",
+                           "--failure-buffer", "--out", "-")
+    assert code == EXIT_OK and out.count('"header"') == 5
+    assert calls == [(range(5), 1)]
+
+
 @pytest.mark.parametrize("command", ["gen", "run"])
 def test_unreachable_starcraft_lengths_are_a_usage_error_like_gen(tmp_path, command):
     count = "--count" if command == "gen" else "--episodes"
@@ -878,6 +920,25 @@ def test_replay_trace_without_end_record_is_io_error(tmp_path):
     code, _, err = run_cli("replay", "--trace", str(trace), "--quiet")
     assert code == EXIT_IO
     assert "no end record" in err
+
+
+@pytest.mark.parametrize("cut, named", [(5, 2), (4, 1)], ids=["last-line", "before-a-header"])
+def test_a_missing_end_record_is_named_by_its_headers_episode(tmp_path, cut, named):
+    """Two 3-episode runs joined, one end record of the second run cut: the
+    message names the open header's episode, not its place in the file."""
+    lines = []
+    for seed in ("1", "2"):
+        code, out, _ = run_cli("run", "--domain", "minecraft", "--episodes", "3", "--seed", seed,
+                               "--out", "-")
+        assert code == EXIT_OK
+        lines += out.splitlines(keepends=True)
+    ends = [i for i, line in enumerate(lines) if '"kind":"end"' in line]
+    del lines[ends[cut]]
+    trace = tmp_path / "joined.jsonl"
+    trace.write_text("".join(lines))
+    code, _, err = run_cli("replay", "--trace", str(trace), "--quiet")
+    assert code == EXIT_IO
+    assert f"episode {named} has no end record" in err
 
 
 def _cut_last_step(records):

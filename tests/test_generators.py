@@ -27,6 +27,7 @@ from flowgrid.instructions import (
     ENDWHILE,
     IF,
     NEXUS,
+    N_BUILDINGS,
     N_UNITS,
     RESOURCES,
     SUBTASK,
@@ -300,7 +301,7 @@ def test_max_depth_caps_chains():
     for cap in (1, 2, 3):
         for _ in range(40):
             tree = gen_build_tree(rng, max_depth=cap)
-            assert tree.max_depth() <= cap
+            assert all(len(tree.chain(b)) <= cap for b in range(N_BUILDINGS))
     flat = gen_build_tree(rng_for("flat"), max_depth=1)
     assert flat.prerequisite == {}
 

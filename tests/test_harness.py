@@ -1,6 +1,7 @@
 """Episode orchestration: determinism, traces, replay, the failure buffer."""
 
 import ast
+import contextlib
 import dataclasses
 import hashlib
 import io
@@ -15,7 +16,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from flowgrid.errors import PolicyParamsError, ReplayMismatch, TraceFormatError
@@ -158,8 +159,32 @@ def test_map_episodes_raises_a_workers_exception_after_every_earlier_result(two_
     with pytest.raises(ValueError, match="no double for 23"):
         for value in map_episodes(double, range(40), jobs=2):
             got.append(value)
-    # slices of five: items 20-24 are one slice, played by the first worker
-    assert got == [2 * item for item in range(20)]
+    # slices of five: items 20-24 are one slice, played by the first worker,
+    # which sends the results of 20-22 with the exception
+    assert got == [2 * item for item in range(23)]
+    assert_no_child_left()
+
+
+class ItemError(Exception):
+    pass
+
+
+@given(jobs=st.integers(1, 3), count=st.integers(1, 70), data=st.data())
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_map_episodes_yields_every_result_before_a_failing_item(two_cpus, jobs, count, data):
+    failing = data.draw(st.none() | st.integers(0, count - 1), label="failing")
+
+    def square(item):
+        if item == failing:
+            raise ItemError(item)
+        return item * item
+
+    got = []
+    with pytest.raises(ItemError) if failing is not None else contextlib.nullcontext():
+        for value in map_episodes(square, range(count), jobs):
+            got.append(value)
+    assert got == [item * item for item in range(count if failing is None else failing)]
     assert_no_child_left()
 
 

@@ -280,17 +280,12 @@ def test_chain_runs_root_first():
     tree = BuildTree(prerequisite={3: 1, 1: 0}, producer={0: 3})
     assert tree.chain(3) == (0, 1, 3)
     assert tree.chain(0) == (0,)
-    assert tree.max_depth() == 3
 
 
 def test_chain_detects_cycles():
     tree = BuildTree(prerequisite={1: 2, 2: 1}, producer={})
     with pytest.raises(ValueError):
         tree.chain(1)
-
-
-def test_max_depth_of_empty_tree():
-    assert BuildTree(prerequisite={}, producer={}).max_depth() == 0
 
 
 # --- generated instructions always survive the round trips ------------------------

@@ -113,6 +113,27 @@ def test_negative_sizes_are_refused_like_numpy_before_any_draw(call, carried):
     assert reader.random() == fresh.random()
 
 
+# a range above 2**64 once rejected every word, so integers(2**64 + 5) never returned
+@pytest.mark.parametrize("args, bound", [
+    ((2**63 + 1,), "high"), ((2**64,), "high"), ((2**64 + 5,), "high"),
+    ((2**63, 2**63 + 5), "high"), ((-2**63 - 1, 0), "low"), ((-2**63 - 1, 2**64), "low"),
+    ((2**63 + 1, None, 3), "high"), ((-2**63 - 1, 0, 4), "low"),
+])
+def test_int64_bounds_are_refused_like_numpy_before_any_draw(args, bound):
+    reader, fresh = draws(0, "bounds"), draws(0, "bounds")
+    for stream in (substream(0, "bounds"), reader):
+        with pytest.raises(ValueError, match=f"^{bound} is out of bounds for int64$"):
+            stream.integers(*args)
+    assert reader.integers(2**32) == fresh.integers(2**32)
+
+
+@pytest.mark.parametrize("args", [(2**63,), (-2**63, 2**63), (-2**63, 0), (2**63 - 5, 2**63)])
+def test_draws_at_the_int64_bounds_equal_numpy(args):
+    reader, generator = draws(0, "edge"), substream(0, "edge")
+    for _ in range(3 * BLOCK):
+        assert reader.integers(*args) == int(generator.integers(*args))
+
+
 def _stream(seed: int, reader) -> list:
     out = []
     for i in range(3 * BLOCK):
